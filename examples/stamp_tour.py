@@ -14,26 +14,20 @@ Run:  python examples/stamp_tour.py [scale] [jobs]
 import os
 import sys
 
-from repro.analysis.parallel import WorkloadSpec
+from repro.analysis.experiments import SCHEME_ORDER, paper_spec
 from repro.analysis.report import render_grouped
-from repro.analysis.sweep import SchemeSweep, paper_schemes
-from repro.workloads.stamp import STAMP_WORKLOADS
+from repro.scenarios import run_scenario
 
 
 def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.4
     jobs = (int(sys.argv[2]) if len(sys.argv) > 2
             else int(os.environ.get("REPRO_JOBS", "0")))  # 0 = all cores
-    specs = {
-        name: WorkloadSpec(name, scale=scale)
-        for name in STAMP_WORKLOADS
-    }
     print(f"Running 8 workloads x 4 schemes at scale {scale} "
           f"(jobs={jobs or 'auto'}) ...")
-    sweep = SchemeSweep(paper_schemes(), jobs=jobs)
-    result = sweep.run(specs, verbose=True)
+    result = run_scenario(paper_spec(scale), jobs=jobs,
+                          verbose=True).sweep_result()
 
-    schemes = ["baseline", "backoff", "rmw", "puno"]
     for metric, title in [
         ("aborts", "normalized transaction aborts (Fig. 10)"),
         ("traffic", "normalized network traffic (Fig. 11)"),
@@ -42,7 +36,7 @@ def main() -> None:
     ]:
         table = result.normalized(metric)
         print()
-        print(render_grouped(table.values, schemes, title=title))
+        print(render_grouped(table.values, SCHEME_ORDER, title=title))
 
 
 if __name__ == "__main__":

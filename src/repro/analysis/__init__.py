@@ -4,7 +4,7 @@
   G/D ratio aggregation, high-contention averages),
 * :mod:`repro.analysis.falseabort` — the Fig. 2/3 classification,
 * :mod:`repro.analysis.report` — ASCII table/series rendering,
-* :mod:`repro.analysis.sweep` — multi-run comparison harness,
+* :mod:`repro.analysis.sweep` — the Stats grid of one sweep,
 * :mod:`repro.analysis.parallel` — process-pool sweep execution over
   picklable task descriptors,
 * :mod:`repro.analysis.experiments` — one entry point per paper table
@@ -32,8 +32,7 @@ from repro.analysis.parallel import (
 )
 from repro.analysis.chaos import ChaosOutcome, ChaosReport, run_chaos
 from repro.analysis.report import render_table, render_series
-from repro.analysis.sweep import SchemeSweep, SweepResult
-from repro.analysis import experiments
+from repro.analysis.sweep import SweepResult
 
 __all__ = [
     "SweepCheckpoint",
@@ -54,7 +53,6 @@ __all__ = [
     "victim_distribution",
     "render_table",
     "render_series",
-    "SchemeSweep",
     "SweepResult",
     "experiments",
 ]

@@ -16,20 +16,16 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.falseabort import breakdown, victim_distribution
 from repro.analysis.metrics import MetricTable, high_contention_average
-from repro.analysis.parallel import WorkloadSpec
 from repro.analysis.report import render_grouped, render_series, render_table
-from repro.analysis.sweep import SchemeSweep, SweepResult, paper_schemes
+from repro.analysis.sweep import SweepResult
 from repro.core.hw_model import estimate_overhead
+from repro.scenarios import ScenarioSpec, WorkloadDef, run_scenario
 from repro.sim.config import SystemConfig
-from repro.workloads.stamp import (
-    HIGH_CONTENTION,
-    STAMP_WORKLOADS,
-    make_stamp_workload,
-)
+from repro.workloads.stamp import HIGH_CONTENTION, STAMP_WORKLOADS
 
 SCHEME_ORDER = ["baseline", "backoff", "rmw", "puno"]
 
@@ -46,32 +42,38 @@ class ExperimentResult:
         return self.text
 
 
-def _workload_factories(scale: float, seed: int,
-                        names: Optional[List[str]] = None
-                        ) -> Dict[str, Callable]:
-    names = names or list(STAMP_WORKLOADS)
-    return {
-        n: (lambda n=n: make_stamp_workload(n, scale=scale, seed=seed))
-        for n in names
-    }
+def paper_spec(scale: float = 1.0, seed: int = 0,
+               schemes: Tuple[str, ...] = tuple(SCHEME_ORDER),
+               names: Optional[List[str]] = None) -> ScenarioSpec:
+    """The paper's evaluation grid (Section IV-A) as a scenario: the
+    STAMP analogues on the 16-node Table II machine.  ``seed`` varies
+    the workload instances only; the simulator seed stays at the Table
+    II default of 1."""
+    return ScenarioSpec(
+        name="paper-eval",
+        nodes=16,
+        workloads=tuple(WorkloadDef(n)
+                        for n in names or STAMP_WORKLOADS),
+        schemes=schemes,
+        scale=scale,
+        seeds=(seed,),
+        overrides={"system": {"seed": 1}},
+    )
 
 
-def _workload_specs(scale: float, seed: int,
-                    names: Optional[List[str]] = None
-                    ) -> Dict[str, WorkloadSpec]:
-    """Picklable sweep inputs — required for ``jobs`` > 1."""
-    names = names or list(STAMP_WORKLOADS)
-    return {n: WorkloadSpec(n, scale=scale, seed=seed) for n in names}
+def _paper_sweep(scale: float, seed: int, jobs: int = 1,
+                 verbose: bool = False) -> SweepResult:
+    return run_scenario(paper_spec(scale, seed), jobs=jobs,
+                        verbose=verbose).sweep_result()
 
 
 def _baseline_stats(scale: float, seed: int,
                     names: Optional[List[str]] = None,
                     jobs: int = 1):
-    specs = _workload_specs(scale, seed, names)
-    sweep = SchemeSweep({"baseline": ("baseline", SystemConfig())},
-                        jobs=jobs)
-    result = sweep.run(specs)
-    return {n: result.stats[n]["baseline"] for n in specs}
+    spec = paper_spec(scale, seed, ("baseline",), names)
+    result = run_scenario(spec, jobs=jobs)
+    return {wl.label: result.stats(wl.label, "baseline", seed)
+            for wl in spec.workloads}
 
 
 # =====================================================================
@@ -177,8 +179,7 @@ def _comparison(metric: str, title: str, scale: float, seed: int,
                 larger_is_better: bool = False,
                 jobs: int = 1) -> ExperimentResult:
     if sweep_result is None:
-        sweep = SchemeSweep(paper_schemes(), jobs=jobs)
-        sweep_result = sweep.run(_workload_specs(scale, seed))
+        sweep_result = _paper_sweep(scale, seed, jobs)
     table = sweep_result.normalized(metric)
     hc_avg = {
         s: high_contention_average(table.column(s), HIGH_CONTENTION)
@@ -243,8 +244,7 @@ def full_evaluation(scale: float = 1.0, seed: int = 0,
                     verbose: bool = False,
                     jobs: int = 1) -> Dict[str, ExperimentResult]:
     """Run the whole evaluation section with one shared sweep."""
-    sweep = SchemeSweep(paper_schemes(), jobs=jobs)
-    result = sweep.run(_workload_specs(scale, seed), verbose=verbose)
+    result = _paper_sweep(scale, seed, jobs, verbose)
     return {
         "fig10": fig10(sweep_result=result),
         "fig11": fig11(sweep_result=result),
@@ -269,8 +269,7 @@ def seed_averaged_evaluation(scale: float = 1.0, seeds: int = 3,
                                    ("aborts", "traffic", "dir_blocking",
                                     "exec", "gd_ratio")}
     for s in range(seeds):
-        sweep = SchemeSweep(paper_schemes(), jobs=jobs)
-        result = sweep.run(_workload_specs(scale, s), verbose=verbose)
+        result = _paper_sweep(scale, s, jobs, verbose)
         for metric, acc in per_metric.items():
             acc.append(result.normalized(metric))
     titles = {

@@ -61,8 +61,8 @@ from repro.sim.stats import Stats
 from repro.workloads.base import Workload
 
 # Sweep checkpoint directory; set (e.g. by ``--resume``) so nested
-# sweep constructions — the experiment harnesses build their own
-# SchemeSweep objects — pick up checkpointing without plumbing.
+# grid runs — the experiment harnesses run their own scenarios — pick
+# up checkpointing without plumbing.
 ENV_CHECKPOINT = "REPRO_SWEEP_CHECKPOINT"
 
 
@@ -110,7 +110,8 @@ class WorkloadSpec:
 
 @dataclass(frozen=True)
 class SweepTask:
-    """One grid cell: simulate ``spec`` under ``(cm, config)``.
+    """One grid cell: simulate ``spec`` under scheme ``scheme`` with
+    ``config``.
 
     ``workload``/``scheme`` are the row/column labels the result is
     filed under; everything here pickles cleanly across process
@@ -119,7 +120,6 @@ class SweepTask:
 
     workload: str
     scheme: str
-    cm: str
     config: SystemConfig
     spec: WorkloadSpec
     max_cycles: Optional[int] = None
@@ -160,7 +160,7 @@ def run_task(task: SweepTask) -> TaskResult:
     if task.use_cache and cache_enabled():
         cache = ResultCache(task.cache_dir)
     t0 = time.perf_counter()
-    result = cached_run_workload(task.config, workload, cm=task.cm,
+    result = cached_run_workload(task.config, workload, cm=task.scheme,
                                  max_cycles=task.max_cycles,
                                  audit=task.audit, cache=cache)
     wall = time.perf_counter() - t0
@@ -178,7 +178,7 @@ def _run_fault_task(task: SweepTask, workload: Workload) -> TaskResult:
     faults = parse_fault_spec(task.faults)
     faults.validate()
     t0 = time.perf_counter()
-    result = run_workload(task.config, workload, cm=task.cm,
+    result = run_workload(task.config, workload, cm=task.scheme,
                           max_cycles=task.max_cycles,
                           audit=task.audit and audits_safe(faults),
                           faults=faults, watchdog=True)
@@ -229,7 +229,6 @@ def task_key(task: SweepTask) -> str:
     h.update(source_digest().encode())
     h.update(task.workload.encode())
     h.update(task.scheme.encode())
-    h.update(task.cm.encode())
     h.update(config_fingerprint(task.config).encode())
     h.update(repr(task.spec).encode())
     h.update(repr((task.max_cycles, task.audit, task.faults)).encode())
@@ -460,20 +459,3 @@ def run_tasks_resilient(tasks: Iterable[SweepTask],
             time.sleep(min(backoff_cap,
                            backoff_base * (2 ** (round_no - 1))))
     return results
-
-
-def grid_tasks(schemes: Dict[str, Tuple[str, SystemConfig]],
-               specs: Dict[str, WorkloadSpec],
-               max_cycles: Optional[int] = None,
-               audit: bool = True,
-               use_cache: bool = True,
-               cache_dir: Optional[str] = None) -> List[SweepTask]:
-    """The full workload x scheme cross product as task descriptors,
-    in the (workload-major) order the serial sweep iterates."""
-    return [
-        SweepTask(wl_name, scheme_name, cm, config, spec,
-                  max_cycles=max_cycles, audit=audit,
-                  use_cache=use_cache, cache_dir=cache_dir)
-        for wl_name, spec in specs.items()
-        for scheme_name, (cm, config) in schemes.items()
-    ]

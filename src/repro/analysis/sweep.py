@@ -1,49 +1,20 @@
-"""Multi-run comparison harness.
+"""The grid of one sweep as a rectangular table of Stats.
 
-``SchemeSweep`` runs one workload family under several schemes
-(contention manager + config pairs) and materializes
-:class:`~repro.analysis.metrics.MetricTable` objects for any metric —
-this is the engine behind Figs. 10-14 and the ablation benches.
-
-Grid cells are independent simulations, so the sweep can fan out over
-a process pool (``jobs=N``) when the workloads are given as picklable
-:class:`~repro.analysis.parallel.WorkloadSpec` descriptors, and every
-cell goes through the on-disk result cache
-(:mod:`repro.sim.resultcache`) unless ``cache=False`` — a warm cache
-replays a whole grid without running a single simulation.
+:class:`SweepResult` indexes a finished grid ``[workload][scheme]`` and
+materializes :class:`~repro.analysis.metrics.MetricTable` objects for
+any metric — the post-processing behind Figs. 10-14 and the ablation
+benches.  Grids themselves run through
+:func:`repro.scenarios.run_scenario`; ``ScenarioResult.sweep_result()``
+builds one of these.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Dict, Tuple
 
 from repro.analysis.metrics import METRICS, MetricTable
-from repro.analysis.parallel import SweepCheckpoint, WorkloadSpec, \
-    grid_tasks, resolve_checkpoint, run_tasks_resilient
-from repro.sim.config import SystemConfig
-from repro.sim.resultcache import CacheLike, cached_run_workload, \
-    resolve_cache
 from repro.sim.stats import Stats
-from repro.workloads.base import Workload
-
-# A scheme is (contention manager name, config) — PUNO needs both.
-Scheme = Tuple[str, SystemConfig]
-
-# A sweep row source: either a zero-arg factory or a picklable spec.
-WorkloadSource = Union[Callable[[], Workload], WorkloadSpec]
-
-
-def paper_schemes(config: Optional[SystemConfig] = None
-                  ) -> Dict[str, Scheme]:
-    """The four designs of the paper's evaluation (Section IV-A)."""
-    base = config or SystemConfig()
-    return {
-        "baseline": ("baseline", base),
-        "backoff": ("backoff", base),
-        "rmw": ("rmw", base),
-        "puno": ("puno", base.with_puno()),
-    }
 
 
 @dataclass
@@ -98,101 +69,3 @@ class SweepResult:
                    baseline: str = "baseline") -> MetricTable:
         return self.table(metric).normalized_to(baseline)
 
-
-class SchemeSweep:
-    """Run {workload name -> Workload source} x {scheme} grids.
-
-    ``jobs`` > 1 fans the grid out over a process pool; that path
-    requires every workload to be a :class:`WorkloadSpec` (live
-    factories don't pickle).  ``cache`` accepts the usual forms
-    (True = process default, False/None = off, path or ResultCache =
-    explicit); serial and parallel paths share the same cache keys.
-
-    Execution is resilient (Issue 4): crashed workers are replaced and
-    retried up to ``retries`` times, a pool making no progress for
-    ``task_timeout`` seconds is recycled, and ``checkpoint`` (a
-    :class:`SweepCheckpoint`, a path, ``False`` = off, or ``None`` =
-    defer to ``REPRO_SWEEP_CHECKPOINT``) persists completed cells so
-    an interrupted sweep resumes instead of restarting.
-    """
-
-    def __init__(self, schemes: Optional[Dict[str, Scheme]] = None,
-                 max_cycles: Optional[int] = 200_000_000,
-                 audit: bool = True, jobs: int = 1,
-                 cache: CacheLike = True, retries: int = 2,
-                 task_timeout: Optional[float] = None,
-                 checkpoint=None):
-        self.schemes = schemes if schemes is not None else paper_schemes()
-        self.max_cycles = max_cycles
-        self.audit = audit
-        self.jobs = jobs
-        self.cache = cache
-        self.retries = retries
-        self.task_timeout = task_timeout
-        self.checkpoint = checkpoint
-
-    # ------------------------------------------------------------------
-    def run(self, workloads: Dict[str, WorkloadSource],
-            verbose: bool = False) -> SweepResult:
-        all_specs = all(isinstance(w, WorkloadSpec)
-                        for w in workloads.values())
-        cp = resolve_checkpoint(self.checkpoint)
-        if self.jobs is None or self.jobs != 1 or cp is not None:
-            if not all_specs:
-                raise TypeError(
-                    "SchemeSweep(jobs!=1) needs picklable WorkloadSpec "
-                    "values, not live workload factories; pass "
-                    "repro.analysis.parallel.WorkloadSpec entries or "
-                    "use jobs=1")
-            return self._run_parallel(workloads, verbose, cp)
-        return self._run_serial(workloads, verbose)
-
-    # ------------------------------------------------------------------
-    def _cache_args(self) -> Tuple[bool, Optional[str]]:
-        """(use_cache, cache_dir) for task descriptors."""
-        resolved = resolve_cache(self.cache)
-        if resolved is None:
-            return False, None
-        return True, str(resolved.root)
-
-    def _run_parallel(self, workloads: Dict[str, WorkloadSource],
-                      verbose: bool,
-                      checkpoint: Optional[SweepCheckpoint] = None
-                      ) -> SweepResult:
-        use_cache, cache_dir = self._cache_args()
-        tasks = grid_tasks(self.schemes, workloads,
-                           max_cycles=self.max_cycles, audit=self.audit,
-                           use_cache=use_cache, cache_dir=cache_dir)
-        result = SweepResult()
-        for tr in run_tasks_resilient(
-                tasks, self.jobs, retries=self.retries,
-                task_timeout=self.task_timeout,
-                checkpoint=checkpoint if checkpoint is not None else False):
-            result.add(tr.workload, tr.scheme, tr.stats)
-            if verbose:
-                hit = " [cached]" if tr.cache_hit else ""
-                print(f"  {tr.workload}/{tr.scheme}: "
-                      f"{tr.stats.execution_cycles} cycles, "
-                      f"{tr.stats.tx_aborted} aborts "
-                      f"({tr.wall_seconds:.2f}s wall){hit}")
-        return result
-
-    def _run_serial(self, workloads: Dict[str, WorkloadSource],
-                    verbose: bool) -> SweepResult:
-        result = SweepResult()
-        for wl_name, source in workloads.items():
-            for scheme_name, (cm, config) in self.schemes.items():
-                wl = (source.build() if isinstance(source, WorkloadSpec)
-                      else source())
-                r = cached_run_workload(config, wl, cm=cm,
-                                        max_cycles=self.max_cycles,
-                                        audit=self.audit,
-                                        cache=self.cache)
-                result.add(wl_name, scheme_name, r.stats)
-                if verbose:
-                    hit = " [cached]" if r.extras.get("cache_hit") else ""
-                    print(f"  {wl_name}/{scheme_name}: "
-                          f"{r.stats.execution_cycles} cycles, "
-                          f"{r.stats.tx_aborted} aborts "
-                          f"({r.wall_seconds:.2f}s wall){hit}")
-        return result

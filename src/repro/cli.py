@@ -43,11 +43,9 @@ from typing import Dict, List, Optional
 from repro.analysis import experiments as experiments_mod
 from repro.analysis.report import render_table
 from repro.core.hw_model import estimate_overhead
-from repro.sim.config import SystemConfig
+from repro.sim.config import SystemConfig, scaled_config
 from repro.schemes import get_scheme, scheme_names
-from repro.system import run_workload
-from repro.workloads.stamp import STAMP_WORKLOADS, make_stamp_workload
-from repro.workloads.synthetic import make_synthetic_workload
+from repro.workloads.stamp import STAMP_WORKLOADS
 
 #: Every registered protocol scheme (repro.schemes) — the choice set
 #: for run/compare/profile/chaos and the tournament axis.
@@ -73,29 +71,21 @@ EXPERIMENTS = {
 }
 
 
+def _workload_def(args):
+    """The command-line workload as a scenario row."""
+    from repro.scenarios.spec import WorkloadDef
+    if args.workload == "synthetic":
+        return WorkloadDef("synthetic", kind="synthetic", params={
+            "instances": args.instances,
+            "shared_lines": args.shared_lines,
+            "tx_reads": args.tx_reads,
+            "tx_writes": args.tx_writes})
+    return WorkloadDef(args.workload)
+
+
 def _make_workload(args):
-    if args.workload == "synthetic":
-        return make_synthetic_workload(
-            num_nodes=args.nodes, instances=args.instances,
-            shared_lines=args.shared_lines, tx_reads=args.tx_reads,
-            tx_writes=args.tx_writes, seed=args.seed)
-    return make_stamp_workload(args.workload, num_nodes=args.nodes,
-                               scale=args.scale, seed=args.seed)
-
-
-def _make_spec(args):
-    """The picklable WorkloadSpec equivalent of :func:`_make_workload`."""
-    from repro.analysis.parallel import WorkloadSpec
-    if args.workload == "synthetic":
-        return WorkloadSpec(
-            "synthetic", kind="synthetic", num_nodes=args.nodes,
-            seed=args.seed,
-            params=(("instances", args.instances),
-                    ("shared_lines", args.shared_lines),
-                    ("tx_reads", args.tx_reads),
-                    ("tx_writes", args.tx_writes)))
-    return WorkloadSpec(args.workload, num_nodes=args.nodes,
-                        scale=args.scale, seed=args.seed)
+    return _workload_def(args).to_spec(args.nodes, args.scale,
+                                       args.seed).build()
 
 
 def _apply_cache_flag(args) -> None:
@@ -144,10 +134,7 @@ def _make_faults(args):
 
 
 def _make_config(args, scheme: str) -> SystemConfig:
-    cfg = SystemConfig(seed=args.seed) if args.nodes == 16 else None
-    if cfg is None:
-        from repro.sim.config import small_config
-        cfg = small_config(args.nodes, seed=args.seed)
+    cfg = scaled_config(args.nodes, seed=args.seed)
     if get_scheme(scheme).needs_puno:
         cfg = cfg.with_puno()
     return cfg
@@ -247,12 +234,18 @@ def cmd_compare(args) -> int:
     _apply_cache_flag(args)
     _apply_sanitize_flag(args)
     _apply_resume_flag(args)
-    from repro.analysis.sweep import SchemeSweep
-    sweep = SchemeSweep(
-        {s: (s, _make_config(args, s)) for s in schemes},
-        max_cycles=args.max_cycles, jobs=args.jobs)
-    result = sweep.run({args.workload: _make_spec(args)})
-    grid = result.stats[args.workload]
+    from repro.analysis.parallel import run_tasks_resilient
+    from repro.scenarios.runner import scenario_tasks
+    from repro.scenarios.spec import ScenarioSpec
+    # the executor directly, not run_scenario: its validate() rejects
+    # the chain meshes (e.g. --nodes 7) compare has always run
+    spec = ScenarioSpec(name="compare", nodes=args.nodes,
+                        workloads=(_workload_def(args),),
+                        schemes=tuple(schemes), scale=args.scale,
+                        seeds=(args.seed,))
+    tasks = scenario_tasks(spec, max_cycles=args.max_cycles)
+    grid = {r.scheme: r.stats
+            for r in run_tasks_resilient(tasks, args.jobs)}
     rows: List[Dict[str, object]] = []
     base_stats = grid[schemes[0]]
     for scheme in schemes:
@@ -402,68 +395,33 @@ def cmd_tournament(args) -> int:
 
 def cmd_golden(args) -> int:
     from repro.scenarios.golden import (
-        SCALE_SCENARIOS,
-        check_golden,
-        check_scale_golden,
-        check_scheme_golden,
-        compute_golden_digests,
-        compute_scale_digests,
-        compute_scheme_digests,
-        save_golden,
-        save_scale_golden,
-        save_scheme_golden,
+        SECTIONS,
+        check_section,
+        pinned_digests,
+        save_section,
+        section_specs,
     )
-    scenarios = SCALE_SCENARIOS
-    if args.scenarios:
+    section = ("scheme_digests" if args.tournament
+               else "scale_digests" if args.scale else "digests")
+    scenarios = ()
+    if args.scale and args.scenarios:
         scenarios = tuple(s for s in args.scenarios.split(",") if s)
-    if args.tournament:
-        if args.update:
-            digests = compute_scheme_digests(verbose=not args.json)
-            path = save_scheme_golden(digests, args.file)
-            print(f"pinned {len(digests)} scheme digest(s) to {path}")
-            return 0
-        try:
-            report = check_scheme_golden(args.file,
-                                         verbose=not args.json)
-        except (FileNotFoundError, KeyError):
-            print(f"no scheme section in {args.file}; pin it with "
-                  f"'repro golden --tournament --update'",
-                  file=sys.stderr)
-            return 2
-        if args.json:
-            print(json.dumps(report.to_dict(), indent=1))
-        else:
-            print(report.describe())
-        return 0 if report.ok else 1
-    if args.scale:
-        if args.update:
-            digests = compute_scale_digests(verbose=not args.json,
-                                            scenarios=scenarios)
-            path = save_scale_golden(digests, args.file)
-            print(f"pinned {len(digests)} scale digest(s) to {path}")
-            return 0
-        try:
-            report = check_scale_golden(args.file, verbose=not args.json,
-                                        scenarios=scenarios)
-        except (FileNotFoundError, KeyError):
-            print(f"no scale section in {args.file}; pin it with "
-                  f"'repro golden --scale --update'", file=sys.stderr)
-            return 2
-        if args.json:
-            print(json.dumps(report.to_dict(), indent=1))
-        else:
-            print(report.describe())
-        return 0 if report.ok else 1
-    if args.update:
-        digests = compute_golden_digests(verbose=not args.json)
-        path = save_golden(digests, args.file)
-        print(f"pinned {len(digests)} golden digest(s) to {path}")
-        return 0
     try:
-        report = check_golden(args.file, verbose=not args.json)
-    except FileNotFoundError:
-        print(f"no golden file at {args.file}; create one with "
-              f"'repro golden --update'", file=sys.stderr)
+        if args.update:
+            digests = pinned_digests(section_specs(section, scenarios),
+                                     verbose=not args.json)
+            path = save_section(section, digests, args.file, scenarios)
+            print(f"pinned {len(digests)} {section} digest(s) to {path}")
+            return 0
+        report = check_section(section, args.file, scenarios,
+                               verbose=not args.json)
+    except (FileNotFoundError, KeyError):
+        print(f"no {section} section in {args.file}; pin it with "
+              f"'repro golden{SECTIONS[section].flag} --update'",
+              file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
     if args.json:
         print(json.dumps(report.to_dict(), indent=1))

@@ -1,187 +1,138 @@
 """Golden-run regression suite (``repro golden``).
 
 Pins the canonical end-of-run snapshot digest
-(:meth:`repro.sim.stats.Stats.snapshot_digest`) of a small STAMP tour
-— four representative workloads under the baseline and PUNO designs,
-with the dynamic protocol sanitizer armed — in
-``tests/golden/golden.json``.  Any behavioural change to the
-simulator, however subtle (one skipped MP-bit relay, one reordered
-message, one miscounted cycle), changes at least one digest and fails
-the suite; an *intentional* behaviour change is blessed with
-``repro golden --update``.
+(:meth:`repro.sim.stats.Stats.snapshot_digest`) of a few small,
+sanitized scenario grids in ``tests/golden/golden.json``.  Any
+behavioural change to the simulator, however subtle (one skipped
+MP-bit relay, one reordered message, one miscounted cycle), changes at
+least one digest and fails the suite; an *intentional* behaviour change
+is blessed with ``repro golden --update``.
 
-The tour is deliberately cheap (sub-second) so it can run in every
-test invocation: digests cover every counter in the snapshot, so a
-small tour buys wide behavioural coverage.  Golden runs always bypass
-the result cache (a cache hit would re-hash the pinned result and
-verify nothing).
+The file holds one section per entry of :data:`SECTIONS`, each a list
+of :class:`~repro.scenarios.spec.ScenarioSpec` run through
+:func:`~repro.scenarios.runner.run_scenario`:
+
+* ``digests`` — the tour: four representative STAMP workloads under
+  the baseline and PUNO designs (sub-second, so every test run checks
+  it),
+* ``scheme_digests`` — the tournament grid, one cell per registered
+  scheme per tournament workload, so a newly registered scheme shows
+  up as EXTRA until pinned (``--tournament``),
+* ``scale_digests`` — the smoke cells of the 256/1024-node scenarios,
+  the bit-identity contract of computed routing and pooled directory
+  storage (``--scale``).
+
+Every section shares one compute / save / load / check path.  Digests
+are keyed ``<scenario>/<workload>/<scheme>/s<seed>``.  Pinned runs
+always bypass the result cache and the sweep checkpoint (a replayed
+result would re-hash the pinned one and verify nothing) and run with
+the protocol sanitizer armed.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.sim.config import SystemConfig
-from repro.system import System
-from repro.workloads.stamp import make_stamp_workload
+from repro.analysis.experiments import paper_spec
+from repro.sanitize import ENV_FLAG as SANITIZE_FLAG
+from repro.scenarios.registry import get_scenario
+from repro.scenarios.runner import ScenarioResult, run_scenario
+from repro.scenarios.spec import ScenarioSpec
+from repro.schemes.tournament import tournament_spec
 
 #: Repo-relative location of the pinned digests.
 DEFAULT_GOLDEN_PATH = Path("tests") / "golden" / "golden.json"
 
-#: The tour: (workload, scheme) cells.  Intruder is the high-contention
-#: member (exercises false aborting + MP feedback), kmeans the
-#: RMW-heavy one, vacation the mid-contention mixed one, genome the
-#: near-contention-free control.
-GOLDEN_WORKLOADS: Tuple[str, ...] = ("intruder", "kmeans", "vacation",
-                                     "genome")
-GOLDEN_SCHEMES: Tuple[str, ...] = ("baseline", "puno")
-GOLDEN_NODES = 16
-GOLDEN_SCALE = 0.1
-GOLDEN_SEED = 0
-GOLDEN_MAX_CYCLES = 200_000_000
+#: Bumped when the file layout or digest keys change (not when
+#: behaviour changes — that is what ``--update`` records).
+GOLDEN_FORMAT = 2
 
-#: Bumped when the tour definition itself changes (not when behaviour
-#: changes — that is what ``--update`` records).
-GOLDEN_FORMAT = 1
-
-#: The scale family: the *smoke* cells of these scenarios are pinned
-#: under a separate ``scale_digests`` section of the golden file, so
-#: the cheap default tour stays sub-second while the 256/1024-node
-#: computed-routing + pooled-directory paths get their own
-#: bit-identity contract (``repro golden --scale``).
+#: The scale family, pinned by its smoke cells.
 SCALE_SCENARIOS: Tuple[str, ...] = ("paper-256", "paper-1024")
 
 
-def golden_cells() -> List[Tuple[str, str]]:
-    return [(wl, scheme) for wl in GOLDEN_WORKLOADS
-            for scheme in GOLDEN_SCHEMES]
+def tour_spec() -> ScenarioSpec:
+    """The tour: a corner of the paper's evaluation grid.  Intruder is
+    the high-contention member (exercises false aborting + MP
+    feedback), kmeans the RMW-heavy one, vacation the mid-contention
+    mixed one, genome the near-contention-free control."""
+    spec = paper_spec(scale=0.1, schemes=("baseline", "puno"),
+                      names=["intruder", "kmeans", "vacation", "genome"])
+    return replace(spec, name="golden-tour")
 
 
-def run_golden_cell(workload: str, scheme: str) -> "System":
-    """One sanitized, audited golden run; returns the finished System
-    (callers read ``system.stats``)."""
-    cfg = SystemConfig(seed=GOLDEN_SEED + 1)
-    if scheme == "puno":
-        cfg = cfg.with_puno()
-    wl = make_stamp_workload(workload, num_nodes=GOLDEN_NODES,
-                             scale=GOLDEN_SCALE, seed=GOLDEN_SEED)
-    system = System(cfg, wl, scheme, sanitize=True)
-    system.run(max_cycles=GOLDEN_MAX_CYCLES)
-    return system
+def _tournament_specs() -> List[ScenarioSpec]:
+    """The tournament in the tour's envelope (Table II seed)."""
+    return [replace(tournament_spec(), overrides=tour_spec().overrides)]
 
 
-def compute_golden_digests(verbose: bool = False) -> Dict[str, str]:
-    """Run the whole tour; digests keyed ``workload/scheme``."""
+def _scale_specs() -> List[ScenarioSpec]:
+    return [get_scenario(name).smoke() for name in SCALE_SCENARIOS]
+
+
+@dataclass(frozen=True)
+class PinnedSection:
+    """One section of the golden file: its key, the ``repro golden``
+    switch that selects it, and the grids it pins (built on demand, so
+    the section tracks the scheme and scenario registries)."""
+
+    key: str
+    flag: str
+    specs: Callable[[], List[ScenarioSpec]]
+
+
+SECTIONS: Dict[str, PinnedSection] = {s.key: s for s in (
+    PinnedSection("digests", "", lambda: [tour_spec()]),
+    PinnedSection("scheme_digests", " --tournament", _tournament_specs),
+    PinnedSection("scale_digests", " --scale", _scale_specs),
+)}
+
+
+def section_specs(section: str,
+                  scenarios: Tuple[str, ...] = ()) -> List[ScenarioSpec]:
+    """The section's grids, optionally only those derived from the
+    named scenarios (a smoke variant answers to its parent's name)."""
+    specs = SECTIONS[section].specs()
+    if not scenarios:
+        return specs
+    unknown = set(scenarios) - {s.name.removesuffix("-smoke")
+                                for s in specs}
+    if unknown:
+        raise ValueError(f"section {section!r} pins no scenario(s) "
+                         f"{sorted(unknown)}")
+    return [s for s in specs if s.name.removesuffix("-smoke") in scenarios]
+
+
+def run_pinned(spec: ScenarioSpec) -> ScenarioResult:
+    """One pinned grid: sanitized, uncached, no checkpoint, in-process."""
+    saved = os.environ.get(SANITIZE_FLAG)
+    os.environ[SANITIZE_FLAG] = "1"
+    try:
+        return run_scenario(spec, cache=False, checkpoint=False)
+    finally:
+        if saved is None:
+            del os.environ[SANITIZE_FLAG]
+        else:
+            os.environ[SANITIZE_FLAG] = saved
+
+
+def pinned_digests(specs: List[ScenarioSpec],
+                   verbose: bool = False) -> Dict[str, str]:
+    """Run every grid; digests keyed
+    ``<scenario>/<workload>/<scheme>/s<seed>``."""
     out: Dict[str, str] = {}
-    for workload, scheme in golden_cells():
-        system = run_golden_cell(workload, scheme)
-        digest = system.stats.snapshot_digest()
-        out[f"{workload}/{scheme}"] = digest
-        if verbose:
-            print(f"  {workload}/{scheme}: {digest[:16]}… "
-                  f"({system.stats.sanitizer_checks} sanitizer checks)")
-    return out
-
-
-# ---------------------------------------------------------------------
-# the scale section (paper-256 / paper-1024 smoke cells)
-# ---------------------------------------------------------------------
-
-def scale_cells(scenarios: Tuple[str, ...] = SCALE_SCENARIOS
-                ) -> List[Tuple[str, str, str, int]]:
-    """Every (scenario, workload-label, scheme, seed) smoke cell."""
-    from repro.scenarios.registry import get_scenario
-    cells: List[Tuple[str, str, str, int]] = []
-    for name in scenarios:
-        spec = get_scenario(name).smoke()
-        for wl in spec.workloads:
-            for scheme in spec.schemes:
-                for seed in spec.seeds:
-                    cells.append((name, wl.label, scheme, seed))
-    return cells
-
-
-def run_scale_cell(scenario: str, workload: str, scheme: str,
-                   seed: int) -> "System":
-    """One sanitized smoke run of a scale scenario cell."""
-    from repro.scenarios.registry import get_scenario
-    spec = get_scenario(scenario).smoke()
-    for wl in spec.workloads:
-        if wl.label == workload:
-            break
-    else:
-        raise KeyError(f"scenario {scenario!r} smoke has no workload "
-                       f"{workload!r}")
-    ws = wl.to_spec(spec.nodes, spec.scale, seed)
-    cfg = spec.config(scheme, seed)
-    system = System(cfg, ws.build(), scheme, sanitize=True)
-    system.run(max_cycles=spec.max_cycles)
-    return system
-
-
-def compute_scale_digests(verbose: bool = False,
-                          scenarios: Tuple[str, ...] = SCALE_SCENARIOS
-                          ) -> Dict[str, str]:
-    """Run the scale family; digests keyed
-    ``scenario/workload/scheme/s<seed>``."""
-    out: Dict[str, str] = {}
-    for scenario, workload, scheme, seed in scale_cells(scenarios):
-        system = run_scale_cell(scenario, workload, scheme, seed)
-        digest = system.stats.snapshot_digest()
-        out[f"{scenario}/{workload}/{scheme}/s{seed}"] = digest
-        if verbose:
-            print(f"  {scenario}/{workload}/{scheme}/s{seed}: "
-                  f"{digest[:16]}… "
-                  f"({system.stats.sanitizer_checks} sanitizer checks)")
-    return out
-
-
-# ---------------------------------------------------------------------
-# the scheme tournament section (every registered scheme, pinned)
-# ---------------------------------------------------------------------
-
-def scheme_cells() -> List[Tuple[str, str]]:
-    """Every (workload, scheme) tournament cell — one per registered
-    scheme per tournament workload, so newly registered schemes show
-    up as EXTRA until pinned."""
-    from repro.schemes import list_schemes
-    from repro.schemes.tournament import TOURNAMENT_WORKLOADS
-    return [(wl, s.name) for wl in TOURNAMENT_WORKLOADS
-            for s in list_schemes()]
-
-
-def run_scheme_cell(workload: str, scheme: str) -> "System":
-    """One sanitized, audited tournament cell (same envelope as the
-    main tour; PUNO enablement comes from the scheme registry)."""
-    from repro.schemes import get_scheme
-    from repro.schemes.tournament import (
-        TOURNAMENT_NODES,
-        TOURNAMENT_SCALE,
-        TOURNAMENT_SEED,
-    )
-    cfg = SystemConfig(seed=TOURNAMENT_SEED + 1)
-    if get_scheme(scheme).needs_puno:
-        cfg = cfg.with_puno()
-    wl = make_stamp_workload(workload, num_nodes=TOURNAMENT_NODES,
-                             scale=TOURNAMENT_SCALE, seed=TOURNAMENT_SEED)
-    system = System(cfg, wl, scheme, sanitize=True)
-    system.run(max_cycles=GOLDEN_MAX_CYCLES)
-    return system
-
-
-def compute_scheme_digests(verbose: bool = False) -> Dict[str, str]:
-    """Run the tournament grid; digests keyed ``workload/scheme``."""
-    out: Dict[str, str] = {}
-    for workload, scheme in scheme_cells():
-        system = run_scheme_cell(workload, scheme)
-        digest = system.stats.snapshot_digest()
-        out[f"{workload}/{scheme}"] = digest
-        if verbose:
-            print(f"  {workload}/{scheme}: {digest[:16]}… "
-                  f"({system.stats.sanitizer_checks} sanitizer checks)")
+    for spec in specs:
+        result = run_pinned(spec)
+        for (wl, scheme, seed), r in zip(result.cells, result.results):
+            key = f"{spec.name}/{wl}/{scheme}/s{seed}"
+            out[key] = r.stats.snapshot_digest()
+            if verbose:
+                print(f"  {key}: {out[key][:16]}… "
+                      f"({r.stats.sanitizer_checks} sanitizer checks)")
     return out
 
 
@@ -190,119 +141,52 @@ def compute_scheme_digests(verbose: bool = False) -> Dict[str, str]:
 # ---------------------------------------------------------------------
 
 def _read_doc(path: Path) -> Dict[str, object]:
+    with open(path) as fh:
+        doc = json.load(fh)
+    if doc.get("format") != GOLDEN_FORMAT:
+        raise ValueError(
+            f"{path}: golden file format {doc.get('format')!r} != "
+            f"expected {GOLDEN_FORMAT}; re-pin every section with "
+            f"'repro golden [--scale|--tournament] --update'")
+    return doc
+
+
+def load_section(section: str,
+                 path: Union[str, Path] = DEFAULT_GOLDEN_PATH
+                 ) -> Dict[str, str]:
+    """The pinned digests of one section; FileNotFoundError when the
+    file was never written, KeyError when the section was never
+    pinned."""
+    doc = _read_doc(Path(path))
+    if section not in doc:
+        raise KeyError(f"{path} has no {section} section; pin it with "
+                       f"'repro golden{SECTIONS[section].flag} --update'")
+    return dict(doc[section])
+
+
+def save_section(section: str, digests: Dict[str, str],
+                 path: Union[str, Path] = DEFAULT_GOLDEN_PATH,
+                 scenarios: Tuple[str, ...] = ()) -> Path:
+    """Pin one section, preserving every other section.  With
+    ``scenarios`` only those grids' cells are replaced."""
+    path = Path(path)
+    doc: Dict[str, object] = {"format": GOLDEN_FORMAT}
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        return {}
-
-
-def save_golden(digests: Dict[str, str],
-                path: Union[str, Path] = DEFAULT_GOLDEN_PATH) -> Path:
-    path = Path(path)
+        doc = _read_doc(path)
+    except (FileNotFoundError, ValueError):
+        pass  # a new file, or one of an old layout: start afresh
+    pinned: Dict[str, str] = {}
+    if scenarios and section in doc:
+        names = {s.name for s in section_specs(section, scenarios)}
+        pinned = {k: v for k, v in doc[section].items()
+                  if k.split("/", 1)[0] not in names}
+    pinned.update(digests)
+    doc[section] = dict(sorted(pinned.items()))
     path.parent.mkdir(parents=True, exist_ok=True)
-    doc = {
-        "format": GOLDEN_FORMAT,
-        "tour": {
-            "workloads": list(GOLDEN_WORKLOADS),
-            "schemes": list(GOLDEN_SCHEMES),
-            "nodes": GOLDEN_NODES,
-            "scale": GOLDEN_SCALE,
-            "seed": GOLDEN_SEED,
-            "sanitize": True,
-        },
-        "digests": dict(sorted(digests.items())),
-    }
-    # re-pinning the tour must not silently drop the other sections
-    old = _read_doc(path)
-    for section in ("scale_digests", "scheme_digests"):
-        if section in old:
-            doc[section] = old[section]
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
     return path
-
-
-def save_scale_golden(scale_digests: Dict[str, str],
-                      path: Union[str, Path] = DEFAULT_GOLDEN_PATH
-                      ) -> Path:
-    """Pin the scale section, preserving the main tour digests."""
-    path = Path(path)
-    doc = _read_doc(path)
-    if not doc:
-        raise FileNotFoundError(
-            f"{path}: pin the main tour first ('repro golden --update') "
-            f"so the scale section has a file to live in")
-    doc["scale_digests"] = dict(sorted(scale_digests.items()))
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def load_scale_golden(path: Union[str, Path] = DEFAULT_GOLDEN_PATH
-                      ) -> Dict[str, str]:
-    """The pinned scale digests; raises KeyError when never pinned."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != GOLDEN_FORMAT:
-        raise ValueError(
-            f"{path}: golden file format {doc.get('format')!r} != "
-            f"expected {GOLDEN_FORMAT}; re-pin with 'repro golden "
-            f"--update'")
-    if "scale_digests" not in doc:
-        raise KeyError(
-            f"{path} has no scale section; pin it with "
-            f"'repro golden --scale --update'")
-    return dict(doc["scale_digests"])
-
-
-def save_scheme_golden(scheme_digests: Dict[str, str],
-                       path: Union[str, Path] = DEFAULT_GOLDEN_PATH
-                       ) -> Path:
-    """Pin the tournament section, preserving every other section."""
-    path = Path(path)
-    doc = _read_doc(path)
-    if not doc:
-        raise FileNotFoundError(
-            f"{path}: pin the main tour first ('repro golden --update') "
-            f"so the scheme section has a file to live in")
-    doc["scheme_digests"] = dict(sorted(scheme_digests.items()))
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def load_scheme_golden(path: Union[str, Path] = DEFAULT_GOLDEN_PATH
-                       ) -> Dict[str, str]:
-    """The pinned tournament digests; KeyError when never pinned."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != GOLDEN_FORMAT:
-        raise ValueError(
-            f"{path}: golden file format {doc.get('format')!r} != "
-            f"expected {GOLDEN_FORMAT}; re-pin with 'repro golden "
-            f"--update'")
-    if "scheme_digests" not in doc:
-        raise KeyError(
-            f"{path} has no scheme section; pin it with "
-            f"'repro golden --tournament --update'")
-    return dict(doc["scheme_digests"])
-
-
-def load_golden(path: Union[str, Path] = DEFAULT_GOLDEN_PATH
-                ) -> Dict[str, str]:
-    """The pinned digests; raises FileNotFoundError when never pinned."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != GOLDEN_FORMAT:
-        raise ValueError(
-            f"{path}: golden file format {doc.get('format')!r} != "
-            f"expected {GOLDEN_FORMAT}; re-pin with 'repro golden "
-            f"--update'")
-    return dict(doc["digests"])
 
 
 # ---------------------------------------------------------------------
@@ -364,54 +248,26 @@ def compare_digests(pinned: Dict[str, str],
     return report
 
 
-def check_golden(path: Union[str, Path] = DEFAULT_GOLDEN_PATH,
-                 verbose: bool = False,
-                 current: Optional[Dict[str, str]] = None) -> GoldenReport:
-    """Run the tour and compare against the pinned digests.
-
-    ``current`` lets tests inject precomputed (or deliberately
-    mutated) digests instead of re-running the tour.
-    """
-    pinned = load_golden(path)
-    if current is None:
-        current = compute_golden_digests(verbose=verbose)
-    return compare_digests(pinned, current)
-
-
-def check_scheme_golden(path: Union[str, Path] = DEFAULT_GOLDEN_PATH,
-                        verbose: bool = False,
-                        current: Optional[Dict[str, str]] = None
-                        ) -> GoldenReport:
-    """Run the tournament grid and compare against its pinned section.
-
-    ``current`` lets tests inject precomputed (or deliberately
-    mutated) digests instead of re-running the grid; a registered
-    scheme with no pinned cell reports as EXTRA, a pinned cell whose
-    scheme was unregistered as MISSING.
-    """
-    pinned = load_scheme_golden(path)
-    if current is None:
-        current = compute_scheme_digests(verbose=verbose)
-    return compare_digests(pinned, current)
-
-
-def check_scale_golden(path: Union[str, Path] = DEFAULT_GOLDEN_PATH,
-                       verbose: bool = False,
-                       current: Optional[Dict[str, str]] = None,
-                       scenarios: Tuple[str, ...] = SCALE_SCENARIOS
-                       ) -> GoldenReport:
-    """Run the scale family and compare against its pinned section.
+def check_section(section: str,
+                  path: Union[str, Path] = DEFAULT_GOLDEN_PATH,
+                  scenarios: Tuple[str, ...] = (),
+                  verbose: bool = False,
+                  current: Optional[Dict[str, str]] = None
+                  ) -> GoldenReport:
+    """Run one section and compare it against its pinned digests.
 
     ``scenarios`` restricts the run (CI's scale-smoke job checks only
     ``paper-256``); pinned cells outside the selection are ignored
-    rather than reported missing.
+    rather than reported missing.  ``current`` lets tests inject
+    precomputed (or deliberately mutated) digests instead of re-running
+    the grids.
     """
-    pinned = load_scale_golden(path)
-    if scenarios != SCALE_SCENARIOS:
-        prefixes = tuple(f"{name}/" for name in scenarios)
-        pinned = {cell: d for cell, d in pinned.items()
-                  if cell.startswith(prefixes)}
+    pinned = load_section(section, path)
+    specs = section_specs(section, scenarios)
+    if scenarios:
+        names = {s.name for s in specs}
+        pinned = {k: v for k, v in pinned.items()
+                  if k.split("/", 1)[0] in names}
     if current is None:
-        current = compute_scale_digests(verbose=verbose,
-                                        scenarios=scenarios)
+        current = pinned_digests(specs, verbose)
     return compare_digests(pinned, current)

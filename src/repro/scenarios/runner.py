@@ -68,8 +68,7 @@ def scenario_tasks(spec: ScenarioSpec,
                 label = (wl.label if len(spec.seeds) == 1
                          else f"{wl.label}@s{seed}")
                 tasks.append(SweepTask(
-                    label, scheme, scheme,
-                    spec.config(scheme, seed),
+                    label, scheme, spec.config(scheme, seed),
                     wl.to_spec(spec.nodes, spec.scale, seed),
                     max_cycles=budget, audit=True,
                     use_cache=use_cache, cache_dir=cache_dir,

@@ -177,9 +177,8 @@ class ScenarioSpec:
         cfg = scaled_config(self.nodes, seed=seed)
         if self.overrides:
             cfg = override_config(cfg, self.overrides)
-        if KNOWN_SCHEMES.get(scheme, "puno" in scheme):
-            if not cfg.puno.enabled:
-                cfg = cfg.with_puno()
+        if KNOWN_SCHEMES[scheme] and not cfg.puno.enabled:
+            cfg = cfg.with_puno()
         return cfg
 
     def fault_config(self):

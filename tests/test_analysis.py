@@ -15,10 +15,10 @@ from repro.analysis.metrics import (
     normalized,
 )
 from repro.analysis.report import render_grouped, render_series, render_table
-from repro.analysis.sweep import SchemeSweep, paper_schemes
-from repro.sim.config import small_config
+from repro.analysis.experiments import paper_spec
+from repro.scenarios import ScenarioSpec, WorkloadDef, run_scenario
+from repro.sim.config import SystemConfig
 from repro.sim.stats import Stats
-from repro.workloads.synthetic import make_synthetic_workload
 
 
 def test_normalized():
@@ -114,15 +114,13 @@ def test_render_grouped():
 
 
 def test_scheme_sweep_end_to_end():
-    cfg = small_config(4)
-    schemes = {
-        "baseline": ("baseline", cfg),
-        "puno": ("puno", cfg.with_puno()),
-    }
-    sweep = SchemeSweep(schemes, max_cycles=5_000_000)
-    wls = {"synth": lambda: make_synthetic_workload(
-        num_nodes=4, instances=6, shared_lines=8, tx_reads=4, tx_writes=1)}
-    result = sweep.run(wls)
+    synth = WorkloadDef("synth", kind="synthetic", params={
+        "instances": 6, "shared_lines": 8, "tx_reads": 4, "tx_writes": 1})
+    spec = ScenarioSpec(name="synth-4", nodes=4, workloads=(synth,),
+                        schemes=("baseline", "puno"),
+                        max_cycles=5_000_000)
+    result = run_scenario(spec, cache=False,
+                          checkpoint=False).sweep_result()
     t = result.table("aborts")
     assert set(t.workloads) == {"synth"}
     n = result.normalized("exec")
@@ -130,8 +128,11 @@ def test_scheme_sweep_end_to_end():
     assert n.get("synth", "puno") > 0
 
 
-def test_paper_schemes_shape():
-    schemes = paper_schemes()
-    assert set(schemes) == {"baseline", "backoff", "rmw", "puno"}
-    assert schemes["puno"][1].puno.enabled
-    assert not schemes["baseline"][1].puno.enabled
+def test_paper_spec_shape():
+    spec = paper_spec(seed=3)
+    assert spec.validate() == []
+    assert spec.schemes == ("baseline", "backoff", "rmw", "puno")
+    assert len(spec.workloads) == 8
+    # the Table II machine, simulator seed 1 whatever the workload seed
+    assert spec.config("baseline", seed=3) == SystemConfig()
+    assert spec.config("puno", seed=3) == SystemConfig().with_puno()

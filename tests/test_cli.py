@@ -58,6 +58,25 @@ def test_compare_unknown_scheme(capsys):
     assert rc == 2
 
 
+def test_puno_runs_on_a_32_node_mesh(monkeypatch, capsys):
+    """The P-Buffer is sized one entry per node off the 16-node mesh."""
+    _guard_checkpoint_env(monkeypatch)
+    assert main(["run", "intruder", "--nodes", "32", "--scale", "0.05",
+                 "--scheme", "puno"]) == 0
+    assert main(["compare", "intruder", "--nodes", "32", "--scale",
+                 "0.05", "--schemes", "baseline,puno", "--no-cache"]) == 0
+    assert "puno" in capsys.readouterr().out
+
+
+def test_compare_runs_a_chain_mesh(monkeypatch, capsys):
+    """7 nodes only factor as a 7x1 chain: scenario validation rejects
+    such a mesh, but compare has always run it."""
+    _guard_checkpoint_env(monkeypatch)
+    assert main(["compare", "intruder", "--nodes", "7", "--scale", "0.05",
+                 "--schemes", "baseline,puno", "--no-cache"]) == 0
+    assert "scheme comparison" in capsys.readouterr().out
+
+
 def test_experiment_table2(capsys):
     assert main(["experiment", "table2"]) == 0
     assert "Table II" in capsys.readouterr().out
@@ -278,6 +297,31 @@ def test_golden_missing_file_is_exit_2(tmp_path, capsys):
     assert "repro golden --update" in capsys.readouterr().err
 
 
+def test_golden_scale_exit_codes(tmp_path, monkeypatch, capsys):
+    """--scale exits 2 on an unpinned section or an unknown scenario
+    and 1 on drift; the cells themselves are stubbed out here (the
+    real ones take seconds, CI's scale-smoke job runs them)."""
+    from repro.scenarios import golden
+    path = tmp_path / "golden.json"
+    golden.save_section("digests", {"golden-tour/a/b/s0": "0" * 64}, path)
+    assert main(["golden", "--scale", "--file", str(path)]) == 2
+    assert "--scale --update" in capsys.readouterr().err
+    assert main(["golden", "--scale", "--scenarios", "nope",
+                 "--file", str(path)]) == 2
+    cell = "paper-256-smoke/zipf/baseline/s0"
+    monkeypatch.setattr(golden, "pinned_digests",
+                        lambda specs, verbose=False: {cell: "1" * 64})
+    assert main(["golden", "--scale", "--update", "--scenarios",
+                 "paper-256", "--file", str(path)]) == 0
+    assert main(["golden", "--scale", "--scenarios", "paper-256",
+                 "--file", str(path)]) == 0
+    golden.save_section("scale_digests", {cell: "2" * 64}, path)
+    capsys.readouterr()
+    assert main(["golden", "--scale", "--scenarios", "paper-256",
+                 "--file", str(path)]) == 1
+    assert f"MISMATCH {cell}" in capsys.readouterr().out
+
+
 def test_golden_update_then_check(tmp_path, capsys):
     path = tmp_path / "golden.json"
     assert main(["golden", "--update", "--file", str(path)]) == 0
@@ -342,8 +386,9 @@ def test_golden_tournament_update_then_drift_is_exit_1(tmp_path, capsys):
     assert main(["golden", "--tournament", "--file", str(path)]) == 0
     # corrupt one pinned scheme cell: the check must exit 1
     doc = json.loads(path.read_text())
-    doc["scheme_digests"]["intruder/lazy"] = "0" * 64
+    doc["scheme_digests"]["tournament-16/intruder/lazy/s0"] = "0" * 64
     path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["golden", "--tournament", "--file", str(path)]) == 1
-    assert "MISMATCH intruder/lazy" in capsys.readouterr().out
+    assert "MISMATCH tournament-16/intruder/lazy/s0" in \
+        capsys.readouterr().out

@@ -5,25 +5,15 @@ pooled-directory paths, so their sanitized smoke digests are the
 bit-identity contract for the scale-out machinery the same way the
 STAMP tour pins the 16-node protocol.  The full family (~20 s) runs in
 CI's scale-smoke job via ``repro golden --scale``; the tests here keep
-every pytest invocation cheap by re-running only the cheapest cell and
-checking the rest structurally.
+every pytest invocation cheap by re-running only the cheapest cell.
+The file-level checks of the section run with every other section in
+``test_golden.py``.
 """
 
-import json
+from dataclasses import replace
 from pathlib import Path
 
-import pytest
-
-from repro.scenarios.golden import (
-    GOLDEN_FORMAT,
-    SCALE_SCENARIOS,
-    check_scale_golden,
-    load_scale_golden,
-    run_scale_cell,
-    save_golden,
-    save_scale_golden,
-    scale_cells,
-)
+from repro.scenarios.golden import SCALE_SCENARIOS, load_section, run_pinned
 from repro.scenarios.registry import get_scenario
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "golden.json"
@@ -76,76 +66,15 @@ def test_scale_meshes_use_computed_routing():
 # the pinned section
 # ---------------------------------------------------------------------
 
-def test_scale_section_is_pinned():
-    doc = json.loads(GOLDEN_PATH.read_text())
-    assert doc["format"] == GOLDEN_FORMAT
-    expected = {f"{sc}/{wl}/{scheme}/s{seed}"
-                for sc, wl, scheme, seed in scale_cells()}
-    assert set(doc["scale_digests"]) == expected
-    for digest in doc["scale_digests"].values():
-        assert len(digest) == 64
-        int(digest, 16)
-
-
 def test_cheapest_scale_cell_matches_pinned():
     """Re-run the sub-second cell (paper-256 zipf baseline) and compare
     its digest against the pinned section — the fast regression tooth;
     CI's scale-smoke job covers the remaining cells."""
-    pinned = load_scale_golden(GOLDEN_PATH)
-    system = run_scale_cell("paper-256", "zipf", "baseline", 0)
-    assert system.stats.sanitizer_checks > 0
-    assert (system.stats.snapshot_digest()
-            == pinned["paper-256/zipf/baseline/s0"]), (
+    pinned = load_section("scale_digests", GOLDEN_PATH)
+    spec = replace(get_scenario("paper-256").smoke(), schemes=("baseline",))
+    stats = run_pinned(spec).stats("zipf", "baseline")
+    assert stats.sanitizer_checks > 0
+    assert (stats.snapshot_digest()
+            == pinned["paper-256-smoke/zipf/baseline/s0"]), (
         "paper-256 smoke digest drifted — scale-out behaviour changed; "
         "if intentional, bless with 'repro golden --scale --update'")
-
-
-def test_check_scale_golden_with_injected_digests():
-    pinned = load_scale_golden(GOLDEN_PATH)
-    ok = check_scale_golden(GOLDEN_PATH, current=dict(pinned))
-    assert ok.ok and len(ok.matched) == len(pinned)
-    mutated = dict(pinned)
-    first = next(iter(mutated))
-    mutated[first] = "0" * 64
-    bad = check_scale_golden(GOLDEN_PATH, current=mutated)
-    assert not bad.ok and first in bad.mismatched
-
-
-def test_check_scale_golden_scenario_subset():
-    """Restricting to paper-256 (the CI job) ignores the 1024 cells
-    instead of reporting them missing."""
-    pinned = load_scale_golden(GOLDEN_PATH)
-    subset = {c: d for c, d in pinned.items()
-              if c.startswith("paper-256/")}
-    report = check_scale_golden(GOLDEN_PATH, current=subset,
-                                scenarios=("paper-256",))
-    assert report.ok
-    assert not report.missing
-
-
-# ---------------------------------------------------------------------
-# pinned-file I/O keeps the two sections independent
-# ---------------------------------------------------------------------
-
-def test_save_golden_preserves_scale_section(tmp_path):
-    path = tmp_path / "golden.json"
-    save_golden({"intruder/baseline": "a" * 64}, path)
-    save_scale_golden({"paper-256/zipf/baseline/s0": "b" * 64}, path)
-    # re-pinning the main tour must not drop the scale section
-    save_golden({"intruder/baseline": "c" * 64}, path)
-    doc = json.loads(path.read_text())
-    assert doc["digests"] == {"intruder/baseline": "c" * 64}
-    assert doc["scale_digests"] == {
-        "paper-256/zipf/baseline/s0": "b" * 64}
-
-
-def test_save_scale_requires_existing_file(tmp_path):
-    with pytest.raises(FileNotFoundError, match="pin the main tour"):
-        save_scale_golden({"x": "0" * 64}, tmp_path / "none.json")
-
-
-def test_load_scale_missing_section_raises(tmp_path):
-    path = tmp_path / "golden.json"
-    save_golden({"intruder/baseline": "a" * 64}, path)
-    with pytest.raises(KeyError, match="no scale section"):
-        load_scale_golden(path)

@@ -71,16 +71,13 @@ def test_write_roundtrip(tmp_path):
 
 
 def test_end_to_end_with_sweep(tmp_path):
-    from repro.analysis.sweep import SchemeSweep
-    from repro.sim.config import small_config
-    from repro.workloads.synthetic import make_synthetic_workload
-    cfg = small_config(4)
-    sweep = SchemeSweep({"baseline": ("baseline", cfg),
-                         "puno": ("puno", cfg.with_puno())},
+    from repro.scenarios import ScenarioSpec, WorkloadDef, run_scenario
+    synth = WorkloadDef("synth", kind="synthetic", params={
+        "instances": 5, "shared_lines": 8, "tx_reads": 4, "tx_writes": 1})
+    spec = ScenarioSpec(name="synth-4", nodes=4, workloads=(synth,),
+                        schemes=("baseline", "puno"),
                         max_cycles=5_000_000)
-    res = sweep.run({"synth": lambda: make_synthetic_workload(
-        num_nodes=4, instances=5, shared_lines=8, tx_reads=4,
-        tx_writes=1)})
+    res = run_scenario(spec, cache=False, checkpoint=False).sweep_result()
     table = res.normalized("aborts")
     rep = Report("sweep")
     rep.add_grouped_bars("aborts", table.values, ["baseline", "puno"])

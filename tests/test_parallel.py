@@ -1,4 +1,4 @@
-"""Parallel sweep execution: serial/parallel equivalence, determinism,
+"""Parallel grid execution: serial/parallel equivalence, determinism,
 task descriptors, the resilient executor (crash replacement, timeouts,
 checkpoint/resume), and the strict (non-ragged) SweepResult grid."""
 
@@ -10,13 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.experiments import paper_spec
 from repro.analysis.parallel import (
     ENV_CHECKPOINT,
     SweepCheckpoint,
     SweepExecutionError,
-    SweepTask,
     WorkloadSpec,
-    grid_tasks,
     resolve_checkpoint,
     resolve_jobs,
     run_task,
@@ -24,24 +23,31 @@ from repro.analysis.parallel import (
     run_tasks_resilient,
     task_key,
 )
-from repro.analysis.sweep import SchemeSweep, SweepResult, paper_schemes
-from repro.sim.config import small_config
+from repro.analysis.sweep import SweepResult
+from repro.scenarios import ScenarioSpec, WorkloadDef, run_scenario
+from repro.scenarios.runner import scenario_tasks
 from repro.sim.stats import Stats
 
-
-def _schemes4():
-    base = small_config(4)
-    return {
-        "baseline": ("baseline", base),
-        "backoff": ("backoff", base),
-        "rmw": ("rmw", base),
-        "puno": ("puno", base.with_puno()),
-    }
+SCHEMES4 = ("baseline", "backoff", "rmw", "puno")
 
 
-def _specs4(names=("intruder", "kmeans"), scale=0.1, seed=0):
-    return {n: WorkloadSpec(n, num_nodes=4, scale=scale, seed=seed)
-            for n in names}
+def _spec4(names=("intruder", "kmeans"), schemes=SCHEMES4,
+           max_cycles=20_000_000):
+    """A 4-node grid at scale 0.1."""
+    return ScenarioSpec(name="grid-4", nodes=4,
+                        workloads=tuple(WorkloadDef(n) for n in names),
+                        schemes=schemes, scale=0.1, max_cycles=max_cycles)
+
+
+def _run(spec, **kw):
+    return run_scenario(spec, checkpoint=False, **kw)
+
+
+def _assert_same_cells(a, b):
+    assert a.cells == b.cells
+    for cell, ra, rb in zip(a.cells, a.results, b.results):
+        assert ra.stats.snapshot() == rb.stats.snapshot(), \
+            f"runs diverged on {cell}"
 
 
 # ---------------------------------------------------------------------
@@ -51,72 +57,48 @@ def _specs4(names=("intruder", "kmeans"), scale=0.1, seed=0):
 def test_parallel_matches_serial_2x4():
     """jobs=4 must produce bit-identical Stats to jobs=1 on every cell
     of a 2-workload x 4-scheme grid."""
-    schemes, specs = _schemes4(), _specs4()
-    serial = SchemeSweep(schemes, max_cycles=20_000_000,
-                         jobs=1, cache=False).run(specs)
-    parallel = SchemeSweep(schemes, max_cycles=20_000_000,
-                           jobs=4, cache=False).run(specs)
-    assert set(serial.stats) == set(parallel.stats)
-    for wl in specs:
-        for scheme in schemes:
-            assert (serial.stats[wl][scheme].snapshot()
-                    == parallel.stats[wl][scheme].snapshot()), \
-                f"parallel run diverged on {wl}/{scheme}"
+    spec = _spec4()
+    _assert_same_cells(_run(spec, jobs=1, cache=False),
+                       _run(spec, jobs=4, cache=False))
 
 
 @pytest.mark.slow
 def test_parallel_matches_serial_full_paper_grid():
     """The full 8-workload x 4-scheme paper grid at reduced scale:
-    SchemeSweep(jobs=4) equals the serial run cell for cell."""
-    specs = {name: WorkloadSpec(name, scale=0.05, seed=0)
-             for name in ("bayes", "intruder", "labyrinth", "yada",
-                          "genome", "kmeans", "ssca2", "vacation")}
-    serial = SchemeSweep(paper_schemes(), jobs=1, cache=False).run(specs)
-    parallel = SchemeSweep(paper_schemes(), jobs=4, cache=False).run(specs)
-    for wl in specs:
-        for scheme in ("baseline", "backoff", "rmw", "puno"):
-            assert (serial.stats[wl][scheme].snapshot()
-                    == parallel.stats[wl][scheme].snapshot()), \
-                f"parallel run diverged on {wl}/{scheme}"
+    jobs=4 equals the serial run cell for cell."""
+    spec = paper_spec(scale=0.05)
+    _assert_same_cells(_run(spec, jobs=1, cache=False),
+                       _run(spec, jobs=4, cache=False))
 
 
 def test_serial_reruns_are_deterministic():
     """Two fresh serial runs of the same cell produce identical Stats —
     the property the cache and the parallel layer both rely on."""
-    schemes = {"baseline": ("baseline", small_config(4))}
-    specs = _specs4(names=("intruder",))
-    a = SchemeSweep(schemes, jobs=1, cache=False).run(specs)
-    b = SchemeSweep(schemes, jobs=1, cache=False).run(specs)
-    assert (a.stats["intruder"]["baseline"].snapshot()
-            == b.stats["intruder"]["baseline"].snapshot())
+    spec = _spec4(names=("intruder",), schemes=("baseline",))
+    _assert_same_cells(_run(spec, cache=False), _run(spec, cache=False))
 
 
 # ---------------------------------------------------------------------
-# sweep-level cache behaviour
+# grid-level cache behaviour
 # ---------------------------------------------------------------------
 
 def test_warm_cache_replays_grid_without_simulating(tmp_path):
-    schemes, specs = _schemes4(), _specs4()
-    cold = SchemeSweep(schemes, max_cycles=20_000_000,
-                       jobs=1, cache=tmp_path).run(specs)
-    # run the same grid through the parallel path against the warm
+    spec = _spec4()
+    cold = _run(spec, cache=tmp_path)
+    # run the same grid through the process pool against the warm
     # cache: every cell must be a hit and identical
-    tasks = grid_tasks(schemes, specs, max_cycles=20_000_000,
-                       cache_dir=str(tmp_path))
-    results = run_tasks(tasks, jobs=2)
+    results = run_tasks(scenario_tasks(spec, cache=tmp_path), jobs=2)
     assert all(tr.cache_hit for tr in results)
-    for tr in results:
-        assert (tr.stats.snapshot()
-                == cold.stats[tr.workload][tr.scheme].snapshot())
+    for tr, cell in zip(results, cold.results):
+        assert tr.stats.snapshot() == cell.stats.snapshot()
 
 
 def test_no_cache_env_defeats_task_cache(tmp_path, monkeypatch):
-    schemes, specs = _schemes4(), _specs4(names=("kmeans",))
-    SchemeSweep(schemes, max_cycles=20_000_000,
-                jobs=1, cache=tmp_path).run(specs)
+    spec = _spec4(names=("kmeans",))
+    _run(spec, cache=tmp_path)
+    task = scenario_tasks(spec, cache=tmp_path)[0]
+    assert task.use_cache
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    task = grid_tasks(schemes, specs, max_cycles=20_000_000,
-                      cache_dir=str(tmp_path))[0]
     assert not run_task(task).cache_hit
 
 
@@ -126,7 +108,7 @@ def test_no_cache_env_defeats_task_cache(tmp_path, monkeypatch):
 
 def test_tasks_are_picklable():
     import pickle
-    task = grid_tasks(_schemes4(), _specs4())[0]
+    task = scenario_tasks(_spec4())[0]
     clone = pickle.loads(pickle.dumps(task))
     assert clone == task
     assert clone.spec.build().name == task.workload
@@ -145,12 +127,6 @@ def test_workload_spec_unknown_kind():
         WorkloadSpec("x", kind="nope").build()
 
 
-def test_parallel_sweep_rejects_live_factories():
-    sweep = SchemeSweep(_schemes4(), jobs=4)
-    with pytest.raises(TypeError):
-        sweep.run({"intruder": lambda: None})
-
-
 def test_resolve_jobs():
     assert resolve_jobs(1) == 1
     assert resolve_jobs(4) == 4
@@ -159,8 +135,8 @@ def test_resolve_jobs():
     assert resolve_jobs(0) >= 1
 
 
-def test_grid_tasks_order_is_workload_major():
-    tasks = grid_tasks(_schemes4(), _specs4())
+def test_scenario_tasks_order_is_workload_major():
+    tasks = scenario_tasks(_spec4())
     labels = [(t.workload, t.scheme) for t in tasks]
     assert labels[:4] == [("intruder", "baseline"), ("intruder", "backoff"),
                           ("intruder", "rmw"), ("intruder", "puno")]
@@ -181,10 +157,9 @@ _CRASH_FLAG_ENV = "REPRO_TEST_CRASH_DIR"
 
 
 def _tasks2(max_cycles=20_000_000):
-    schemes = {"baseline": ("baseline", small_config(4)),
-               "backoff": ("backoff", small_config(4))}
-    return grid_tasks(schemes, _specs4(names=("intruder",)),
-                      max_cycles=max_cycles)
+    return scenario_tasks(_spec4(names=("intruder",),
+                                 schemes=("baseline", "backoff"),
+                                 max_cycles=max_cycles))
 
 
 def _crashy_run_task(task):
@@ -329,17 +304,15 @@ def test_resolve_checkpoint_forms(tmp_path, monkeypatch):
 
 
 def test_scheme_sweep_checkpoint_round_trip(tmp_path):
-    schemes = {"baseline": ("baseline", small_config(4))}
-    specs = _specs4(names=("intruder",))
-    cold = SchemeSweep(schemes, max_cycles=20_000_000, jobs=1,
-                       cache=False,
-                       checkpoint=SweepCheckpoint(tmp_path)).run(specs)
+    """A scheme sweep run through run_scenario stores its cell in the
+    checkpoint and a second run replays it from disk unchanged."""
+    spec = _spec4(names=("intruder",), schemes=("baseline",))
+    cold = run_scenario(spec, jobs=1, cache=False,
+                        checkpoint=SweepCheckpoint(tmp_path))
     cp = SweepCheckpoint(tmp_path)
-    warm = SchemeSweep(schemes, max_cycles=20_000_000, jobs=1,
-                       cache=False, checkpoint=cp).run(specs)
+    warm = run_scenario(spec, jobs=1, cache=False, checkpoint=cp)
     assert cp.hits == 1 and cp.stores == 0
-    assert (cold.stats["intruder"]["baseline"].snapshot()
-            == warm.stats["intruder"]["baseline"].snapshot())
+    _assert_same_cells(cold, warm)
 
 
 # ---------------------------------------------------------------------

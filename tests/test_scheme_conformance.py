@@ -7,25 +7,25 @@ paper-16 smoke workloads and asserts the invariants of
 :mod:`repro.testing`; the mutation meta-tests then seed one deliberate
 bug per new scheme and prove (a) the conformance suite and (b) the
 pinned ``scheme_digests`` golden section each catch it, mirroring the
-MP-bit relay meta-test of the main golden tour.
+MP-bit relay meta-test of the main golden tour.  The file-level checks
+of the ``scheme_digests`` section run with every other section in
+``test_golden.py``.
 """
 
-import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.scenarios.golden import (
-    check_scheme_golden,
+    check_section,
     compare_digests,
-    load_golden,
-    load_scheme_golden,
-    run_scheme_cell,
-    save_golden,
-    save_scheme_golden,
-    scheme_cells,
+    load_section,
+    pinned_digests,
+    section_specs,
 )
+from repro.scenarios.spec import WorkloadDef
 from repro.schemes import (
     AdaptiveRequeue,
     PhasePriorityArbiter,
@@ -84,60 +84,39 @@ def test_conformance_exercises_real_contention():
 # scheme_digests golden section
 # ---------------------------------------------------------------------
 
-def test_scheme_section_is_pinned_and_complete():
-    doc = json.loads(GOLDEN_PATH.read_text())
-    assert "scheme_digests" in doc, (
-        "golden.json has no scheme section — pin it with "
-        "'repro golden --tournament --update'")
-    expected = {f"{wl}/{scheme}" for wl, scheme in scheme_cells()}
-    assert set(doc["scheme_digests"]) == expected
-    for digest in doc["scheme_digests"].values():
-        assert len(digest) == 64
-        int(digest, 16)
+def _tournament_digests(scheme, workloads=("intruder", "vacation")):
+    """Digests of one scheme's pinned tournament cells, re-run."""
+    (spec,) = section_specs("scheme_digests")
+    spec = replace(spec, schemes=(scheme,),
+                   workloads=tuple(WorkloadDef(w) for w in workloads))
+    return pinned_digests([spec])
 
 
 def test_new_schemes_have_pinned_tournament_digests():
-    pinned = load_scheme_golden(GOLDEN_PATH)
+    pinned = load_section("scheme_digests", GOLDEN_PATH)
     for scheme in ("phase-priority", "adaptive-requeue", "lazy"):
         for wl in ("intruder", "vacation"):
-            assert f"{wl}/{scheme}" in pinned
+            assert f"tournament-16/{wl}/{scheme}/s0" in pinned
 
 
 def test_tournament_grid_matches_pinned():
     """The regression check itself, over every registered scheme."""
-    report = check_scheme_golden(GOLDEN_PATH)
+    report = check_section("scheme_digests", GOLDEN_PATH)
     assert report.ok, "\n" + report.describe()
-    assert len(report.matched) == len(scheme_cells())
+    (spec,) = section_specs("scheme_digests")
+    assert len(report.matched) == spec.num_cells
 
 
 def test_scheme_section_agrees_with_main_tour():
     """baseline/puno tournament cells share the main tour's envelope,
     so their digests must be literally the same — a cross-section
     consistency check that both sections pin the same behaviour."""
-    tour = load_golden(GOLDEN_PATH)
-    schemes_section = load_scheme_golden(GOLDEN_PATH)
+    tour = load_section("digests", GOLDEN_PATH)
+    schemes_section = load_section("scheme_digests", GOLDEN_PATH)
     for wl in ("intruder", "vacation"):
         for scheme in ("baseline", "puno"):
-            assert schemes_section[f"{wl}/{scheme}"] == \
-                tour[f"{wl}/{scheme}"]
-
-
-def test_save_scheme_golden_roundtrip_and_preservation(tmp_path):
-    path = tmp_path / "golden.json"
-    save_golden({"intruder/puno": "ab" * 32}, path)
-    with pytest.raises(KeyError, match="scheme section"):
-        load_scheme_golden(path)
-    save_scheme_golden({"intruder/lazy": "cd" * 32}, path)
-    assert load_scheme_golden(path) == {"intruder/lazy": "cd" * 32}
-    # re-pinning the main tour preserves the scheme (and scale) section
-    save_golden({"intruder/puno": "ef" * 32}, path)
-    assert load_scheme_golden(path) == {"intruder/lazy": "cd" * 32}
-    assert load_golden(path) == {"intruder/puno": "ef" * 32}
-
-
-def test_save_scheme_golden_needs_main_tour_first(tmp_path):
-    with pytest.raises(FileNotFoundError, match="main tour"):
-        save_scheme_golden({"a/b": "0" * 64}, tmp_path / "none.json")
+            assert schemes_section[f"tournament-16/{wl}/{scheme}/s0"] == \
+                tour[f"golden-tour/{wl}/{scheme}/s0"]
 
 
 # ---------------------------------------------------------------------
@@ -189,17 +168,13 @@ def test_golden_catches_phase_priority_inversion(monkeypatch):
         return item
 
     monkeypatch.setattr(PhasePriorityArbiter, "select", inverted_select)
-    pinned = load_scheme_golden(GOLDEN_PATH)
-    current = dict(pinned)
-    for wl in ("intruder", "vacation"):
-        system = run_scheme_cell(wl, "phase-priority")
-        current[f"{wl}/phase-priority"] = \
-            system.stats.snapshot_digest()
+    pinned = load_section("scheme_digests", GOLDEN_PATH)
+    current = {**pinned, **_tournament_digests("phase-priority")}
     report = compare_digests(pinned, current)
     assert not report.ok, (
         "scheme golden failed to detect inverted arbitration — the "
         "phase-priority digests do not cover the drain order")
-    assert "intruder/phase-priority" in report.mismatched
+    assert "tournament-16/intruder/phase-priority/s0" in report.mismatched
     # the mutation is surgical: every other scheme's cell still matches
     assert all("phase-priority" in cell for cell in report.mismatched)
 
@@ -234,11 +209,10 @@ def test_golden_catches_adaptive_requeue_unseeded_rng(monkeypatch):
         self.rng = random.Random()
 
     monkeypatch.setattr(AdaptiveRequeue, "__init__", unseeded_init)
-    pinned = load_scheme_golden(GOLDEN_PATH)
-    current = dict(pinned)
-    system = run_scheme_cell("intruder", "adaptive-requeue")
-    current["intruder/adaptive-requeue"] = \
-        system.stats.snapshot_digest()
+    pinned = load_section("scheme_digests", GOLDEN_PATH)
+    current = {**pinned,
+               **_tournament_digests("adaptive-requeue", ("intruder",))}
     report = compare_digests(pinned, current)
     assert not report.ok
-    assert set(report.mismatched) == {"intruder/adaptive-requeue"}
+    assert set(report.mismatched) == {
+        "tournament-16/intruder/adaptive-requeue/s0"}

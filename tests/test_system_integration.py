@@ -254,15 +254,11 @@ def test_sanitized_parallel_sweep(monkeypatch):
     the pickled Stats back — every grid cell provably ran sanitized
     (and uncached: a cache hit would check nothing)."""
     monkeypatch.setenv("REPRO_SANITIZE", "1")
-    from repro.analysis.sweep import SchemeSweep
-    from repro.analysis.parallel import WorkloadSpec
-    schemes = {
-        "baseline": ("baseline", small_config(4)),
-        "puno": ("puno", small_config(4).with_puno()),
-    }
-    specs = {"intruder": WorkloadSpec("intruder", num_nodes=4,
-                                     scale=0.05, seed=0)}
-    sweep = SchemeSweep(schemes, max_cycles=20_000_000, jobs=2,
-                        cache=False).run(specs)
-    for scheme in schemes:
-        assert sweep.stats["intruder"][scheme].sanitizer_checks > 0, scheme
+    from repro.scenarios import ScenarioSpec, WorkloadDef, run_scenario
+    spec = ScenarioSpec(name="sanitized-4", nodes=4,
+                        workloads=(WorkloadDef("intruder"),),
+                        schemes=("baseline", "puno"), scale=0.05,
+                        max_cycles=20_000_000)
+    result = run_scenario(spec, jobs=2, cache=False, checkpoint=False)
+    for (_, scheme, _), r in zip(result.cells, result.results):
+        assert r.stats.sanitizer_checks > 0, scheme
