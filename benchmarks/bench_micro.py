@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Hot-path microbenchmarks: message allocation, network send/deliver,
-handler dispatch, raw event-engine throughput, and an end-to-end
-STAMP-tour event-rate measurement.
+handler dispatch, raw event-engine throughput, the PUNO rollover tick,
+and an end-to-end STAMP-tour event-rate measurement.
 
 Writes ``BENCH_hotpath.json`` (repo root by default) so the perf
 trajectory is versioned alongside the code.  ``--check BASELINE.json``
@@ -46,6 +46,21 @@ MESH_SCALING_SIZES = ((16, 0.4), (64, 0.2), (256, 0.1), (1024, 0.05))
 # rate: with O(N)-memory routing the per-event cost must stay nearly
 # flat, so a >3x drop means something quadratic crept back in.
 MESH_SCALING_FALLOFF_LIMIT = 3.0
+
+# Allowed net peak RSS per mesh size: this factor times the baseline's
+# plus a fixed slack, so the small meshes (a few hundred kB over the
+# import floor) do not trip on allocator noise while a structure that
+# grows faster than the mesh still does.
+MESH_RSS_GROWTH_LIMIT = 1.5
+MESH_RSS_SLACK_KB = 2048
+
+# The puno_tick phase: P-Buffer sizes (entries = nodes) whose rollover
+# tick rates it records.  A tick is O(1), so the rate at the largest
+# size must stay within PUNO_TICK_WIDTH_LIMIT x of the smallest; a
+# tick that sweeps every entry measured 3.4x (2-vCPU x86-64 host,
+# Python 3.11).
+PUNO_TICK_SIZES = (16, 256)
+PUNO_TICK_WIDTH_LIMIT = 2.0
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -316,6 +331,41 @@ def bench_mesh_scaling(repeats: int) -> dict:
 
 
 # ---------------------------------------------------------------------
+# phase 4d: PUNO rollover tick
+# ---------------------------------------------------------------------
+
+def bench_puno_tick(n: int, repeats: int) -> dict:
+    """Rollover ticks per second of one ``DirectoryPUNO`` alone on a
+    ``Simulator``, at each size in ``PUNO_TICK_SIZES``: the tick (decay
+    the P-Buffer, count it, reschedule) is the only event, so the rate
+    is the per-tick cost the 256-node PUNO cells pay on most of their
+    events.  Every entry holds a priority before the first tick."""
+    from repro.core.puno import DirectoryPUNO
+    from repro.sim.config import PUNOConfig
+    from repro.sim.engine import Simulator
+    from repro.sim.stats import Stats
+
+    out = {"n": n}
+    for entries in PUNO_TICK_SIZES:
+        cfg = PUNOConfig(enabled=True, pbuffer_entries=entries)
+
+        def tick():
+            sim = Simulator()
+            unit = DirectoryPUNO(sim, entries, cfg, Stats(entries))
+            for node in range(entries):
+                unit.pbuffer.update(node, node)
+            sim.run(max_events=n)
+            unit.stop()
+            if unit.stats.puno_timeouts != n:
+                raise AssertionError(
+                    f"puno_tick: {unit.stats.puno_timeouts} ticks for "
+                    f"{n} events")
+
+        out[f"ticks_per_sec_{entries}"] = n / _best_of(tick, repeats)
+    return out
+
+
+# ---------------------------------------------------------------------
 # phase 5: end-to-end STAMP tour
 # ---------------------------------------------------------------------
 
@@ -389,6 +439,7 @@ def run_benchmarks(scale: float, repeats: int, micro_n: int,
             "send_deliver": bench_send_deliver(micro_n // 4, repeats),
             "dispatch": bench_dispatch(micro_n, repeats),
             "int_dispatch": bench_int_dispatch(micro_n, repeats),
+            "puno_tick": bench_puno_tick(micro_n // 4, repeats),
         },
         "mesh_scaling": bench_mesh_scaling(mesh_repeats),
         "end_to_end": bench_end_to_end(scale, repeats),
@@ -420,17 +471,56 @@ def check_against(report: dict, baseline_path: Path,
             print(f"perf check FAILED: gross event-rate regression "
                   f"against the {label}")
             status = 1
+    status |= check_puno_tick(report, baseline, tolerance)
     status |= check_mesh_scaling(report, baseline, tolerance)
     if status == 0:
         print("perf check OK")
     return status
 
 
+def check_puno_tick(report: dict, baseline: dict,
+                    tolerance: float = 2.0) -> int:
+    """Floor on the 256-entry rollover tick rate against the baseline,
+    plus the O(1) contract: the largest P-Buffer's tick rate stays
+    within ``PUNO_TICK_WIDTH_LIMIT``x of the smallest's."""
+    fresh = report.get("phases", {}).get("puno_tick")
+    if not fresh:
+        print("puno tick check skipped: no puno_tick phase in the fresh "
+              "report")
+        return 0
+    status = 0
+    small, large = (f"ticks_per_sec_{n}"
+                    for n in (PUNO_TICK_SIZES[0], PUNO_TICK_SIZES[-1]))
+    rate = fresh[large]
+    ref = baseline.get("phases", {}).get("puno_tick", {}).get(large)
+    if ref is None:
+        print(f"puno tick check: {rate:.0f} ticks/s (no baseline — "
+              f"floor skipped)")
+    else:
+        ratio = ref / rate if rate else float("inf")
+        print(f"puno tick check: {rate:.0f} ticks/s vs baseline "
+              f"{ref:.0f} ticks/s (slowdown {ratio:.2f}x, "
+              f"limit {tolerance:.1f}x)")
+        if ratio > tolerance:
+            print("puno tick check FAILED: rollover tick rate regression")
+            status = 1
+    width = fresh[small] / rate if rate else float("inf")
+    print(f"puno tick check O(1): {PUNO_TICK_SIZES[0]} entries "
+          f"{fresh[small]:.0f} ticks/s -> {PUNO_TICK_SIZES[-1]} entries "
+          f"{rate:.0f} ticks/s (falloff {width:.2f}x, "
+          f"limit {PUNO_TICK_WIDTH_LIMIT:.1f}x)")
+    if width > PUNO_TICK_WIDTH_LIMIT:
+        print("puno tick check FAILED: the tick cost grows with the "
+              "P-Buffer size")
+        status = 1
+    return status
+
+
 def check_mesh_scaling(report: dict, baseline: dict,
                        tolerance: float = 2.0) -> int:
-    """Per-size event-rate floor against the baseline, plus the
-    scale-out contract: the 1024-node rate must stay within
-    ``MESH_SCALING_FALLOFF_LIMIT``x of the 64-node rate."""
+    """Per-size event-rate floor and net-RSS ceiling against the
+    baseline, plus the scale-out contract: the 1024-node rate must
+    stay within ``MESH_SCALING_FALLOFF_LIMIT``x of the 64-node rate."""
     fresh = report.get("mesh_scaling", {})
     base = baseline.get("mesh_scaling", {})
     if not fresh:
@@ -452,6 +542,16 @@ def check_mesh_scaling(report: dict, baseline: dict,
         if ratio > tolerance:
             print(f"mesh check FAILED: event-rate regression at "
                   f"{size} nodes")
+            status = 1
+        rss = cell["peak_rss_kb"]
+        ref_rss = base[size].get("peak_rss_kb")
+        if ref_rss is None:
+            continue
+        limit = ref_rss * MESH_RSS_GROWTH_LIMIT + MESH_RSS_SLACK_KB
+        print(f"mesh check {size:>5} nodes: net peak RSS {rss} kB vs "
+              f"baseline {ref_rss} kB (limit {limit:.0f} kB)")
+        if rss > limit:
+            print(f"mesh check FAILED: peak RSS growth at {size} nodes")
             status = 1
     r64 = fresh.get("64", {}).get("events_per_sec")
     r1024 = fresh.get("1024", {}).get("events_per_sec")
@@ -509,8 +609,9 @@ def main(argv=None) -> int:
                     help="compare against a committed baseline JSON; "
                          "exit 1 on >2x aggregate event-rate regression")
     ap.add_argument("--reference-from", type=Path, metavar="PRIOR",
-                    help="embed PRIOR's own end-to-end numbers as this "
-                         "report's reference_pre_pr block (use when "
+                    help="embed PRIOR's own end-to-end (and puno_tick) "
+                         "numbers as this report's reference_pre_pr "
+                         "block (use when "
                          "re-baselining: the prior committed report "
                          "becomes the new pre-optimization reference)")
     args = ap.parse_args(argv)
@@ -524,12 +625,14 @@ def main(argv=None) -> int:
     if args.reference_from is not None:
         prior = json.loads(args.reference_from.read_text())
         reference = {
-            "note": "end-to-end phase of the prior committed report "
-                    "(this optimization pass's parent)",
+            "note": "end-to-end and puno_tick phases of the prior "
+                    "report (this optimization pass's parent)",
             "python": prior.get("python"),
             "scale": prior.get("scale"),
             "end_to_end": prior["end_to_end"],
         }
+        if "puno_tick" in prior.get("phases", {}):
+            reference["puno_tick"] = prior["phases"]["puno_tick"]
     else:
         reference = _load_reference(args.out, args.check)
 
@@ -540,6 +643,10 @@ def main(argv=None) -> int:
         report["reference_pre_pr"] = reference
 
     args.out.write_text(json.dumps(report, indent=1) + "\n")
+    tick = report["phases"]["puno_tick"]
+    print("puno tick: " + "  ".join(
+        f"{n} entries {tick[f'ticks_per_sec_{n}']:.0f} ticks/s"
+        for n in PUNO_TICK_SIZES))
     for size, r in sorted(report["mesh_scaling"].items(),
                           key=lambda kv: int(kv[0])):
         print(f"mesh {size:>5} nodes: {r['events']} events @ "

@@ -10,6 +10,19 @@ rollover timeout implement staleness control (Fig. 5):
   0, "to allow a longer timeout period";
 * only entries with validity greater than the threshold (1) are used
   for unicast prediction.
+
+The counters are kept lazily, so a timeout costs O(1) instead of a
+sweep over all N entries.  The buffer counts timeouts in ``decays``
+and each entry stores ``_expiry``, the value of ``decays`` at which
+its counter reaches 0; the counter is read as
+``max(0, _expiry - decays)``.  This is the same automaton: a timeout
+bumps ``decays``, which lowers every positive counter by one and
+leaves a zero counter at zero (``_expiry <= decays`` stays true); an
+update reads the current counter, computes the new value ``v`` exactly
+as Fig. 5 does and stores ``decays + v``; an invalidation stores
+``decays``, a zero counter.  The usability test ``validity > threshold`` becomes
+``_expiry > threshold + decays``, which is exact because the threshold
+is never negative, so a clamped-to-zero counter never passes it.
 """
 
 from __future__ import annotations
@@ -28,10 +41,14 @@ class PBuffer:
                 f"P-Buffer has {config.pbuffer_entries} entries for "
                 f"{num_nodes} nodes"
             )
+        if config.validity_threshold < 0:
+            raise ValueError(
+                f"validity_threshold {config.validity_threshold} < 0")
         self.config = config
         self.num_nodes = num_nodes
         self._priority: List[Optional[int]] = [None] * num_nodes
-        self._validity: List[int] = [0] * num_nodes
+        # decay count at which each entry's validity counter reaches 0
+        self._expiry: List[int] = [0] * num_nodes
         # advertised expected length of the recorded transaction (the
         # requester's TxLB estimate, carried on every request); 0 when
         # unknown.  Drives the expected-lifetime staleness check.
@@ -57,15 +74,15 @@ class PBuffer:
         self._priority[node] = timestamp
         self._length[node] = length_hint
         self._touched[node] = now
-        v = self._validity[node]
-        bump = 2 if v == 0 else 1
-        self._validity[node] = min(v + bump, self.config.validity_max)
+        v = self._expiry[node] - self.decays
+        v = v + 1 if v > 0 else 2
+        self._expiry[node] = self.decays + min(v, self.config.validity_max)
         self.updates += 1
         return prev
 
     def invalidate(self, node: int) -> None:
         """Misprediction feedback: drop the stale priority."""
-        self._validity[node] = 0
+        self._expiry[node] = self.decays
         self._priority[node] = None
         self._length[node] = 0
         self.invalidations += 1
@@ -73,9 +90,6 @@ class PBuffer:
     def decay(self) -> None:
         """Rollover timeout: age every non-zero validity counter."""
         self.decays += 1
-        for i, v in enumerate(self._validity):
-            if v > 0:
-                self._validity[i] = v - 1
 
     # ------------------------------------------------------------------
     def usable(self, node: int, now: Optional[int] = None) -> bool:
@@ -89,7 +103,8 @@ class PBuffer:
         are too coarse).
         """
         ts = self._priority[node]
-        if ts is None or self._validity[node] <= self.config.validity_threshold:
+        if (ts is None or self._expiry[node]
+                <= self.config.validity_threshold + self.decays):
             return False
         if now is not None and self.config.lifetime_factor > 0:
             # A recently refreshed entry is live regardless of age: a
@@ -106,7 +121,7 @@ class PBuffer:
         return self._priority[node]
 
     def validity(self, node: int) -> int:
-        return self._validity[node]
+        return max(0, self._expiry[node] - self.decays)
 
     def key(self, node: int) -> Optional[Tuple[int, int]]:
         """Total-order priority key (timestamp, node); smaller = older."""

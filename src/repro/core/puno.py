@@ -38,8 +38,10 @@ class DirectoryPUNO:
         self.stats = stats
         self.pbuffer = PBuffer(num_nodes, config)
         self._avg_tx_len: float = float(config.min_timeout)
+        # rollover period, recomputed only where _avg_tx_len changes
+        self._period = self._timeout_period()
         self._active = True
-        self._schedule_timeout()
+        sim.call_later(self._period, self._on_timeout)
 
     # ------------------------------------------------------------------
     # critical-path latency the directory charges for prediction
@@ -65,8 +67,10 @@ class DirectoryPUNO:
         # are begin cycles, so a change brackets an instance lifetime).
         if tag.length_hint > 0:
             self._avg_tx_len = (self._avg_tx_len + tag.length_hint) / 2.0
+            self._period = self._timeout_period()
         elif prev is not None and tag.timestamp > prev:
             self._avg_tx_len = (self._avg_tx_len + (tag.timestamp - prev)) / 2.0
+            self._period = self._timeout_period()
 
     # ------------------------------------------------------------------
     # unicast destination prediction
@@ -161,15 +165,16 @@ class DirectoryPUNO:
         period = int(self._avg_tx_len * c.timeout_scale)
         return max(c.min_timeout, min(period, c.max_timeout))
 
-    def _schedule_timeout(self) -> None:
-        self.sim.call_later(self._timeout_period(), self._on_timeout)
-
     def _on_timeout(self) -> None:
+        # One engine event per tick: puno_timeouts is digested and the
+        # tick's heap sequence number orders it within its cycle, so
+        # ticks are neither elided nor batched.  The decay itself is
+        # PBuffer.decay() inlined (an O(1) epoch bump).
         if not self._active:
             return
-        self.pbuffer.decay()
+        self.pbuffer.decays += 1
         self.stats.puno_timeouts += 1
-        self._schedule_timeout()
+        self.sim.call_later(self._period, self._on_timeout)
 
     def stop(self) -> None:
         """Stop rescheduling timeouts so the event heap can drain."""

@@ -43,9 +43,10 @@ def recompute_ud(sharers: Union[int, Iterable[int]], pbuffer: PBuffer,
     best: Optional[int] = None
     best_key = None
     priority = pbuffer._priority
-    validity = pbuffer._validity
+    expiry = pbuffer._expiry
     cfg = pbuffer.config
-    threshold = cfg.validity_threshold
+    # validity > threshold  <=>  expiry > threshold + decays (see pbuffer)
+    live_after = cfg.validity_threshold + pbuffer.decays
     lifetime_factor = cfg.lifetime_factor
     age_gate = now is not None and lifetime_factor > 0
     if age_gate:
@@ -55,7 +56,7 @@ def recompute_ud(sharers: Union[int, Iterable[int]], pbuffer: PBuffer,
     nodes = iter_bits(sharers) if type(sharers) is int else sharers
     for node in nodes:
         ts = priority[node]
-        if ts is None or validity[node] <= threshold:
+        if ts is None or expiry[node] <= live_after:
             continue
         if age_gate and now - touched[node] > recency_window:
             # Only age-gate entries that have gone silent: a live but

@@ -189,8 +189,8 @@ class HandlerExhaustivenessPass:
     handler for each endpoint pairing.
 
     The wiring contract (``System._make_endpoint``) merges one
-    directory-side and one node-side ``handlers`` dict and asserts
-    coverage at construction time; this pass proves the same property
+    directory-side and one node-side ``handlers`` dict and raises on a
+    gap at construction time; this pass proves the same property
     from the dispatch-table literals, over *every* combination of
     endpoint subclasses, so a scheme plug-in with a partial table is
     caught before any system is ever built."""

@@ -178,8 +178,13 @@ class System:
         # code order, the network delivers straight to the owning
         # controller's bound handler — no membership test, no closure
         # hop, no per-delivery dict lookup.
+        # An explicit raise, not an assert, so the check survives -O.
         merged = {**directory.handlers, **node.handlers}
-        assert set(merged) == set(MessageType), "endpoint dispatch incomplete"
+        missing = [t.name for t in MessageType if t not in merged]
+        if missing:
+            raise ValueError(
+                f"endpoint dispatch incomplete: no handler for "
+                f"{', '.join(missing)}")
         return [merged[t] for t in MessageType]
 
     # ------------------------------------------------------------------

@@ -315,6 +315,48 @@ def test_check_against_enforces_pre_pr_floor(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _tick(rate_16, rate_256):
+    return {"phases": {"puno_tick": {"ticks_per_sec_16": rate_16,
+                                     "ticks_per_sec_256": rate_256}}}
+
+
+def test_puno_tick_check_floors_rate_against_baseline(capsys):
+    bench = _bench_module()
+    base = _tick(1_000_000, 1_000_000)
+    assert bench.check_puno_tick(_tick(600_000, 600_000), base) == 0
+    assert bench.check_puno_tick(_tick(400_000, 400_000), base) == 1
+    capsys.readouterr()
+
+
+def test_puno_tick_check_fails_when_tick_cost_grows_with_size(capsys):
+    """A per-entry sweep makes the 256-entry tick several times slower
+    than the 16-entry one; the O(1) gate needs no baseline to see it."""
+    bench = _bench_module()
+    assert bench.check_puno_tick(_tick(490_000, 150_000), {}) == 1
+    assert bench.check_puno_tick(_tick(1_450_000, 1_390_000), {}) == 0
+    capsys.readouterr()
+
+
+def _mesh(rss_kb):
+    return {"mesh_scaling": {
+        str(n): {"events_per_sec": 200_000.0, "peak_rss_kb": kb}
+        for n, kb in rss_kb.items()}}
+
+
+def test_mesh_check_gates_net_rss_per_size(capsys):
+    bench = _bench_module()
+    base = _mesh({16: 200, 1024: 22_000})
+    assert bench.check_mesh_scaling(_mesh({16: 1_500, 1024: 30_000}),
+                                    base) == 0
+    # 16 nodes: 200 kB x 1.5 + 2 MB slack = 2348 kB allowed
+    assert bench.check_mesh_scaling(_mesh({16: 3_000, 1024: 22_000}),
+                                    base) == 1
+    # 1024 nodes: an O(N^2) table would add hundreds of MB
+    assert bench.check_mesh_scaling(_mesh({16: 200, 1024: 300_000}),
+                                    base) == 1
+    capsys.readouterr()
+
+
 def test_load_reference_prefers_existing_block(tmp_path):
     bench = _bench_module()
     out = tmp_path / "out.json"

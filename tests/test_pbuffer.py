@@ -102,3 +102,10 @@ def test_validity_threshold_config():
     assert not pb.usable(1)
     pb.update(1, 11)  # validity 3
     assert pb.usable(1)
+
+
+def test_negative_threshold_rejected():
+    """The lazy usability test relies on validity_threshold >= 0."""
+    with pytest.raises(ValueError):
+        PBuffer(4, PUNOConfig(enabled=True, validity_threshold=-1))
+

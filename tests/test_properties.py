@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core.pbuffer import PBuffer
 from repro.core.puno import DirectoryPUNO
 from repro.core.txlb import TxLB
+from repro.core.udpointer import recompute_ud
 from repro.coherence.cache import L1Cache
 from repro.coherence.states import L1State
 from repro.network.message import Message, MessageType, TxTag
@@ -188,6 +189,73 @@ def test_adaptive_timeout_period_stays_bounded(hints, scale, adaptive):
         else:
             assert period == cfg.fixed_timeout
     unit.stop()
+
+
+def _reference_ud(mask, pb, readers, now):
+    """The UD pointer by definition: the smallest (timestamp, node)
+    over sharers whose entry is usable and, with the reader-epoch
+    filter, whose recorded read epoch matches their priority."""
+    keys = [(pb.priority(n), n) for n in range(pb.num_nodes)
+            if mask >> n & 1 and pb.usable(n, now)
+            and (readers is None or readers.get(n) == pb.priority(n))]
+    return min(keys)[1] if keys else None
+
+
+@settings(deadline=None)
+@given(st.integers(0, 5000), st.lists(st.one_of(
+    st.tuples(st.just("update"), st.integers(0, 7), st.integers(0, 3000),
+              st.integers(0, 300)),
+    st.tuples(st.just("decay"), st.integers(1, 8), st.just(0), st.just(0)),
+    st.tuples(st.just("invalidate"), st.integers(0, 7), st.just(0),
+              st.just(0)),
+), max_size=80), st.integers(0, 255), st.data())
+def test_recompute_ud_matches_usable_reference(prior_decays, ops, mask,
+                                               data):
+    """The UD recomputation inlines the P-Buffer's lazy validity test
+    (expiry against threshold + decays); it must pick exactly the
+    sharer the public ``usable`` predicate picks — after runs of
+    decays longer than the counter is wide and on a buffer that has
+    already seen thousands of decays — while the counters themselves
+    follow the eager Fig. 5 automaton."""
+    cfg = PUNOConfig(enabled=True, recency_window=64)
+    pb = PBuffer(8, cfg)
+    for _ in range(prior_decays):
+        pb.decay()
+    ref_v = [0] * 8
+    now = 0
+    for op, node, ts, hint in ops:
+        now += 7
+        if op == "update":
+            ref_v[node] = min(ref_v[node] + (2 if ref_v[node] == 0 else 1),
+                              cfg.validity_max)
+            pb.update(node, ts, hint, now)
+        elif op == "decay":
+            for _ in range(node):
+                ref_v = [max(0, v - 1) for v in ref_v]
+                pb.decay()
+        else:
+            ref_v[node] = 0
+            pb.invalidate(node)
+        assert [pb.validity(n) for n in range(8)] == ref_v
+        for at in (None, now):
+            assert (recompute_ud(mask, pb, None, at)
+                    == _reference_ud(mask, pb, None, at))
+            for n in range(8):  # every entry's predicate on its own
+                assert (recompute_ud(1 << n, pb, None, at)
+                        == (n if pb.usable(n, at) else None))
+    # reader epochs: per sharer absent, matching or stale
+    readers = {}
+    for n in range(8):
+        kind = data.draw(st.sampled_from(["absent", "match", "stale"]))
+        if kind == "match" and pb.priority(n) is not None:
+            readers[n] = pb.priority(n)
+        elif kind == "stale":
+            readers[n] = -1
+    at = data.draw(st.one_of(st.none(), st.integers(now, now + 5000)))
+    expected = _reference_ud(mask, pb, readers, at)
+    assert recompute_ud(mask, pb, readers, at) == expected
+    sharers = [n for n in range(8) if mask >> n & 1]
+    assert recompute_ud(sharers, pb, readers, at) == expected
 
 
 @given(st.lists(st.integers(1, 10_000), min_size=1, max_size=40))

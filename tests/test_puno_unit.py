@@ -153,3 +153,49 @@ def test_stop_ends_timeout_rescheduling(unit):
     puno.stop()
     sim.run()
     assert sim.idle()
+
+
+@pytest.mark.parametrize("adaptive", [True, False])
+def test_cached_period_tracks_timeout_period(adaptive):
+    """The rollover tick reschedules with a cached period; it must equal
+    a fresh _timeout_period() after every request, whichever branch of
+    the average-length update the request took."""
+    sim = Simulator()
+    puno = DirectoryPUNO(sim, 4, PUNOConfig(enabled=True,
+                                            adaptive_timeout=adaptive),
+                         Stats(4))
+    assert puno._period == puno._timeout_period()
+    requests = [_getx(1, ts=10, length_hint=5000),
+                _getx(2, ts=20),              # first sight: no delta
+                _getx(2, ts=900),             # priority-change delta
+                _getx(2, ts=900),             # unchanged priority
+                _getx(3, ts=40, length_hint=10**7),
+                Message(MessageType.GETS, 0, 1, 0, requester=1, req_id=2),
+                _getx(1, ts=50, length_hint=1)]
+    for msg in requests:
+        puno.observe_request(msg)
+        assert puno._period == puno._timeout_period()
+    if not adaptive:
+        assert puno._period == puno.config.fixed_timeout
+
+
+def test_tick_reschedules_at_cached_period(unit):
+    """Each tick fires one period after the last, at the period in force
+    when that tick ran."""
+    sim, puno, stats = unit
+    first = puno._period
+    sim.run(until=first)
+    assert stats.puno_timeouts == 1 and puno.pbuffer.decays == 1
+    for _ in range(4):
+        puno.observe_request(_getx(1, ts=10, length_hint=100_000))
+    second = puno._period
+    assert second > first
+    sim.run(until=2 * first - 1)
+    assert stats.puno_timeouts == 1
+    sim.run(until=2 * first)
+    assert stats.puno_timeouts == 2
+    sim.run(until=2 * first + second)
+    assert stats.puno_timeouts == 3
+    puno.stop()
+    sim.run()
+    assert stats.puno_timeouts == 3

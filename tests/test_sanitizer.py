@@ -227,7 +227,8 @@ def test_surviving_pbuffer_entry_after_feedback_caught():
     puno = next(p for p in system.punos if p is not None)
     pb = puno.pbuffer
     pb._priority[2] = 123  # entry that feedback failed to clear
-    pb._validity[2] = 1
+    pb._expiry[2] = pb.decays + 1  # validity 1
+    assert pb.validity(2) == 1
     _expect("mp-feedback", system.sanitizer.check_mp_feedback, puno, 2)
 
 
@@ -235,7 +236,8 @@ def test_validity_counter_overflow_caught():
     system = _ran_system(cm="puno")
     pb = next(p for p in system.punos if p is not None).pbuffer
     pb._priority[0] = 5
-    pb._validity[0] = pb.config.validity_max + 3
+    pb._expiry[0] = pb.decays + pb.config.validity_max + 3
+    assert pb.validity(0) == pb.config.validity_max + 3
     _expect("pbuffer-validity", system.sanitizer.check_pbuffer, pb)
 
 
@@ -243,7 +245,8 @@ def test_validity_without_priority_caught():
     system = _ran_system(cm="puno")
     pb = next(p for p in system.punos if p is not None).pbuffer
     pb._priority[0] = None
-    pb._validity[0] = 2
+    pb._expiry[0] = pb.decays + 2  # validity 2
+    assert pb.validity(0) == 2
     _expect("pbuffer-validity", system.sanitizer.check_pbuffer, pb)
 
 

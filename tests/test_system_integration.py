@@ -230,6 +230,22 @@ def test_unknown_cm_rejected():
         System(small_config(4), wl, cm="nope")
 
 
+def test_missing_endpoint_handler_rejected():
+    """The endpoint-completeness check is an explicit raise, so a node
+    class with a gap in its dispatch table is refused even under -O."""
+    from repro.htm.node import NodeController
+    from repro.network.message import MessageType
+
+    class PartialNode(NodeController):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            del self.handlers[MessageType.FWD_GETX]
+
+    wl = Workload("t", [[Gap(1)] for _ in range(4)])
+    with pytest.raises(ValueError, match="no handler for FWD_GETX"):
+        System(small_config(4), wl, node_cls=PartialNode)
+
+
 # ---------------------------------------------------------------------
 # sanitized end-to-end tours (REPRO_SANITIZE=1)
 # ---------------------------------------------------------------------
