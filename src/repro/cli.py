@@ -431,17 +431,7 @@ def cmd_golden(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    from pathlib import Path
-
-    from repro.lint.baseline import (
-        BaselineError,
-        apply_baseline,
-        find_default_baseline,
-        load_baseline,
-        write_baseline,
-    )
     from repro.lint.runner import (
-        GitDiffError,
         explain_rule_text,
         lint_paths,
         list_rules_text,
@@ -458,50 +448,11 @@ def cmd_lint(args) -> int:
         print(text)
         return 0
     try:
-        report = lint_paths(args.paths or None, deep=args.deep,
-                            diff_base=args.diff)
-    except GitDiffError as exc:
-        print(f"lint: {exc}", file=sys.stderr)
-        return 2
+        report = lint_paths(args.paths or None)
     except Exception as exc:
         print(f"lint internal error: {exc}", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        target = Path(args.baseline or "lint-baseline.json")
-        n = write_baseline(target, report.violations)
-        print(f"wrote {n} suppression(s) to {target} — fill in the "
-              f"justifications before committing")
-        return 0
-    if not args.no_baseline:
-        bpath = (Path(args.baseline) if args.baseline
-                 else find_default_baseline())
-        if bpath is not None:
-            try:
-                sups = load_baseline(bpath)
-            except BaselineError as exc:
-                print(f"lint: {exc}", file=sys.stderr)
-                return 2
-            kept, suppressed, unused = apply_baseline(
-                report.violations, sups)
-            report.violations = kept
-            report.suppressed = suppressed
-            if not args.diff:  # a diff-scoped run sees few findings,
-                #                so "unmatched" does not mean "stale"
-                for s in unused:
-                    print(f"lint: stale baseline entry ({s.rule} @ "
-                          f"{s.path}) matched nothing — prune it",
-                          file=sys.stderr)
-    if args.format == "json":
-        print(report.to_json())
-    elif args.format == "sarif":
-        out = report.to_sarif(repo_root=Path.cwd())
-        if args.out:
-            Path(args.out).write_text(out + "\n")
-            print(f"wrote SARIF to {args.out}", file=sys.stderr)
-        else:
-            print(out)
-    else:
-        print(report.render_text())
+    print(report.render_text())
     return report.exit_code
 
 
@@ -624,32 +575,11 @@ def build_parser() -> argparse.ArgumentParser:
     lint_p.add_argument("paths", nargs="*",
                         help="files or directories to lint "
                              "(default: the installed repro package)")
-    lint_p.add_argument("--format", choices=("text", "json", "sarif"),
-                        default="text")
-    lint_p.add_argument("--out", metavar="FILE",
-                        help="with --format sarif, write the log to "
-                             "FILE instead of stdout")
     lint_p.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
     lint_p.add_argument("--explain", metavar="RULE",
                         help="print one rule's long-form rationale "
                              "and exit")
-    lint_p.add_argument("--deep", action="store_true",
-                        help="also run the whole-program passes "
-                             "(determinism taint, handler "
-                             "exhaustiveness, snapshot contract)")
-    lint_p.add_argument("--diff", metavar="BASE",
-                        help="report only findings in files changed "
-                             "vs the given git rev (deep analysis "
-                             "still sees the whole program)")
-    lint_p.add_argument("--baseline", metavar="FILE",
-                        help="baseline file (default: nearest "
-                             "lint-baseline.json up from the cwd)")
-    lint_p.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline file")
-    lint_p.add_argument("--write-baseline", action="store_true",
-                        help="write current findings as a baseline "
-                             "(justifications left for the author)")
 
     prof_p = sub.add_parser(
         "profile", help="cProfile one cell with per-callback and "

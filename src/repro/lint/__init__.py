@@ -9,22 +9,20 @@ rules a generic linter cannot know about:
 * event order must not depend on unordered-set iteration,
 * objects crossing the :mod:`repro.analysis.parallel` process boundary
   must stay picklable,
-* cycle math stays in integers (no float ``==``, no float delays).
+* cycle math stays in integers (no float ``==``, no float delays),
+* SoA stats accumulators fold to str-keyed views only at the
+  ``sim/stats.py`` snapshot boundary.
 
-Beyond the per-file rules, ``repro lint --deep`` runs whole-program
-passes (:mod:`repro.lint.analysis`): determinism-taint over the
-project call graph, MessageType handler exhaustiveness, and the
-SoA-stats snapshot/pickle contract.
+Every rule is a per-file AST pattern, checked in one pass over each
+module.  Cross-module contracts that a per-file pass cannot see (every
+``MessageType`` handled exactly once per endpoint) are enforced at
+run time, by ``System._make_endpoint``.
 
 Use :func:`lint_paths` programmatically or ``python -m repro lint``
-from the command line.  Every rule supports an inline escape hatch::
+from the command line.  The only way to suppress a finding is an
+inline comment::
 
     something_flagged()  # lint: disable=<rule-id>
-
-and known findings can be suppressed with a justification in a
-checked-in ``lint-baseline.json`` (:mod:`repro.lint.baseline`).
-``--format sarif`` emits SARIF 2.1.0 for GitHub code scanning
-(:mod:`repro.lint.sarif`).
 
 See :mod:`repro.lint.rules` for the rule catalogue and
 :mod:`repro.lint.runner` for the report/exit-code contract.

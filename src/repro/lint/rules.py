@@ -20,8 +20,8 @@ Scopes
   ``coherence/``);
 * ``event-path`` — the named modules whose *functions* execute once
   per message or event (the engine loop, send/deliver, the protocol
-  handlers): per-event allocation and str-keyed counting are flagged
-  there;
+  handlers): per-event allocation, str-keyed counting and folded
+  stats views are flagged there;
 * ``orchestration`` — code that supervises long runs (``analysis/``
   and ``sim/``): a silently swallowed exception there turns a crashed
   sweep cell or a corrupted cache entry into quietly wrong results.
@@ -46,26 +46,26 @@ class Rule:
 
     ``rationale`` (``repro lint --explain <id>``) is the long-form
     why: what breaks when the rule is violated, and what the
-    sanctioned alternative is.  Rules with scope ``deep`` are not
-    per-file AST patterns but whole-program passes run only under
-    ``repro lint --deep`` (see :mod:`repro.lint.analysis`).
+    sanctioned alternative is.
     """
 
     id: str
-    scope: str  # 'all' | 'sim-path' | 'pickle-boundary' | ... | 'deep'
+    scope: str  # 'all' | 'sim-path' | 'pickle-boundary' | ...
     summary: str
     rationale: str = ""
 
 
 RULES: Tuple[Rule, ...] = (
     Rule("sim-rng", "all",
-         "use repro.sim.rng streams, never the random module directly"),
+         "use repro.sim.rng streams, never the random module, id() or "
+         "hash() directly"),
     Rule("wall-clock", "all",
          "simulated time is Simulator.now; no time.time()/datetime.now()"),
     Rule("set-iteration", "all",
          "iteration order over sets is unordered; sort before iterating"),
     Rule("pickle-safe", "pickle-boundary",
-         "no lambdas or nested defs in process-boundary modules"),
+         "no lambdas, nested defs, bound methods or live simulation "
+         "objects in process-boundary modules' worker submissions"),
     Rule("float-eq", "all",
          "no float == / != on latency or cycle math"),
     Rule("mutable-default", "all",
@@ -93,23 +93,10 @@ RULES: Tuple[Rule, ...] = (
     Rule("swallowed-error", "orchestration",
          "broad except handler (Exception/BaseException/bare) whose "
          "body only passes: log, count, or re-raise instead"),
-    # --- whole-program passes (repro lint --deep) ---------------------
-    Rule("deep-determinism-taint", "deep",
-         "nondeterminism source (wall clock, unseeded random, "
-         "id()/hash(), os.environ, unsorted set iteration) inside a "
-         "function that reaches engine scheduling, stats accumulation "
-         "or snapshot/digest construction"),
-    Rule("deep-handler-exhaustive", "deep",
-         "every MessageType code must have a registered handler in "
-         "each (directory, node) endpoint pairing, proven from the "
-         "dispatch-table literals"),
-    Rule("deep-snapshot-contract", "deep",
-         "SoA stats accumulators fold to str-keyed views only at the "
-         "property/snapshot/pickle boundary; event-path code never "
-         "touches a folded view"),
-    Rule("deep-pickle-capture", "deep",
-         "sweep-worker submissions take module-level callables and "
-         "never capture lambdas or live simulation objects"),
+    Rule("snapshot-contract", "all",
+         "SoA stats accumulators are int-indexed and fold to str-keyed "
+         "views only at the sim/stats.py property/snapshot/pickle "
+         "boundary; event-path code never touches a folded view"),
 )
 
 # Long-form why, surfaced by ``repro lint --explain <rule>``.
@@ -120,15 +107,17 @@ RATIONALES: Dict[str, str] = {
         "change perturbs all workloads and the golden digests. "
         "RngFactory hands each consumer its own stream seeded from "
         "(master_seed, name), so runs reproduce bit-for-bit and new "
-        "consumers cannot disturb existing ones.",
+        "consumers cannot disturb existing ones. id() is an allocator "
+        "address and hash() of a str varies with PYTHONHASHSEED: "
+        "neither may order or seed anything.",
     "wall-clock":
         "Simulated time is Simulator.now, advanced only by the event "
         "heap. A wall-clock reading (time.time, datetime.now) folded "
         "into results makes two identical runs differ, breaking the "
         "canonical-snapshot equality the regression suite pins. "
-        "time.perf_counter is tolerated by this per-file rule for "
-        "wall-second *reporting*; the deep taint pass still flags it "
-        "inside sink-reaching functions.",
+        "time.perf_counter is tolerated for wall-second *reporting* "
+        "(RunResult.wall_seconds and the like), which the canonical "
+        "snapshot and the golden digests exclude.",
     "set-iteration":
         "Python set iteration order depends on insertion history and "
         "per-process hash state. If event issue order, message "
@@ -141,8 +130,11 @@ RATIONALES: Dict[str, str] = {
         "pickle resolves functions by module-level name: lambdas and "
         "nested defs fail at submission time — but only when a "
         "parallel sweep actually runs, which is exactly when the "
-        "failure is most expensive. Keeping process-boundary modules "
-        "free of them makes every task picklable by construction.",
+        "failure is most expensive. A submitted bound method (self.run) "
+        "or a live System/Simulator/Network drags its whole heap "
+        "through pickle, or dies there. The contract is specs in, "
+        "stats out: keep process-boundary modules free of all of them "
+        "and every task is picklable by construction.",
     "float-eq":
         "The simulator is cycle-accurate in integers; a float == "
         "comparison in latency or cycle math silently depends on "
@@ -197,46 +189,17 @@ RATIONALES: Dict[str, str] = {
         "quietly wrong aggregate numbers — the worst failure mode a "
         "reproduction toolkit can have. Log it, count it, or narrow "
         "the type.",
-    "deep-determinism-taint":
-        "Bit-reproducibility is the repo's correctness anchor: golden "
-        "digests and canonical snapshot SHAs assume two runs with one "
-        "seed are identical. This pass builds the project call graph, "
-        "computes every function from which engine scheduling, stats "
-        "accumulation or snapshot/digest construction is reachable, "
-        "and flags any nondeterminism source inside that region — "
-        "wall clock (including perf_counter there), unseeded random, "
-        "id()/hash(), os.environ, unsorted set iteration — unless "
-        "routed through sim.rng streams or an explicit sorted(). "
-        "Findings name a witness call chain to the sink.",
-    "deep-handler-exhaustive":
-        "A missed message handler is precisely the paper's bug class: "
-        "the protocol delivers information that conflict detection "
-        "never sees. Runtime wiring asserts coverage only when a "
-        "System is built, so a partial dispatch table in a scheme "
-        "plug-in survives until the first sweep that instantiates it. "
-        "This pass extracts the MessageType-keyed handler tables from "
-        "class __init__ bodies, applies inheritance, and proves every "
-        "(directory-class, node-class) pairing covers all codes 0..12 "
-        "with no double registration.",
-    "deep-snapshot-contract":
-        "The PR-6 folding contract: hot paths accumulate into dense "
-        "int-indexed arrays; the str-keyed views (messages_by_type, "
-        "dir_requests, puno_declines) are folded on read and must "
-        "appear only at property/snapshot/pickle boundaries. A folded "
-        "view touched in the event path reintroduces a Counter "
-        "allocation and string hashing per event; a str subscript on "
-        "an SoA array is a type confusion that reads zero forever. "
-        "Both silently corrupt performance or results, so the "
-        "boundary is proven statically.",
-    "deep-pickle-capture":
-        "A sweep task that captures a live System/Simulator/Network "
-        "(or any lambda/bound method) dies in pickle at submission "
-        "time — or worse, drags megabytes of heap through every "
-        "worker. The contract is specs-in, stats-out: workers rebuild "
-        "workloads from picklable WorkloadSpec descriptors. This pass "
-        "inspects executor submissions in the process-boundary "
-        "modules and flags captured live objects and non-module-level "
-        "callables.",
+    "snapshot-contract":
+        "Hot paths accumulate into dense int-indexed arrays "
+        "(_msg_counts, _dir_req_counts, _puno_decline_counts, _ns_*); "
+        "the str-keyed views (messages_by_type, dir_requests, "
+        "puno_declines, nodes) are folded on read. A folded view "
+        "touched in an event-path function allocates a Counter and "
+        "hashes strings per event; a str subscript on a dense array is "
+        "a type confusion that reads zero forever; a _fold_* call "
+        "outside the sim/stats.py boundary functions moves folding "
+        "into code that runs per event. __init__ may bind a view once "
+        "at construction.",
 }
 
 RULES = tuple(
@@ -244,10 +207,6 @@ RULES = tuple(
     for r in RULES)
 
 RULES_BY_ID: Dict[str, Rule] = {r.id: r for r in RULES}
-
-#: Rules implemented as whole-program passes (``--deep``), never by
-#: the per-file checker.
-DEEP_RULE_IDS = frozenset(r.id for r in RULES if r.scope == "deep")
 
 # Files (package-relative, posix) exempt from sim-rng: the stream
 # factory itself is the one legitimate `random` consumer.
@@ -300,6 +259,32 @@ ORDER_SAFE_CONSUMERS = frozenset({
 _WALLCLOCK_TIME_FNS = frozenset({"time", "monotonic", "monotonic_ns",
                                  "time_ns"})
 _WALLCLOCK_DT_FNS = frozenset({"now", "utcnow", "today"})
+
+# snapshot-contract: the fold-on-read views over the SoA accumulators
+# (touching one per event allocates and hashes a full Counter) ...
+FOLDED_VIEWS = frozenset({"messages_by_type", "dir_requests",
+                          "puno_declines", "nodes"})
+# ... the dense int-indexed accumulators behind them (never str-keyed;
+# the per-node arrays share the ``_ns_`` prefix) ...
+SOA_FIELDS = frozenset({"_msg_counts", "_dir_req_counts",
+                        "_puno_decline_counts"})
+SOA_PREFIXES = ("_ns_",)
+# ... and the only functions, all in sim/stats.py, that may fold.
+FOLD_BOUNDARY_FILE = "sim/stats.py"
+FOLD_BOUNDARY_FUNCS = frozenset({
+    "messages_by_type", "dir_requests", "puno_declines", "snapshot",
+    "summary", "__getstate__", "__setstate__", "_fold_type_counts",
+    "_fold_node_stats",
+})
+
+# pickle-safe: executor methods whose arguments cross the process
+# boundary, and classes whose live instances must never do so (they
+# carry heaps, callbacks or open handles).
+SUBMIT_METHODS = frozenset({"submit", "map", "map_async", "apply_async"})
+UNPICKLABLE_CLASSES = frozenset({
+    "System", "Simulator", "Network", "Tracer", "Watchdog",
+    "FaultInjector", "ProtocolSanitizer",
+})
 
 
 @dataclass(frozen=True)
@@ -409,16 +394,27 @@ def _dotted(node: ast.AST) -> str:
 # ---------------------------------------------------------------------
 
 class FileChecker(ast.NodeVisitor):
-    """Runs every in-scope rule over one module's AST."""
+    """Runs every in-scope rule over one module's AST.
 
-    def __init__(self, path: str, tree: ast.Module, rules: Set[str]):
+    ``relpath`` is the package-relative path (None outside the
+    package, where the strictest scope applies): snapshot-contract
+    checks folded views only in event-path files and lets
+    ``sim/stats.py`` boundary functions fold.
+    """
+
+    def __init__(self, path: str, tree: ast.Module, rules: Set[str],
+                 relpath: Optional[str] = None):
         self.path = path
         self.rules = rules
         self.tree = tree
         self.violations: List[Violation] = []
-        # linear tracking of names assigned set-typed expressions, one
-        # namespace per (nested) function scope, module scope at [0]
+        self._event_path = relpath is None or relpath in EVENT_PATH_FILES
+        self._fold_boundary = relpath == FOLD_BOUNDARY_FILE
+        # linear tracking of names assigned set-typed expressions (and
+        # of names bound to live unpicklable objects: name -> class),
+        # one namespace per (nested) function scope, module scope at [0]
         self._set_names: List[Set[str]] = [set()]
+        self._live_names: List[Dict[str, str]] = [{}]
         self._func_depth = 0
         self._func_names: List[str] = []
 
@@ -436,6 +432,10 @@ class FileChecker(ast.NodeVisitor):
     @property
     def _scope_sets(self) -> Set[str]:
         return self._set_names[-1]
+
+    def _in_func(self, names: frozenset) -> bool:
+        """Is the innermost enclosing function one of ``names``?"""
+        return bool(self._func_names) and self._func_names[-1] in names
 
     # ------------------------------------------------------------------
     # scope management + mutable defaults
@@ -466,7 +466,9 @@ class FileChecker(ast.NodeVisitor):
         self._func_depth += 1
         self._func_names.append(node.name)
         self._set_names.append(set())
+        self._live_names.append({})
         self.generic_visit(node)
+        self._live_names.pop()
         self._set_names.pop()
         self._func_names.pop()
         self._func_depth -= 1
@@ -485,16 +487,23 @@ class FileChecker(ast.NodeVisitor):
         self.generic_visit(node)
 
     # ------------------------------------------------------------------
-    # assignments: track set-typed names
+    # assignments: track set-typed and live-object names
     # ------------------------------------------------------------------
     def visit_Assign(self, node: ast.Assign) -> None:
         self.generic_visit(node)
+        value = node.value
+        cls = (_dotted(value.func).rsplit(".", 1)[-1]
+               if isinstance(value, ast.Call) else "")
         for target in node.targets:
             if isinstance(target, ast.Name):
-                if _is_set_expr(node.value, self._scope_sets):
+                if _is_set_expr(value, self._scope_sets):
                     self._scope_sets.add(target.id)
                 else:
                     self._scope_sets.discard(target.id)
+                if cls in UNPICKLABLE_CLASSES:
+                    self._live_names[-1][target.id] = cls
+                else:
+                    self._live_names[-1].pop(target.id, None)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         self.generic_visit(node)
@@ -596,6 +605,15 @@ class FileChecker(ast.NodeVisitor):
                                f"{func.attr}() delay uses float math; "
                                f"cycle delays must be integers (use // "
                                f"or int())")
+            if func.attr in SUBMIT_METHODS and node.args:
+                self._check_submission(node.args)
+            if (func.attr.startswith("_fold_")
+                    and not (self._fold_boundary
+                             and self._in_func(FOLD_BOUNDARY_FUNCS))):
+                self._emit(node, "snapshot-contract",
+                           f"{func.attr}() called outside the sim/stats.py "
+                           f"property/snapshot/pickle boundary; fold only "
+                           f"there")
             # sim-env: os.environ.get / os.getenv inside functions
             if self._func_depth > 0:
                 dotted = _dotted(func)
@@ -605,6 +623,11 @@ class FileChecker(ast.NodeVisitor):
                                "function; read once at import time or "
                                "route through SystemConfig")
         elif isinstance(func, ast.Name):
+            if func.id in ("id", "hash") and node.args:
+                self._emit(node, "sim-rng",
+                           f"{func.id}() varies across runs (allocator "
+                           f"address / PYTHONHASHSEED); key or order by "
+                           f"a stable value")
             if func.id == "print":
                 self._emit(node, "sim-print",
                            "print() in sim-path code; report through "
@@ -616,6 +639,27 @@ class FileChecker(ast.NodeVisitor):
                                f"freezes nondeterministic order; use "
                                f"sorted()")
         self.generic_visit(node)
+
+    def _check_submission(self, args: List[ast.expr]) -> None:
+        """pickle-safe over one executor submission: the task callable
+        must not be a bound method, and no argument may be a live
+        simulation object (lambdas are flagged by visit_Lambda)."""
+        task = args[0]
+        if (isinstance(task, ast.Attribute)
+                and isinstance(task.value, ast.Name)
+                and task.value.id == "self"):
+            self._emit(task, "pickle-safe",
+                       f"bound method self.{task.attr} submitted as a "
+                       f"worker task pickles the whole instance; use a "
+                       f"module-level function")
+        for arg in args:
+            cls = (self._live_names[-1].get(arg.id)
+                   if isinstance(arg, ast.Name) else None)
+            if cls is not None:
+                self._emit(arg, "pickle-safe",
+                           f"live {cls} instance {arg.id!r} captured into "
+                           f"a worker task; ship a picklable spec and "
+                           f"rebuild in the worker")
 
     def _check_wallclock(self, node: ast.Call, func: ast.Attribute) -> None:
         base = func.value
@@ -635,7 +679,7 @@ class FileChecker(ast.NodeVisitor):
                            f"is Simulator.now")
 
     # ------------------------------------------------------------------
-    # subscripts: os.environ[...] reads
+    # subscripts: os.environ[...] reads, str-keyed SoA accumulators
     # ------------------------------------------------------------------
     def visit_Subscript(self, node: ast.Subscript) -> None:
         if self._func_depth > 0 and _dotted(node.value) == "os.environ":
@@ -643,6 +687,29 @@ class FileChecker(ast.NodeVisitor):
                        "environment read inside a sim-path function; "
                        "read once at import time or route through "
                        "SystemConfig")
+        value = node.value
+        if (isinstance(value, ast.Attribute)
+                and (value.attr in SOA_FIELDS
+                     or value.attr.startswith(SOA_PREFIXES))
+                and isinstance(node.slice, ast.Constant)
+                and isinstance(node.slice.value, str)):
+            self._emit(node, "snapshot-contract",
+                       f"str subscript on dense accumulator "
+                       f".{value.attr}; it is indexed by int code — the "
+                       f"str keying exists only in the folded views")
+        self.generic_visit(node)
+
+    # ------------------------------------------------------------------
+    # attributes: folded stats views in event-path code
+    # ------------------------------------------------------------------
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if (node.attr in FOLDED_VIEWS and self._event_path
+                and not self._in_func(EVENT_ALLOC_EXEMPT_FUNCS)):
+            self._emit(node, "snapshot-contract",
+                       f"folded view .{node.attr} accessed in event-path "
+                       f"code; use the dense accumulator "
+                       f"(stats._msg_counts[code], stats._ns_<field>[n]) "
+                       f"and fold at the snapshot boundary")
         self.generic_visit(node)
 
     # ------------------------------------------------------------------

@@ -3,34 +3,13 @@
 Exit-code contract (consumed by CI and future tooling):
 
 * **0** — every scanned file is clean;
-* **1** — at least one violation (after disable-comment and baseline
-  filtering);
-* **2** — internal error: a target could not be read or parsed, a rule
-  crashed mid-scan, or the deep analysis could not build its project
-  model.  Errors are reported alongside any violations found in the
-  files that *did* scan.
+* **1** — at least one violation (after disable-comment filtering);
+* **2** — internal error: a target could not be read or parsed, or a
+  rule crashed mid-scan.  Errors are reported alongside any violations
+  found in the files that *did* scan.
 
-JSON report schema (``repro lint --format json``), version 2::
-
-    {
-      "version": 2,
-      "tool": "repro-lint",
-      "files_scanned": 42,
-      "violation_count": 2,
-      "suppressed_count": 1,
-      "violations": [
-        {"path": "...", "line": 10, "col": 4,
-         "rule": "sim-rng", "message": "..."}
-      ],
-      "suppressed": [...],
-      "errors": [],
-      "rules": {"sim-rng": "use repro.sim.rng ...", ...}
-    }
-
-``--format sarif`` emits SARIF 2.1.0 instead (see
-:mod:`repro.lint.sarif`).
-
-Inline escape hatch::
+The report is text, one ``path:line rule message`` line per finding.
+A disable comment is the only way to suppress one::
 
     x = random.random()  # lint: disable=sim-rng
     y = whatever()       # lint: disable        (all rules, this line)
@@ -47,9 +26,7 @@ one comment per finding, on purpose.
 from __future__ import annotations
 
 import ast
-import json
 import re
-import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
@@ -64,15 +41,9 @@ from repro.lint.rules import (
 
 _DISABLE_RE = re.compile(r"#\s*lint:\s*disable(?:=([\w,-]+))?")
 
-JSON_SCHEMA_VERSION = 2
-
 _COMPOUND_STMTS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
                    ast.If, ast.For, ast.AsyncFor, ast.While, ast.With,
                    ast.AsyncWith, ast.Try)
-
-
-class GitDiffError(Exception):
-    """``--diff BASE`` could not resolve the changed-file set."""
 
 
 @dataclass
@@ -80,7 +51,6 @@ class LintReport:
     """Outcome of one lint run."""
 
     violations: List[Violation] = field(default_factory=list)
-    suppressed: List[Violation] = field(default_factory=list)
     errors: List[str] = field(default_factory=list)
     files_scanned: int = 0
 
@@ -98,29 +68,8 @@ class LintReport:
                 f"{self.files_scanned} file(s)")
         if not self.violations and not self.errors:
             tail = f"clean: {self.files_scanned} file(s), no violations"
-        if self.suppressed:
-            tail += f" ({len(self.suppressed)} baselined)"
         lines.append(tail)
         return "\n".join(lines)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "version": JSON_SCHEMA_VERSION,
-            "tool": "repro-lint",
-            "files_scanned": self.files_scanned,
-            "violation_count": len(self.violations),
-            "suppressed_count": len(self.suppressed),
-            "violations": [vars(v) for v in self.violations],
-            "suppressed": [vars(v) for v in self.suppressed],
-            "errors": list(self.errors),
-            "rules": {r.id: r.summary for r in RULES},
-        }, indent=1)
-
-    def to_sarif(self, repo_root: Optional[Path] = None) -> str:
-        from repro.lint.sarif import render_sarif
-        return render_sarif(self.violations, errors=self.errors,
-                            suppressed=self.suppressed,
-                            repo_root=repo_root)
 
 
 # ---------------------------------------------------------------------
@@ -153,48 +102,6 @@ def _relpath_in_package(path: Path) -> Optional[str]:
         return resolved.relative_to(root).as_posix()
     except ValueError:
         return None
-
-
-def changed_files(base: str,
-                  repo_root: Optional[Path] = None) -> Set[Path]:
-    """Resolved paths of every ``*.py`` file that differs from ``base``
-    (committed *or* working-tree changes), for ``--diff BASE``.
-    Raises :class:`GitDiffError` when git cannot answer."""
-    cwd = Path(repo_root) if repo_root is not None else Path.cwd()
-    try:
-        proc = subprocess.run(
-            ["git", "diff", "--name-only", base, "--", "*.py"],
-            cwd=cwd, capture_output=True, text=True, timeout=30)
-    except (OSError, subprocess.TimeoutExpired) as exc:
-        raise GitDiffError(f"git diff failed: {exc}")
-    if proc.returncode != 0:
-        raise GitDiffError(
-            f"git diff --name-only {base} failed: "
-            f"{proc.stderr.strip() or proc.stdout.strip()}")
-    names = proc.stdout.splitlines()
-    # untracked files are changes too (git diff never lists them)
-    try:
-        untracked = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard",
-             "--", "*.py"],
-            cwd=cwd, capture_output=True, text=True, timeout=30)
-        if untracked.returncode == 0:
-            names += untracked.stdout.splitlines()
-    except (OSError, subprocess.TimeoutExpired):
-        pass
-    try:
-        top = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"], cwd=cwd,
-            capture_output=True, text=True, timeout=30)
-        root = Path(top.stdout.strip()) if top.returncode == 0 else cwd
-    except (OSError, subprocess.TimeoutExpired):
-        root = cwd
-    out: Set[Path] = set()
-    for line in names:
-        line = line.strip()
-        if line:
-            out.add((root / line).resolve())
-    return out
 
 
 # ---------------------------------------------------------------------
@@ -308,77 +215,23 @@ def lint_source(source: str, path: str,
     path-level driver contains them per file)."""
     tree = ast.parse(source, filename=path)
     rules = active_rules(relpath)
-    violations = FileChecker(path, tree, rules).run()
+    violations = FileChecker(path, tree, rules, relpath).run()
     return filter_disabled(source, tree, violations)
 
 
-def _deep_findings(paths: Optional[Iterable[Union[str, Path]]],
-                   report: LintReport,
-                   changed: Optional[Set[Path]]) -> None:
-    """Run the whole-program passes and append their findings.
-
-    The project root is the single directory argument when the run
-    targets exactly one directory, else the installed package — deep
-    analysis needs a whole tree, so individual file arguments never
-    shrink it.  With ``--diff``, the analysis still sees the whole
-    program (reachability is global) but only findings in changed
-    files are reported."""
-    from repro.lint.analysis import run_deep_analysis
-    from repro.lint.analysis.project import ProjectError
-    root: Optional[Path] = None
-    if paths is not None:
-        given = [Path(p) for p in paths]
-        if len(given) == 1 and given[0].is_dir():
-            root = given[0]
-    try:
-        found = run_deep_analysis(root)
-    except ProjectError as exc:
-        report.errors.append(f"deep analysis: {exc}")
-        return
-    except Exception as exc:  # a pass crashed: report, don't abort
-        report.errors.append(
-            f"deep analysis crashed "
-            f"({exc.__class__.__name__}: {exc})")
-        return
-    # deep findings honor disable comments like per-file ones
-    by_path: Dict[str, List[Violation]] = {}
-    for v in found:
-        by_path.setdefault(v.path, []).append(v)
-    for vpath in sorted(by_path):
-        if changed is not None and Path(vpath).resolve() not in changed:
-            continue
-        try:
-            source = Path(vpath).read_text()
-            tree = ast.parse(source)
-        except (OSError, SyntaxError):
-            report.violations.extend(by_path[vpath])
-            continue
-        report.violations.extend(
-            filter_disabled(source, tree, by_path[vpath]))
-
-
-def lint_paths(paths: Optional[Iterable[Union[str, Path]]] = None, *,
-               deep: bool = False,
-               diff_base: Optional[str] = None) -> LintReport:
+def lint_paths(paths: Optional[Iterable[Union[str, Path]]] = None
+               ) -> LintReport:
     """Lint files/directories (default: the whole repro package).
 
-    ``deep=True`` additionally runs the whole-program passes
-    (:mod:`repro.lint.analysis`).  ``diff_base`` restricts reporting
-    to files changed versus that git rev (``--diff BASE``); a rule
-    crash in one file is reported as an error and the scan continues
-    (exit code 2).
+    A rule crash in one file is reported as an error and the scan
+    continues (exit code 2).
     """
     if paths is None:
         scan_paths: List[Union[str, Path]] = [package_root()]
     else:
         scan_paths = list(paths)
     report = LintReport()
-    changed: Optional[Set[Path]] = None
-    if diff_base is not None:
-        changed = changed_files(diff_base)
     for path in _iter_py_files(scan_paths):
-        if changed is not None and path.resolve() not in changed:
-            continue
         try:
             source = path.read_text()
         except OSError as exc:
@@ -400,8 +253,6 @@ def lint_paths(paths: Optional[Iterable[Union[str, Path]]] = None, *,
             continue
         report.files_scanned += 1
         report.violations.extend(found)
-    if deep:
-        _deep_findings(paths, report, changed)
     report.violations.sort(key=lambda v: (v.path, v.line, v.rule))
     return report
 
@@ -423,7 +274,6 @@ def explain_rule_text(rule_id: str) -> Optional[str]:
             f"{rule.rationale or rule.summary}")
 
 
-__all__ = ["GitDiffError", "LintReport", "changed_files",
-           "explain_rule_text", "filter_disabled", "lint_paths",
-           "lint_source", "list_rules_text", "package_root",
-           "RULES_BY_ID"]
+__all__ = ["LintReport", "explain_rule_text", "filter_disabled",
+           "lint_paths", "lint_source", "list_rules_text",
+           "package_root", "RULES_BY_ID"]

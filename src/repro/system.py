@@ -173,18 +173,24 @@ class System:
     @staticmethod
     def _make_endpoint(directory: DirectoryController,
                        node: NodeController):
-        # The directory's and node's dispatch tables are disjoint and
-        # together cover every MessageType; merged into a dense list in
+        # The directory's and node's dispatch tables must be disjoint
+        # and together cover every MessageType; merged into a dense list in
         # code order, the network delivers straight to the owning
         # controller's bound handler — no membership test, no closure
         # hop, no per-delivery dict lookup.
-        # An explicit raise, not an assert, so the check survives -O.
+        # Explicit raises, not asserts, so the checks survive -O.
         merged = {**directory.handlers, **node.handlers}
         missing = [t.name for t in MessageType if t not in merged]
         if missing:
             raise ValueError(
                 f"endpoint dispatch incomplete: no handler for "
                 f"{', '.join(missing)}")
+        shadowed = [t.name for t in MessageType
+                    if t in directory.handlers and t in node.handlers]
+        if shadowed:
+            raise ValueError(
+                f"endpoint dispatch ambiguous: directory and node both "
+                f"handle {', '.join(shadowed)}")
         return [merged[t] for t in MessageType]
 
     # ------------------------------------------------------------------

@@ -1,357 +1,175 @@
-"""Whole-program lint passes (``repro lint --deep``).
+"""Seeded mutations of the real tree, and the net that catches each.
 
-The contract under test, per ISSUE 7:
-
-* the real tree is clean modulo the checked-in, justified baseline;
-* each pass catches its seeded mutation — a deleted handler
-  registration, unsorted set iteration feeding the digest, str-keyed
-  stats access in the event path — and the CLI exits nonzero on it;
-* the analyzer's project model / symbol table / call graph resolve
-  the known shape of the codebase.
+Every mutation here was once caught by a whole-program lint pass
+(determinism taint, handler exhaustiveness, snapshot contract, pickle
+capture).  Each is now caught by a per-file rule run through
+``lint_source`` on the mutated module, or by the runtime
+endpoint check in ``System._make_endpoint``.  DESIGN.md §6 maps every
+mutation to the test below that proves its net still holds.
 """
 
-import shutil
-from pathlib import Path
+import sys
+import types
 
 import pytest
 
-from repro.cli import main
-from repro.lint.analysis import run_deep_analysis
-from repro.lint.analysis.callgraph import CallGraph
-from repro.lint.analysis.project import Project, ProjectError
-from repro.lint.analysis.symbols import SymbolTable
-from repro.lint.baseline import apply_baseline, load_baseline
-from repro.lint.runner import package_root
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-BASELINE = REPO_ROOT / "lint-baseline.json"
+from repro.lint.runner import lint_source, package_root
+from repro.sim.config import small_config
+from repro.system import System
+from repro.workloads.base import Gap, Workload
 
 
 def _source(relpath: str) -> str:
     return (package_root() / relpath).read_text()
 
 
-def _deep_rules(violations):
-    return {v.rule for v in violations}
+def _mutate(relpath: str, marker: str, insert: str) -> str:
+    """``relpath``'s source with ``insert`` placed after ``marker``."""
+    src = _source(relpath)
+    assert marker in src, f"{relpath} no longer contains {marker!r}"
+    return src.replace(marker, marker + insert, 1)
+
+
+def _lint(relpath: str, source: str, rule: str):
+    """Findings of ``rule`` when ``source`` is linted as ``relpath``."""
+    return [v for v in lint_source(source, relpath, relpath)
+            if v.rule == rule]
+
+
+def _load(relpath: str, source: str, monkeypatch) -> types.ModuleType:
+    """Execute mutated module source under a throwaway module name."""
+    name = "mutated_" + relpath[:-3].replace("/", "_")
+    mod = types.ModuleType(name)
+    monkeypatch.setitem(sys.modules, name, mod)
+    exec(compile(source, relpath, "exec"), mod.__dict__)
+    return mod
+
+
+def _build(**kwargs) -> System:
+    wl = Workload("t", [[Gap(1)] for _ in range(4)])
+    return System(small_config(4), wl, **kwargs)
 
 
 # ---------------------------------------------------------------------
-# the gate: the real tree is clean modulo the baseline
-# ---------------------------------------------------------------------
-
-def test_deep_clean_modulo_baseline():
-    found = run_deep_analysis()
-    sups = load_baseline(BASELINE)
-    kept, suppressed, unused = apply_baseline(found, sups)
-    assert kept == [], "\n".join(v.render() for v in kept)
-    assert unused == [], f"stale baseline entries: {unused}"
-    # the baseline is not an empty formality: it covers real findings
-    assert suppressed, "baseline exists but suppresses nothing"
-
-
-def test_cli_deep_clean_with_baseline(capsys, monkeypatch):
-    monkeypatch.chdir(REPO_ROOT)  # so the default baseline is found
-    assert main(["lint", "--deep"]) == 0
-    out = capsys.readouterr().out
-    assert "baselined" in out
-
-
-# ---------------------------------------------------------------------
-# seeded mutation 1: deleted handler registration
+# handler tables: caught at build time by System._make_endpoint
 # ---------------------------------------------------------------------
 
 PUT_ACK_LINE = "            MessageType.PUT_ACK: self._handle_put_ack,\n"
 
 
-def test_missing_handler_registration_is_caught():
+def test_missing_handler_registration_is_caught(monkeypatch):
     src = _source("htm/node.py")
     assert PUT_ACK_LINE in src
-    mutated = src.replace(PUT_ACK_LINE, "")
-    found = run_deep_analysis(overrides={"htm/node.py": mutated})
-    hits = [v for v in found if v.rule == "deep-handler-exhaustive"]
-    assert hits, "deleted PUT_ACK registration went unnoticed"
-    assert any("PUT_ACK" in v.message for v in hits)
-    # inherited tables: the lazy/hybrid node subclasses reuse the base
-    # dict, so every pairing built on it must be reported too
-    assert len(hits) >= 2
+    mod = _load("htm/node.py", src.replace(PUT_ACK_LINE, ""), monkeypatch)
+    with pytest.raises(ValueError, match="no handler for PUT_ACK"):
+        _build(node_cls=mod.NodeController)
 
 
-def test_double_registration_is_caught():
-    # registering a node-side type on the directory side shadows one
-    # handler in the merged table
-    src = _source("coherence/directory.py")
-    marker = "self.handlers = {"
-    assert marker in src
-    mutated = src.replace(
-        marker,
-        marker + "\n            MessageType.PUT_ACK: self._noop,", 1)
-    found = run_deep_analysis(
-        overrides={"coherence/directory.py": mutated})
-    hits = [v for v in found if v.rule == "deep-handler-exhaustive"]
-    assert any("both sides" in v.message for v in hits)
+def test_double_registration_is_caught(monkeypatch):
+    # the directory also maps PUT_ACK to an existing handler: the merge
+    # would silently shadow one of the two
+    import repro.system as system_mod
+    mutated = _mutate(
+        "coherence/directory.py", "self.handlers = {",
+        "\n            MessageType.PUT_ACK: self._enqueue_or_service,")
+    mod = _load("coherence/directory.py", mutated, monkeypatch)
+    monkeypatch.setattr(system_mod, "DirectoryController",
+                        mod.DirectoryController)
+    with pytest.raises(ValueError, match="both handle PUT_ACK"):
+        _build()
 
 
 # ---------------------------------------------------------------------
-# seeded mutation 2: unsorted set iteration feeding the digest
+# nondeterminism sources: caught by set-iteration / wall-clock
 # ---------------------------------------------------------------------
 
 SNAPSHOT_MARKER = '        out: Dict[str, object] = {}\n'
 
 
 def test_set_iteration_in_snapshot_is_caught():
-    src = _source("sim/stats.py")
-    assert SNAPSHOT_MARKER in src
-    mutated = src.replace(
-        SNAPSHOT_MARKER,
-        SNAPSHOT_MARKER
-        + "        extra = {1, 2, 3}\n"
-        + "        for k in extra:\n"
-        + "            out[str(k)] = k\n", 1)
-    found = run_deep_analysis(overrides={"sim/stats.py": mutated})
-    hits = [v for v in found if v.rule == "deep-determinism-taint"
-            and "unordered set" in v.message]
-    assert hits, "unsorted set iteration inside snapshot() missed"
-    assert any("stats.py" in v.path for v in hits)
+    mutated = _mutate("sim/stats.py", SNAPSHOT_MARKER,
+                      "        extra = {1, 2, 3}\n"
+                      "        for k in extra:\n"
+                      "            out[str(k)] = k\n")
+    line = mutated.splitlines().index("        for k in extra:") + 1
+    hits = _lint("sim/stats.py", mutated, "set-iteration")
+    assert [v.line for v in hits] == [line]
 
 
 def test_wall_clock_in_sink_region_is_caught():
-    # time.time() inside the engine module itself (a sink seed)
-    src = _source("sim/engine.py")
-    mutated = ("import time\n" + src
+    mutated = ("import time\n" + _source("sim/engine.py")
                + "\n\ndef _stamp():\n    return time.time()\n")
-    found = run_deep_analysis(overrides={"sim/engine.py": mutated})
-    hits = [v for v in found if v.rule == "deep-determinism-taint"
-            and "wall clock" in v.message]
-    assert any("engine.py" in v.path for v in hits)
-
-
-def test_taint_message_names_witness_chain():
-    src = _source("sim/stats.py")
-    mutated = src.replace(
-        SNAPSHOT_MARKER,
-        SNAPSHOT_MARKER + "        extra = {1}\n"
-        + "        for k in extra:\n"
-        + "            out[str(k)] = k\n", 1)
-    found = run_deep_analysis(overrides={"sim/stats.py": mutated})
-    hits = [v for v in found if v.rule == "deep-determinism-taint"
-            and "unordered set" in v.message]
-    assert hits and all("stats.Stats.snapshot" in v.message
-                        for v in hits)
+    hits = _lint("sim/engine.py", mutated, "wall-clock")
+    assert len(hits) == 1 and "time.time()" in hits[0].message
 
 
 # ---------------------------------------------------------------------
-# seeded mutation 3: str-keyed stats access in the event path
+# SoA snapshot contract: caught by snapshot-contract
 # ---------------------------------------------------------------------
 
 HANDLER_DEF = "    def _handle_put_ack(self, msg: Message) -> None:\n"
 
 
+def _node_hits(statement: str):
+    mutated = _mutate("htm/node.py", HANDLER_DEF,
+                      f"        {statement}\n")
+    return _lint("htm/node.py", mutated, "snapshot-contract")
+
+
 def test_folded_view_access_in_event_path_is_caught():
-    src = _source("htm/node.py")
-    assert HANDLER_DEF in src
-    mutated = src.replace(
-        HANDLER_DEF,
-        HANDLER_DEF
-        + '        _ = self.stats.messages_by_type["PUT_ACK"]\n', 1)
-    found = run_deep_analysis(overrides={"htm/node.py": mutated})
-    hits = [v for v in found if v.rule == "deep-snapshot-contract"]
-    assert any("messages_by_type" in v.message
-               and "node.py" in v.path for v in hits)
+    hits = _node_hits('_ = self.stats.messages_by_type["PUT_ACK"]')
+    assert any("messages_by_type" in v.message for v in hits)
 
 
 def test_str_subscript_on_soa_field_is_caught():
-    src = _source("htm/node.py")
-    mutated = src.replace(
-        HANDLER_DEF,
-        HANDLER_DEF
-        + '        self.stats._msg_counts["PUT_ACK"] = 1\n', 1)
-    found = run_deep_analysis(overrides={"htm/node.py": mutated})
-    hits = [v for v in found if v.rule == "deep-snapshot-contract"]
+    hits = _node_hits('self.stats._msg_counts["PUT_ACK"] = 1')
     assert any("_msg_counts" in v.message for v in hits)
 
 
 def test_nodes_view_access_in_event_path_is_caught():
-    """PR 8: ``stats.nodes`` joined the folded views — walking the
-    per-node view objects inside a handler is flagged, while the
-    construction-time binding in __init__ stays sanctioned."""
+    """``stats.nodes`` is a folded view too: walking the per-node view
+    objects inside a handler is flagged, while the construction-time
+    binding in __init__ stays sanctioned."""
     src = _source("htm/node.py")
     assert "stats.nodes[node]" in src  # the sanctioned __init__ binding
-    mutated = src.replace(
-        HANDLER_DEF,
-        HANDLER_DEF
-        + '        _ = self.stats.nodes[self.node].tx_started\n', 1)
-    found = run_deep_analysis(overrides={"htm/node.py": mutated})
-    hits = [v for v in found if v.rule == "deep-snapshot-contract"]
-    assert any(".nodes" in v.message and "node.py" in v.path
-               for v in hits)
-    # the unmutated tree (same binding, __init__ only) stays clean
-    clean = [v for v in run_deep_analysis()
-             if v.rule == "deep-snapshot-contract"
-             and ".nodes" in v.message]
-    assert clean == []
+    hits = _node_hits("_ = self.stats.nodes[self.node].tx_started")
+    assert any(".nodes" in v.message for v in hits)
+    # the unmutated module (same binding, __init__ only) stays clean
+    assert _lint("htm/node.py", src, "snapshot-contract") == []
 
 
 def test_str_subscript_on_node_soa_array_is_caught():
-    src = _source("htm/node.py")
-    mutated = src.replace(
-        HANDLER_DEF,
-        HANDLER_DEF
-        + '        self.stats._ns_tx_started["n0"] = 1\n', 1)
-    found = run_deep_analysis(overrides={"htm/node.py": mutated})
-    hits = [v for v in found if v.rule == "deep-snapshot-contract"]
+    hits = _node_hits('self.stats._ns_tx_started["n0"] = 1')
     assert any("_ns_tx_started" in v.message for v in hits)
 
 
 def test_fold_node_stats_outside_boundary_is_caught():
-    src = _source("htm/node.py")
-    mutated = src.replace(
-        HANDLER_DEF,
-        HANDLER_DEF
-        + '        _ = self.stats._fold_node_stats()\n', 1)
-    found = run_deep_analysis(overrides={"htm/node.py": mutated})
-    hits = [v for v in found if v.rule == "deep-snapshot-contract"]
+    hits = _node_hits("_ = self.stats._fold_node_stats()")
     assert any("_fold_node_stats" in v.message for v in hits)
 
 
 def test_dirstore_is_in_event_path_scope():
-    """PR 8 added coherence/dirstore.py to the event-path file scope:
-    a folded-view access seeded into its hot obtain() is flagged."""
-    src = _source("coherence/dirstore.py")
-    marker = "    def obtain(self, addr: int) -> DirEntry:\n"
-    assert marker in src
-    mutated = src.replace(
-        marker,
-        marker + '        _ = self.pool.stats.messages_by_type\n', 1)
-    found = run_deep_analysis(
-        overrides={"coherence/dirstore.py": mutated})
-    hits = [v for v in found if v.rule == "deep-snapshot-contract"]
-    assert any("dirstore.py" in v.path for v in hits)
+    """A folded-view access seeded into the pooled directory store's
+    hot ``obtain()`` is flagged: dirstore.py is event-path."""
+    mutated = _mutate("coherence/dirstore.py",
+                      "    def obtain(self, addr: int) -> DirEntry:\n",
+                      "        _ = self.pool.stats.messages_by_type\n")
+    assert _lint("coherence/dirstore.py", mutated, "snapshot-contract")
 
+
+def test_snapshot_contract_respects_disable_comment():
+    hits = _node_hits("_ = self.stats.messages_by_type  "
+                      "# lint: disable=snapshot-contract")
+    assert hits == []
+
+
+# ---------------------------------------------------------------------
+# worker submissions: caught by pickle-safe
+# ---------------------------------------------------------------------
 
 def test_lambda_submission_is_caught():
-    src = _source("analysis/parallel.py")
-    mutated = (src + "\n\ndef _bad_submit(pool, spec):\n"
+    mutated = (_source("analysis/parallel.py")
+               + "\n\ndef _bad_submit(pool, spec):\n"
                "    return pool.submit(lambda: spec)\n")
-    found = run_deep_analysis(
-        overrides={"analysis/parallel.py": mutated})
-    hits = [v for v in found if v.rule == "deep-pickle-capture"]
+    hits = _lint("analysis/parallel.py", mutated, "pickle-safe")
     assert any("lambda" in v.message for v in hits)
-
-
-# ---------------------------------------------------------------------
-# CLI-level: mutated tree on disk, nonzero exit
-# ---------------------------------------------------------------------
-
-def test_cli_deep_exits_nonzero_on_mutated_tree(tmp_path, capsys):
-    target = tmp_path / "repro"
-    shutil.copytree(package_root(), target,
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    node = target / "htm" / "node.py"
-    node.write_text(node.read_text().replace(PUT_ACK_LINE, ""))
-    rc = main(["lint", "--deep", "--no-baseline", str(target)])
-    out = capsys.readouterr().out
-    assert rc == 1
-    assert "deep-handler-exhaustive" in out
-    assert "PUT_ACK" in out
-
-
-def test_deep_analysis_rejects_unparseable_tree(tmp_path):
-    (tmp_path / "broken.py").write_text("def f(:\n")
-    with pytest.raises(ProjectError):
-        run_deep_analysis(root=tmp_path)
-
-
-def test_cli_deep_unparseable_tree_exits_two(tmp_path, capsys):
-    (tmp_path / "broken.py").write_text("def f(:\n")
-    rc = main(["lint", "--deep", "--no-baseline", str(tmp_path)])
-    capsys.readouterr()
-    assert rc == 2
-
-
-# ---------------------------------------------------------------------
-# deep findings honor disable comments like per-file findings
-# ---------------------------------------------------------------------
-
-def test_deep_finding_respects_disable_comment(tmp_path):
-    target = tmp_path / "repro"
-    shutil.copytree(package_root(), target,
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    stats = target / "sim" / "stats.py"
-    src = stats.read_text()
-    assert SNAPSHOT_MARKER in src
-    stats.write_text(src.replace(
-        SNAPSHOT_MARKER,
-        SNAPSHOT_MARKER
-        + "        extra = {1}\n"
-        + "        for k in extra:"
-        "  # lint: disable=deep-determinism-taint\n"
-        + "            out[str(k)] = k\n", 1))
-    from repro.lint.runner import lint_paths
-    report = lint_paths([target], deep=True)
-    assert not any(v.rule == "deep-determinism-taint"
-                   and "unordered set" in v.message
-                   for v in report.violations)
-
-
-# ---------------------------------------------------------------------
-# analyzer internals: the model resolves the known codebase shape
-# ---------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def model():
-    project = Project.load()
-    symtab = SymbolTable(project)
-    graph = CallGraph(symtab)
-    return project, symtab, graph
-
-
-def test_symbol_table_known_qualnames(model):
-    _, symtab, _ = model
-    assert "htm/node.py::NodeController.__init__" in symtab.functions
-    assert "sim/stats.py::Stats.snapshot" in symtab.functions
-    assert "sim/engine.py::Simulator" in symtab.classes
-    # inheritance: the lazy controller resolves its base
-    lazy = symtab.classes.get("htm/lazy.py::LazyNodeController")
-    assert lazy is not None
-    assert any(c.name == "NodeController" for c in lazy.mro())
-
-
-def test_symbol_table_resolves_reexports(model):
-    _, symtab, _ = model
-    sym = symtab.resolve_dotted("sim.engine.Simulator")
-    assert sym is not None and sym.name == "Simulator"
-
-
-def test_call_graph_links_system_to_engine(model):
-    _, symtab, graph = model
-    run_qual = "system.py::System.run"
-    assert run_qual in graph.edges
-    assert any("sim/engine.py::Simulator" in callee
-               for callee in graph.edges[run_qual])
-
-
-def test_sink_region_covers_event_path(model):
-    _, symtab, graph = model
-    from repro.lint.analysis.passes import (
-        SINK_SEED_FUNCS,
-        SINK_SEED_MODULES,
-    )
-    seeds = [q for q, fn in symtab.functions.items()
-             if fn.relpath in SINK_SEED_MODULES]
-    seeds += [q for q in SINK_SEED_FUNCS if q in symtab.functions]
-    region = graph.reverse_reachable(seeds)
-    # the event path must be inside the sink region, or the taint
-    # pass would be blind exactly where determinism matters most
-    assert any(q.startswith("htm/node.py::") for q in region)
-    assert any(q.startswith("coherence/directory.py::")
-               for q in region)
-    assert "system.py::System.run" in region
-
-
-def test_witness_chain_terminates_at_seed(model):
-    _, symtab, graph = model
-    region = graph.reverse_reachable(["sim/engine.py::Simulator.idle"])
-    some = next(q for q in sorted(region) if region[q] is not None)
-    chain = graph.chain(some, region)
-    assert chain[0] == some
-    assert chain[-1] == "sim/engine.py::Simulator.idle"

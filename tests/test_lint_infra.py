@@ -1,275 +1,10 @@
-"""Lint production infrastructure: SARIF output, baseline files,
-diff-scoped runs, and rule explanations."""
-
-import json
-import subprocess
-
-import pytest
+"""Rule explanations: every rule carries a long-form rationale, and
+``repro lint --explain`` prints it."""
 
 from repro.cli import main
-from repro.lint.baseline import (
-    BaselineError,
-    Suppression,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.lint.rules import RULES, RULES_BY_ID, Violation
-from repro.lint.runner import (
-    GitDiffError,
-    changed_files,
-    explain_rule_text,
-    lint_paths,
-)
-from repro.lint.sarif import SARIF_SCHEMA, SARIF_VERSION, to_sarif
+from repro.lint.rules import RULES, RULES_BY_ID
+from repro.lint.runner import explain_rule_text
 
-DIRTY = "import random\nx = random.random()\n"
-
-
-def _v(rule="sim-rng", path="src/repro/sim/engine.py", line=10,
-       message="random.random() draws from the global stream"):
-    return Violation(path, line, 4, rule, message)
-
-
-# ---------------------------------------------------------------------
-# SARIF
-# ---------------------------------------------------------------------
-
-def test_sarif_log_shape():
-    log = to_sarif([_v()], errors=[], suppressed=[])
-    assert log["$schema"] == SARIF_SCHEMA
-    assert log["version"] == SARIF_VERSION == "2.1.0"
-    (run,) = log["runs"]
-    driver = run["tool"]["driver"]
-    assert driver["name"] == "repro-lint"
-    assert {r["id"] for r in driver["rules"]} == set(RULES_BY_ID)
-    # every rule carries renderable help text
-    for r in driver["rules"]:
-        assert r["shortDescription"]["text"]
-        assert r["fullDescription"]["text"]
-    (result,) = run["results"]
-    assert result["ruleId"] == "sim-rng"
-    assert driver["rules"][result["ruleIndex"]]["id"] == "sim-rng"
-    loc = result["locations"][0]["physicalLocation"]
-    assert loc["region"]["startLine"] == 10
-    assert loc["region"]["startColumn"] == 5  # SARIF is 1-based
-    assert run["invocations"][0]["executionSuccessful"] is True
-
-
-def test_sarif_errors_mark_execution_failed():
-    log = to_sarif([], errors=["x.py: rule crashed (RuntimeError)"])
-    inv = log["runs"][0]["invocations"][0]
-    assert inv["executionSuccessful"] is False
-    assert inv["toolExecutionNotifications"][0]["level"] == "error"
-    assert "rule crashed" in \
-        inv["toolExecutionNotifications"][0]["message"]["text"]
-
-
-def test_sarif_suppressed_results_carry_suppressions():
-    log = to_sarif([], suppressed=[_v()])
-    (result,) = log["runs"][0]["results"]
-    assert result["suppressions"][0]["kind"] == "external"
-
-
-def test_sarif_paths_relative_to_repo_root(tmp_path):
-    f = tmp_path / "pkg" / "mod.py"
-    log = to_sarif([_v(path=str(f))], repo_root=tmp_path)
-    (result,) = log["runs"][0]["results"]
-    loc = result["locations"][0]["physicalLocation"]
-    assert loc["artifactLocation"]["uri"] == "pkg/mod.py"
-    assert loc["artifactLocation"]["uriBaseId"] == "ROOT"
-    assert "ROOT" in log["runs"][0]["originalUriBaseIds"]
-
-
-def test_cli_sarif_output_parses(tmp_path, capsys):
-    bad = tmp_path / "bad.py"
-    bad.write_text(DIRTY)
-    rc = main(["lint", "--format", "sarif", "--no-baseline", str(bad)])
-    assert rc == 1
-    log = json.loads(capsys.readouterr().out)
-    assert log["version"] == "2.1.0"
-    assert any(r["ruleId"] == "sim-rng"
-               for r in log["runs"][0]["results"])
-
-
-def test_cli_sarif_out_file(tmp_path, capsys):
-    bad = tmp_path / "bad.py"
-    bad.write_text(DIRTY)
-    out = tmp_path / "lint.sarif"
-    rc = main(["lint", "--format", "sarif", "--no-baseline",
-               "--out", str(out), str(bad)])
-    capsys.readouterr()
-    assert rc == 1
-    log = json.loads(out.read_text())
-    assert log["runs"][0]["results"]
-
-
-# ---------------------------------------------------------------------
-# baseline
-# ---------------------------------------------------------------------
-
-def test_suppression_matching_semantics():
-    s = Suppression(rule="sim-rng", path="sim/engine.py",
-                    justification="test")
-    assert s.matches(_v())
-    assert not s.matches(_v(rule="wall-clock"))
-    assert not s.matches(_v(path="src/repro/sim/rng.py"))
-    # 'contains' pins the entry to one message
-    pinned = Suppression(rule="sim-rng", path="sim/engine.py",
-                         contains="global stream", justification="t")
-    assert pinned.matches(_v())
-    assert not pinned.matches(_v(message="something else"))
-    # suffix matching must not cross a path-component boundary
-    odd = Suppression(rule="sim-rng", path="engine.py",
-                      justification="t")
-    assert odd.matches(_v())
-    assert not odd.matches(_v(path="src/other/notengine.py"))
-
-
-def test_apply_baseline_splits_and_reports_stale():
-    sups = [Suppression("sim-rng", "sim/engine.py", "t"),
-            Suppression("wall-clock", "never/matches.py", "t")]
-    kept, suppressed, unused = apply_baseline(
-        [_v(), _v(rule="bare-except")], sups)
-    assert [v.rule for v in suppressed] == ["sim-rng"]
-    assert [v.rule for v in kept] == ["bare-except"]
-    assert [s.rule for s in unused] == ["wall-clock"]
-
-
-def test_baseline_requires_justification(tmp_path):
-    f = tmp_path / "baseline.json"
-    f.write_text(json.dumps({"version": 1, "suppressions": [
-        {"rule": "sim-rng", "path": "x.py"}]}))
-    with pytest.raises(BaselineError, match="justification"):
-        load_baseline(f)
-    f.write_text(json.dumps({"version": 1, "suppressions": [
-        {"rule": "sim-rng", "path": "x.py", "justification": "  "}]}))
-    with pytest.raises(BaselineError):
-        load_baseline(f)
-
-
-def test_baseline_rejects_malformed(tmp_path):
-    f = tmp_path / "baseline.json"
-    f.write_text("not json")
-    with pytest.raises(BaselineError):
-        load_baseline(f)
-    f.write_text(json.dumps(["list", "not", "object"]))
-    with pytest.raises(BaselineError):
-        load_baseline(f)
-    f.write_text(json.dumps({"version": 1, "suppressions": [
-        {"path": "x.py", "justification": "no rule"}]}))
-    with pytest.raises(BaselineError):
-        load_baseline(f)
-
-
-def test_write_then_load_roundtrip(tmp_path):
-    f = tmp_path / "baseline.json"
-    n = write_baseline(f, [_v(), _v(rule="bare-except")],
-                       justification="seeded by test")
-    assert n == 2
-    sups = load_baseline(f)
-    kept, suppressed, unused = apply_baseline(
-        [_v(), _v(rule="bare-except")], sups)
-    assert kept == [] and len(suppressed) == 2 and unused == []
-
-
-def test_cli_write_baseline_then_clean(tmp_path, capsys, monkeypatch):
-    bad = tmp_path / "bad.py"
-    bad.write_text(DIRTY)
-    monkeypatch.chdir(tmp_path)
-    assert main(["lint", "--write-baseline", str(bad)]) == 0
-    capsys.readouterr()
-    # next run finds the baseline in cwd and reports clean
-    assert main(["lint", str(bad)]) == 0
-    out = capsys.readouterr().out
-    assert "baselined" in out
-    # --no-baseline bypasses it
-    assert main(["lint", "--no-baseline", str(bad)]) == 1
-    capsys.readouterr()
-
-
-def test_cli_broken_baseline_is_internal_error(tmp_path, capsys):
-    bad = tmp_path / "bad.py"
-    bad.write_text(DIRTY)
-    bl = tmp_path / "baseline.json"
-    bl.write_text(json.dumps({"version": 1, "suppressions": [
-        {"rule": "sim-rng", "path": "bad.py"}]}))
-    rc = main(["lint", "--baseline", str(bl), str(bad)])
-    capsys.readouterr()
-    assert rc == 2
-
-
-def test_repo_baseline_entries_are_justified():
-    from pathlib import Path
-    repo = Path(__file__).resolve().parent.parent
-    sups = load_baseline(repo / "lint-baseline.json")
-    assert sups, "the checked-in baseline must not be empty"
-    for s in sups:
-        assert len(s.justification) > 20, s  # prose, not a token
-
-
-# ---------------------------------------------------------------------
-# diff-scoped runs
-# ---------------------------------------------------------------------
-
-@pytest.fixture
-def git_repo(tmp_path):
-    def git(*args):
-        subprocess.run(["git", *args], cwd=tmp_path, check=True,
-                       capture_output=True)
-    git("init", "-q")
-    git("config", "user.email", "t@example.com")
-    git("config", "user.name", "t")
-    (tmp_path / "old.py").write_text("x = 1\n")
-    git("add", "old.py")
-    git("commit", "-qm", "seed")
-    return tmp_path, git
-
-
-def test_changed_files_sees_modified_and_untracked(git_repo):
-    root, git = git_repo
-    (root / "old.py").write_text(DIRTY)  # modified
-    (root / "new.py").write_text("y = 2\n")  # untracked
-    (root / "notes.txt").write_text("not python")
-    changed = changed_files("HEAD", repo_root=root)
-    names = {p.name for p in changed}
-    assert names == {"old.py", "new.py"}
-
-
-def test_changed_files_bad_rev_raises(git_repo):
-    root, _ = git_repo
-    with pytest.raises(GitDiffError):
-        changed_files("no-such-rev-xyz", repo_root=root)
-
-
-def test_lint_paths_diff_scopes_the_scan(git_repo, monkeypatch):
-    root, git = git_repo
-    (root / "old.py").write_text(DIRTY)
-    (root / "clean_new.py").write_text("z = 3\n")
-    (root / "untouched.py").write_text("import random\n"
-                                       "q = random.random()\n")
-    git("add", "untouched.py")
-    git("commit", "-qm", "add untouched with a violation")
-    monkeypatch.chdir(root)
-    report = lint_paths([root], diff_base="HEAD")
-    # only old.py (modified) and clean_new.py (untracked) were linted;
-    # the committed violation in untouched.py is out of scope
-    assert report.files_scanned == 2
-    assert {v.rule for v in report.violations} == {"sim-rng"}
-    assert all(v.path.endswith("old.py") for v in report.violations)
-
-
-def test_cli_diff_bad_base_exits_two(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # not a git repo
-    (tmp_path / "f.py").write_text("x = 1\n")
-    rc = main(["lint", "--diff", "HEAD", str(tmp_path / "f.py")])
-    capsys.readouterr()
-    assert rc == 2
-
-
-# ---------------------------------------------------------------------
-# --explain and report plumbing
-# ---------------------------------------------------------------------
 
 def test_every_rule_has_a_rationale():
     for rule in RULES:
@@ -277,9 +12,9 @@ def test_every_rule_has_a_rationale():
 
 
 def test_explain_text_contains_rationale():
-    text = explain_rule_text("deep-handler-exhaustive")
-    assert "deep-handler-exhaustive" in text
-    assert "System._make_endpoint" in text or "dispatch" in text
+    text = explain_rule_text("snapshot-contract")
+    assert "snapshot-contract" in text
+    assert RULES_BY_ID["snapshot-contract"].rationale in text
 
 
 def test_explain_unknown_rule_is_none():
@@ -292,17 +27,3 @@ def test_cli_explain(capsys):
     assert "RngFactory" in out
     assert main(["lint", "--explain", "bogus"]) == 2
     capsys.readouterr()
-
-
-def test_json_report_includes_suppressed(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text(DIRTY)
-    report = lint_paths([bad])
-    sups = [Suppression("sim-rng", "bad.py", "fixture")]
-    kept, suppressed, _ = apply_baseline(report.violations, sups)
-    report.violations, report.suppressed = kept, suppressed
-    payload = json.loads(report.to_json())
-    assert payload["version"] == 2
-    assert payload["violation_count"] == 0
-    assert payload["suppressed_count"] == 1
-    assert report.exit_code == 0

@@ -246,6 +246,25 @@ def test_missing_endpoint_handler_rejected():
         System(small_config(4), wl, node_cls=PartialNode)
 
 
+def test_double_endpoint_registration_rejected(monkeypatch):
+    """A MessageType registered by both the directory and the node
+    would be silently shadowed by the merge (the node's handler wins),
+    so the endpoint check refuses it by name, also under -O."""
+    import repro.system as system_mod
+    from repro.coherence.directory import DirectoryController
+    from repro.network.message import MessageType
+
+    class GreedyDirectory(DirectoryController):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.handlers[MessageType.PUT_ACK] = self._enqueue_or_service
+
+    monkeypatch.setattr(system_mod, "DirectoryController", GreedyDirectory)
+    wl = Workload("t", [[Gap(1)] for _ in range(4)])
+    with pytest.raises(ValueError, match="both handle PUT_ACK"):
+        System(small_config(4), wl)
+
+
 # ---------------------------------------------------------------------
 # sanitized end-to-end tours (REPRO_SANITIZE=1)
 # ---------------------------------------------------------------------
