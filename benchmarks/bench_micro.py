@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Hot-path microbenchmarks: message allocation, network send/deliver,
 handler dispatch, raw event-engine throughput, the PUNO rollover tick,
-and an end-to-end STAMP-tour event-rate measurement.
+Zipf workload generation, and an end-to-end STAMP-tour event-rate
+measurement.
 
 Writes ``BENCH_hotpath.json`` (repo root by default) so the perf
 trajectory is versioned alongside the code.  ``--check BASELINE.json``
@@ -61,6 +62,17 @@ MESH_RSS_SLACK_KB = 2048
 # Python 3.11).
 PUNO_TICK_SIZES = (16, 256)
 PUNO_TICK_WIDTH_LIMIT = 2.0
+
+# The workload_build phase: Zipf array sizes (lines) whose generation
+# rates, in ranks drawn per second by make_zipf_workload on
+# WORKLOAD_BUILD_NODES nodes, it records.  With the CDF built once per
+# workload a draw costs O(log lines), so the rate at the largest size
+# must stay within WORKLOAD_BUILD_WIDTH_LIMIT x of the smallest; a CDF
+# rebuilt for every transaction measured 17-30x (2-vCPU x86-64 host,
+# Python 3.11).
+WORKLOAD_BUILD_LINES = (256, 8192)
+WORKLOAD_BUILD_NODES = 64
+WORKLOAD_BUILD_WIDTH_LIMIT = 2.0
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -255,9 +267,12 @@ def bench_int_dispatch(n: int, repeats: int) -> dict:
 # VmHWM in /proc/self/status: unlike ru_maxrss, which a fork+exec child
 # inherits from its parent, VmHWM belongs to the child alone.  With
 # nodes == 0 the child only imports, giving the floor every size's
-# peak is measured against.
+# peak is measured against.  With "heap" as the third argument the
+# child instead reports the tracemalloc peak of the simulation, from
+# System() to the end of the run; tracing slows the run, so that child
+# is not the timed one.
 _MESH_CELL_SNIPPET = r"""
-import json, sys, time
+import json, sys, time, tracemalloc
 
 
 def vm_hwm_kb():
@@ -272,6 +287,7 @@ def vm_hwm_kb():
 
 
 nodes, scale = int(sys.argv[1]), float(sys.argv[2])
+heap = sys.argv[3:] == ["heap"]
 from repro.sim.config import scaled_config
 from repro.system import System
 from repro.workloads.families import make_zipf_workload
@@ -280,10 +296,16 @@ if nodes == 0:
     sys.exit()
 wl = make_zipf_workload(num_nodes=nodes, scale=scale, seed=0,
                         lines=8 * nodes)
+if heap:
+    tracemalloc.start()
 system = System(scaled_config(nodes, seed=1), wl, "baseline")
 t0 = time.perf_counter()
 system.run()
 wall = time.perf_counter() - t0
+if heap:
+    print(json.dumps({"py_heap_peak_kb":
+                      tracemalloc.get_traced_memory()[1] // 1024}))
+    sys.exit()
 print(json.dumps({
     "events": system.sim.events_processed,
     "wall": wall,
@@ -293,21 +315,25 @@ print(json.dumps({
 """
 
 
-def _run_mesh_cell(nodes: int, scale: float) -> dict:
+def _run_mesh_cell(nodes: int, scale: float, heap: bool = False) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(_SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-c", _MESH_CELL_SNIPPET, str(nodes), str(scale)],
-        capture_output=True, text=True, env=env, check=True)
+    argv = [sys.executable, "-c", _MESH_CELL_SNIPPET, str(nodes), str(scale)]
+    if heap:
+        argv.append("heap")
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env,
+                          check=True)
     return json.loads(proc.stdout)
 
 
 def bench_mesh_scaling(repeats: int) -> dict:
-    """Events/sec and peak RSS per mesh size, one subprocess per run.
+    """Events/sec, peak RSS and Python heap peak per mesh size, one
+    subprocess per run.
 
     Rates are best-of-``repeats``; peak RSS is the max over repeats
     (it is a property of the size, not of scheduler luck), net of the
-    smallest peak of an import-only child."""
+    smallest peak of an import-only child.  The tracemalloc peak comes
+    from one extra traced child per size and is recorded, not gated."""
     floor = min(_run_mesh_cell(0, 0.0)["peak_rss_kb"]
                 for _ in range(repeats))
     out = {}
@@ -326,6 +352,8 @@ def bench_mesh_scaling(repeats: int) -> dict:
                            "events": events,
                            "events_per_sec": best_rate,
                            "peak_rss_kb": peak_rss - floor,
+                           "py_heap_peak_kb": _run_mesh_cell(
+                               nodes, scale, heap=True)["py_heap_peak_kb"],
                            "route_tables": tables}
     return out
 
@@ -362,6 +390,34 @@ def bench_puno_tick(n: int, repeats: int) -> dict:
                     f"{n} events")
 
         out[f"ticks_per_sec_{entries}"] = n / _best_of(tick, repeats)
+    return out
+
+
+# ---------------------------------------------------------------------
+# phase 4e: Zipf workload generation
+# ---------------------------------------------------------------------
+
+def bench_workload_build(repeats: int) -> dict:
+    """Ranks drawn per second by ``make_zipf_workload`` on
+    ``WORKLOAD_BUILD_NODES`` nodes at each size in
+    ``WORKLOAD_BUILD_LINES``, timing the whole build (CDF, draws and
+    program construction) with the default instance and read counts.
+    A build takes tens of milliseconds, so it is best of at least 5
+    even in a quick run: the size ratio is gated, and one slow sample
+    on a shared runner must not decide it."""
+    from repro.workloads.families import make_zipf_workload
+
+    out = {"nodes": WORKLOAD_BUILD_NODES}
+    for lines in WORKLOAD_BUILD_LINES:
+        def build():
+            return make_zipf_workload(num_nodes=WORKLOAD_BUILD_NODES,
+                                      seed=0, lines=lines)
+
+        params = build().params
+        ranks = (WORKLOAD_BUILD_NODES * params["instances"]
+                 * min(params["tx_reads"], lines))
+        out[f"ranks_per_sec_{lines}"] = ranks / _best_of(
+            build, max(repeats, 5))
     return out
 
 
@@ -440,6 +496,7 @@ def run_benchmarks(scale: float, repeats: int, micro_n: int,
             "dispatch": bench_dispatch(micro_n, repeats),
             "int_dispatch": bench_int_dispatch(micro_n, repeats),
             "puno_tick": bench_puno_tick(micro_n // 4, repeats),
+            "workload_build": bench_workload_build(repeats),
         },
         "mesh_scaling": bench_mesh_scaling(mesh_repeats),
         "end_to_end": bench_end_to_end(scale, repeats),
@@ -472,6 +529,7 @@ def check_against(report: dict, baseline_path: Path,
                   f"against the {label}")
             status = 1
     status |= check_puno_tick(report, baseline, tolerance)
+    status |= check_workload_build(report)
     status |= check_mesh_scaling(report, baseline, tolerance)
     if status == 0:
         print("perf check OK")
@@ -514,6 +572,29 @@ def check_puno_tick(report: dict, baseline: dict,
               "P-Buffer size")
         status = 1
     return status
+
+
+def check_workload_build(report: dict) -> int:
+    """The O(log lines) draw contract: the largest Zipf array's rank
+    rate stays within ``WORKLOAD_BUILD_WIDTH_LIMIT``x of the
+    smallest's.  A ratio within one run, so runner speed cancels."""
+    fresh = report.get("phases", {}).get("workload_build")
+    if not fresh:
+        print("workload build check skipped: no workload_build phase in "
+              "the fresh report")
+        return 0
+    small, large = WORKLOAD_BUILD_LINES[0], WORKLOAD_BUILD_LINES[-1]
+    r_small = fresh[f"ranks_per_sec_{small}"]
+    r_large = fresh[f"ranks_per_sec_{large}"]
+    width = r_small / r_large if r_large else float("inf")
+    print(f"workload build check: {small} lines {r_small:.0f} ranks/s -> "
+          f"{large} lines {r_large:.0f} ranks/s (falloff {width:.2f}x, "
+          f"limit {WORKLOAD_BUILD_WIDTH_LIMIT:.1f}x)")
+    if width > WORKLOAD_BUILD_WIDTH_LIMIT:
+        print("workload build check FAILED: the per-draw cost grows with "
+              "the Zipf array size")
+        return 1
+    return 0
 
 
 def check_mesh_scaling(report: dict, baseline: dict,
@@ -609,8 +690,9 @@ def main(argv=None) -> int:
                     help="compare against a committed baseline JSON; "
                          "exit 1 on >2x aggregate event-rate regression")
     ap.add_argument("--reference-from", type=Path, metavar="PRIOR",
-                    help="embed PRIOR's own end-to-end (and puno_tick) "
-                         "numbers as this report's reference_pre_pr "
+                    help="embed PRIOR's own end-to-end (and puno_tick, "
+                         "workload_build) numbers as this report's "
+                         "reference_pre_pr "
                          "block (use when "
                          "re-baselining: the prior committed report "
                          "becomes the new pre-optimization reference)")
@@ -625,14 +707,15 @@ def main(argv=None) -> int:
     if args.reference_from is not None:
         prior = json.loads(args.reference_from.read_text())
         reference = {
-            "note": "end-to-end and puno_tick phases of the prior "
-                    "report (this optimization pass's parent)",
+            "note": "end-to-end and micro phases of the prior report "
+                    "(this optimization pass's parent)",
             "python": prior.get("python"),
             "scale": prior.get("scale"),
             "end_to_end": prior["end_to_end"],
         }
-        if "puno_tick" in prior.get("phases", {}):
-            reference["puno_tick"] = prior["phases"]["puno_tick"]
+        for phase in ("puno_tick", "workload_build"):
+            if phase in prior.get("phases", {}):
+                reference[phase] = prior["phases"][phase]
     else:
         reference = _load_reference(args.out, args.check)
 
@@ -647,11 +730,16 @@ def main(argv=None) -> int:
     print("puno tick: " + "  ".join(
         f"{n} entries {tick[f'ticks_per_sec_{n}']:.0f} ticks/s"
         for n in PUNO_TICK_SIZES))
+    build = report["phases"]["workload_build"]
+    print(f"workload build ({build['nodes']} nodes): " + "  ".join(
+        f"{n} lines {build[f'ranks_per_sec_{n}']:.0f} ranks/s"
+        for n in WORKLOAD_BUILD_LINES))
     for size, r in sorted(report["mesh_scaling"].items(),
                           key=lambda kv: int(kv[0])):
         print(f"mesh {size:>5} nodes: {r['events']} events @ "
               f"{r['events_per_sec']:.0f} ev/s  "
               f"peak RSS {r['peak_rss_kb'] / 1024:.0f} MB over imports  "
+              f"heap peak {r['py_heap_peak_kb'] / 1024:.1f} MB  "
               f"({'table' if r['route_tables'] else 'computed'} routing)")
     e2e = report["end_to_end"]
     for cell in (f"{w}/{s}" for w, s in TOUR_CELLS):

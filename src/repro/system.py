@@ -38,6 +38,10 @@ from repro.sim.stats import Stats
 from repro.sim.watchdog import StallError, Watchdog, WatchdogConfig
 from repro.workloads.base import Workload
 
+# Every message type in code order: the endpoint dispatch table layout.
+_MESSAGE_TYPES = tuple(MessageType)
+
+
 class CoherenceViolation(AssertionError):
     """Raised by audits when an invariant is broken."""
 
@@ -177,21 +181,25 @@ class System:
         # and together cover every MessageType; merged into a dense list in
         # code order, the network delivers straight to the owning
         # controller's bound handler — no membership test, no closure
-        # hop, no per-delivery dict lookup.
+        # hop, no per-delivery dict lookup.  Building the list is the
+        # completeness check; the name lists are built only to report a
+        # failure, so a 1024-node build does not walk the enum per node.
         # Explicit raises, not asserts, so the checks survive -O.
         merged = {**directory.handlers, **node.handlers}
-        missing = [t.name for t in MessageType if t not in merged]
-        if missing:
+        try:
+            table = [merged[t] for t in _MESSAGE_TYPES]
+        except KeyError:
+            missing = [t.name for t in _MESSAGE_TYPES if t not in merged]
             raise ValueError(
                 f"endpoint dispatch incomplete: no handler for "
-                f"{', '.join(missing)}")
-        shadowed = [t.name for t in MessageType
-                    if t in directory.handlers and t in node.handlers]
-        if shadowed:
+                f"{', '.join(missing)}") from None
+        if directory.handlers.keys() & node.handlers.keys():
+            shadowed = [t.name for t in _MESSAGE_TYPES
+                        if t in directory.handlers and t in node.handlers]
             raise ValueError(
                 f"endpoint dispatch ambiguous: directory and node both "
                 f"handle {', '.join(shadowed)}")
-        return [merged[t] for t in MessageType]
+        return table
 
     # ------------------------------------------------------------------
     def _node_done(self, node: int) -> None:

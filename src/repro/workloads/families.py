@@ -17,7 +17,11 @@ P-Buffer/TxLB pressure exceed anything the paper measured.
 * ``zipf``      — shared counters picked from a Zipf distribution: a
   few lines are read by a large fraction of the chip while the tail is
   nearly private, giving the wide sharer lists that drive false
-  aborting (the paper's Figs. 2-3 mechanism) at scale.
+  aborting (the paper's Figs. 2-3 mechanism) at scale.  The builder
+  computes the Zipf CDF once per workload (:func:`zipf_cdf`) and
+  draws every rank by bisection over it (:func:`zipf_ranks`), so
+  generation costs O(log lines) per rank, not O(lines) per
+  transaction.
 * ``rw_mix``    — long read-only scanners against short writers, the
   asymmetric population whose polling-writer/short-reader interaction
   is the false-aborting pathology; fractions are per-node so the mix
@@ -34,6 +38,7 @@ family workloads inside sweep worker processes.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
@@ -52,12 +57,12 @@ def _instances(base: int, scale: float) -> int:
     return max(1, round(base * scale))
 
 
-def zipf_ranks(rng: random.Random, n: int, s: float, k: int) -> List[int]:
-    """Draw ``k`` distinct ranks in ``[0, n)`` Zipf(s)-weighted.
+def zipf_cdf(n: int, s: float) -> List[float]:
+    """Cumulative Zipf(s) distribution over ranks ``[0, n)``.
 
-    Pure-python inverse-CDF sampling (no numpy in the container);
-    duplicates are resolved by walking to the next free rank, which
-    preserves the head-heavy skew while keeping the draw distinct.
+    Weight ``1 / (r + 1) ** s`` per rank, accumulated left to right and
+    divided by the total at each step.  Builders compute it once per
+    workload and share it across every draw.
     """
     weights = [1.0 / (r + 1) ** s for r in range(n)]
     total = sum(weights)
@@ -66,18 +71,28 @@ def zipf_ranks(rng: random.Random, n: int, s: float, k: int) -> List[int]:
     for w in weights:
         acc += w
         cdf.append(acc / total)
+    return cdf
+
+
+def zipf_ranks(rng: random.Random, cdf: List[float], k: int) -> List[int]:
+    """Draw ``k`` distinct ranks in ``[0, len(cdf))`` by inverse CDF.
+
+    Each uniform draw ``u`` maps to the first rank whose CDF reaches
+    it, ``bisect_left(cdf, u, 0, n - 1)``, a rank in ``[0, n - 1]``.
+    The bound ``hi = n - 1``, not ``n``, is the one of the hand-written
+    binary search this replaces (``lo, hi = 0, n - 1``, narrowing on
+    ``cdf[mid] < u``), so it makes the same picks, including the clamp
+    to the last rank when float rounding leaves ``cdf[-1]`` below
+    ``u``.  Duplicates
+    are resolved by walking to the next free rank, which preserves the
+    head-heavy skew while keeping the draw distinct.  Exactly one
+    ``rng.random()`` per rank drawn.
+    """
+    n = len(cdf)
     picked: List[int] = []
     taken = set()
     for _ in range(min(k, n)):
-        u = rng.random()
-        lo, hi = 0, n - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cdf[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        r = lo
+        r = bisect_left(cdf, rng.random(), 0, n - 1)
         while r in taken:
             r = (r + 1) % n
         taken.add(r)
@@ -205,13 +220,14 @@ def make_zipf_workload(num_nodes: int = 16, scale: float = 1.0,
     space = AddressSpace()
     shared = space.region(lines, "zipf")
     n_inst = _instances(instances, scale)
+    cdf = zipf_cdf(lines, zipf_s)
 
     programs: List[Program] = []
     for n in range(num_nodes):
         rng = rf.stream(f"node{n}")
         prog: Program = []
         for i in range(n_inst):
-            ranks = zipf_ranks(rng, lines, zipf_s, tx_reads)
+            ranks = zipf_ranks(rng, cdf, tx_reads)
             addrs = [shared.base + r for r in ranks]
             ops: List[TxOp] = []
             # the hottest-ranked picks become RMW counters, the rest

@@ -1,10 +1,14 @@
 """Tests for the synthetic contention workload families."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.config import scaled_config
+from repro.sim.resultcache import workload_fingerprint
 from repro.system import run_workload
 from repro.workloads import FAMILIES, make_family_workload
 from repro.workloads.base import TxInstance
@@ -13,6 +17,7 @@ from repro.workloads.families import (
     make_prodcons_workload,
     make_rw_mix_workload,
     make_zipf_workload,
+    zipf_cdf,
     zipf_ranks,
 )
 
@@ -131,18 +136,127 @@ def test_zipf_writes_concentrate_on_head():
 
 def test_zipf_ranks_distinct_and_skewed():
     rng = random.Random(7)
-    ranks = zipf_ranks(rng, 100, 1.2, 20)
+    cdf = zipf_cdf(100, 1.2)
+    ranks = zipf_ranks(rng, cdf, 20)
     assert len(ranks) == len(set(ranks)) == 20
     assert all(0 <= r < 100 for r in ranks)
     # skew: across many draws rank 0 appears far more than rank 50
     hits = [0, 0]
     for i in range(300):
-        draw = zipf_ranks(random.Random(i), 100, 1.2, 5)
+        draw = zipf_ranks(random.Random(i), cdf, 5)
         hits[0] += 0 in draw
         hits[1] += 50 in draw
     assert hits[0] > 3 * hits[1]
-    # k > n degenerates to a permutation
-    assert sorted(zipf_ranks(rng, 5, 1.0, 99)) == list(range(5))
+
+
+# ---------------------------------------------------------------------
+# sampler oracle: the linear-CDF, hand-searched sampler the bisecting
+# one replaced, kept verbatim as the reference
+# ---------------------------------------------------------------------
+
+def reference_zipf_ranks(rng, n, s, k):
+    weights = [1.0 / (r + 1) ** s for r in range(n)]
+    total = sum(weights)
+    cdf = []
+    acc = 0.0
+    for w in weights:
+        acc += w
+        cdf.append(acc / total)
+    picked = []
+    taken = set()
+    for _ in range(min(k, n)):
+        u = rng.random()
+        lo, hi = 0, n - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if cdf[mid] < u:
+                lo = mid + 1
+            else:
+                hi = mid
+        r = lo
+        while r in taken:
+            r = (r + 1) % n
+        taken.add(r)
+        picked.append(r)
+    return picked
+
+
+@st.composite
+def sampler_cases(draw):
+    n = draw(st.integers(1, 300))
+    s = draw(st.sampled_from((0.0, 0.8, 1.2, 3.0)))
+    k = draw(st.integers(1, n + 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, s, k, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(sampler_cases())
+def test_zipf_ranks_matches_reference(case):
+    n, s, k, seed = case
+    ref_rng, new_rng = random.Random(seed), random.Random(seed)
+    expected = reference_zipf_ranks(ref_rng, n, s, k)
+    assert zipf_ranks(new_rng, zipf_cdf(n, s), k) == expected
+    # the RNG stream is consumed identically, so later draws line up
+    assert new_rng.getstate() == ref_rng.getstate()
+
+
+class FixedRng:
+    """Stub RNG whose every ``random()`` returns one value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+def test_zipf_ranks_draw_past_cdf_end_clamps_to_last_rank():
+    # rounding can leave cdf[-1] just under 1.0; a draw above it maps
+    # to the last rank, never one past the end
+    for n, s in ((1, 0.8), (7, 1.2), (64, 0.0), (300, 3.0)):
+        cdf = zipf_cdf(n, s)
+        u = math.nextafter(cdf[-1], 2.0)
+        assert zipf_ranks(FixedRng(u), cdf, 1) == [n - 1]
+        assert reference_zipf_ranks(FixedRng(u), n, s, 1) == [n - 1]
+        # the next identical draw walks to the next free rank (wraps)
+        if n > 1:
+            assert zipf_ranks(FixedRng(u), cdf, 2) == [n - 1, 0]
+
+
+def test_zipf_ranks_draw_on_cdf_entry_maps_to_that_rank():
+    # a draw equal to cdf[j] picks rank j: the first rank whose CDF
+    # reaches the draw, as the reference's `cdf[mid] < u` search does
+    cdf = zipf_cdf(50, 0.8)
+    for j in (0, 1, 17, 48):
+        assert zipf_ranks(FixedRng(cdf[j]), cdf, 1) == [j]
+        assert reference_zipf_ranks(FixedRng(cdf[j]), 50, 0.8, 1) == [j]
+
+
+def test_zipf_ranks_k_above_n_is_a_permutation():
+    # k > n degenerates to a permutation of every rank
+    for n in (1, 2, 5, 9, 40):
+        rng, ref = random.Random(n), random.Random(n)
+        picked = zipf_ranks(rng, zipf_cdf(n, 1.2), n + 5)
+        assert sorted(picked) == list(range(n))
+        assert picked == reference_zipf_ranks(ref, n, 1.2, n + 5)
+
+
+# Fingerprints of the workloads the linear-CDF sampler generated: the
+# bisecting sampler must reproduce them bit for bit, independently of
+# the simulator and its golden digests.
+PINNED_ZIPF_FINGERPRINTS = (
+    (dict(num_nodes=1024, scale=0.2, seed=0, lines=8192, zipf_s=0.8),
+     "6f48791ed2f1570b3e97cda236a49db9fc8cff94089a4ced892174034552bee4"),
+    (dict(num_nodes=256, scale=0.1, seed=0, lines=2048),
+     "991b842d880fba10a93a5ab79fe75ab7ae637517b643919ff50ef82ace975ed0"),
+)
+
+
+@pytest.mark.parametrize("kwargs,digest", PINNED_ZIPF_FINGERPRINTS,
+                         ids=["mesh_1024", "puno_256"])
+def test_zipf_workload_content_pinned(kwargs, digest):
+    assert workload_fingerprint(make_zipf_workload(**kwargs)) == digest
 
 
 def test_rw_mix_has_three_populations():

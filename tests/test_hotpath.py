@@ -337,6 +337,23 @@ def test_puno_tick_check_fails_when_tick_cost_grows_with_size(capsys):
     capsys.readouterr()
 
 
+def _build(rate_256, rate_8192):
+    return {"phases": {"workload_build": {
+        "ranks_per_sec_256": rate_256, "ranks_per_sec_8192": rate_8192}}}
+
+
+def test_workload_build_check_fails_when_draw_cost_grows_with_lines(
+        capsys):
+    """A Zipf CDF rebuilt per transaction makes each draw O(lines): the
+    8192-line rate falls tens of times below the 256-line one, which a
+    ratio within one run catches on any runner."""
+    bench = _bench_module()
+    assert bench.check_workload_build(_build(83_000, 2_800)) == 1
+    assert bench.check_workload_build(_build(224_000, 196_000)) == 0
+    assert bench.check_workload_build({"phases": {}}) == 0
+    capsys.readouterr()
+
+
 def _mesh(rss_kb):
     return {"mesh_scaling": {
         str(n): {"events_per_sec": 200_000.0, "peak_rss_kb": kb}
