@@ -1,6 +1,7 @@
 #!/usr/bin/env python
 """Hot-path microbenchmarks: message allocation, network send/deliver,
-handler dispatch, raw event-engine throughput, the PUNO rollover tick,
+handler dispatch, raw event-engine throughput (unbounded and in the
+``max_events`` chunks real runs drain by), the PUNO rollover tick,
 Zipf workload generation, and an end-to-end STAMP-tour event-rate
 measurement.
 
@@ -54,6 +55,10 @@ MESH_SCALING_FALLOFF_LIMIT = 3.0
 # grows faster than the mesh still does.
 MESH_RSS_GROWTH_LIMIT = 1.5
 MESH_RSS_SLACK_KB = 2048
+
+# The chunked_drain phase drains in slices of this many events: the
+# bounded run(max_events=...) path System.run and the e2e harness take.
+CHUNKED_DRAIN_SLICE = 5_000
 
 # The puno_tick phase: P-Buffer sizes (entries = nodes) whose rollover
 # tick rates it records.  A tick is O(1), so the rate at the largest
@@ -153,6 +158,33 @@ def bench_batched_drain(n: int, repeats: int) -> dict:
 
     wall = _best_of(drain, repeats)
     return {"n": n, "events_per_sec": n / wall}
+
+
+# ---------------------------------------------------------------------
+# phase 2c: chunked drain (the path real runs take)
+# ---------------------------------------------------------------------
+
+def bench_chunked_drain(n: int, repeats: int) -> dict:
+    """The ``event_engine`` schedule drained the way real runs drain:
+    ``System.run`` always passes ``max_events``, so every simulated
+    event goes through the bounded loop, here in
+    ``CHUNKED_DRAIN_SLICE``-event slices."""
+    from repro.sim.engine import Simulator
+
+    def drain():
+        sim = Simulator()
+
+        def noop():
+            pass
+
+        for i in range(n):
+            sim.schedule(i & 63, noop)
+        while not sim.idle():
+            sim.run(max_events=CHUNKED_DRAIN_SLICE)
+
+    wall = _best_of(drain, repeats)
+    return {"n": n, "slice": CHUNKED_DRAIN_SLICE,
+            "events_per_sec": n / wall}
 
 
 # ---------------------------------------------------------------------
@@ -492,6 +524,7 @@ def run_benchmarks(scale: float, repeats: int, micro_n: int,
             "message_construct": bench_message_construct(micro_n, repeats),
             "event_engine": bench_event_engine(micro_n, repeats),
             "batched_drain": bench_batched_drain(micro_n, repeats),
+            "chunked_drain": bench_chunked_drain(micro_n, repeats),
             "send_deliver": bench_send_deliver(micro_n // 4, repeats),
             "dispatch": bench_dispatch(micro_n, repeats),
             "int_dispatch": bench_int_dispatch(micro_n, repeats),
@@ -528,12 +561,44 @@ def check_against(report: dict, baseline_path: Path,
             print(f"perf check FAILED: gross event-rate regression "
                   f"against the {label}")
             status = 1
+    status |= check_chunked_drain(report, baseline, tolerance)
     status |= check_puno_tick(report, baseline, tolerance)
     status |= check_workload_build(report)
     status |= check_mesh_scaling(report, baseline, tolerance)
     if status == 0:
         print("perf check OK")
     return status
+
+
+def _check_floor(label: str, unit: str, rate: float, ref, tolerance: float,
+                 failure: str) -> int:
+    """1 when ``rate`` fell more than ``tolerance``x below the baseline
+    rate ``ref`` (None: no baseline, floor skipped)."""
+    if ref is None:
+        print(f"{label} check: {rate:.0f} {unit} (no baseline — "
+              f"floor skipped)")
+        return 0
+    ratio = ref / rate if rate else float("inf")
+    print(f"{label} check: {rate:.0f} {unit} vs baseline {ref:.0f} {unit} "
+          f"(slowdown {ratio:.2f}x, limit {tolerance:.1f}x)")
+    if ratio > tolerance:
+        print(f"{label} check FAILED: {failure}")
+        return 1
+    return 0
+
+
+def check_chunked_drain(report: dict, baseline: dict,
+                        tolerance: float = 2.0) -> int:
+    """Floor on the chunked-drain event rate against the baseline."""
+    fresh = report.get("phases", {}).get("chunked_drain")
+    if not fresh:
+        print("chunked drain check skipped: no chunked_drain phase in the "
+              "fresh report")
+        return 0
+    ref = baseline.get("phases", {}).get("chunked_drain", {})
+    return _check_floor("chunked drain", "ev/s", fresh["events_per_sec"],
+                        ref.get("events_per_sec"), tolerance,
+                        "bounded drain rate regression")
 
 
 def check_puno_tick(report: dict, baseline: dict,
@@ -546,22 +611,12 @@ def check_puno_tick(report: dict, baseline: dict,
         print("puno tick check skipped: no puno_tick phase in the fresh "
               "report")
         return 0
-    status = 0
     small, large = (f"ticks_per_sec_{n}"
                     for n in (PUNO_TICK_SIZES[0], PUNO_TICK_SIZES[-1]))
     rate = fresh[large]
     ref = baseline.get("phases", {}).get("puno_tick", {}).get(large)
-    if ref is None:
-        print(f"puno tick check: {rate:.0f} ticks/s (no baseline — "
-              f"floor skipped)")
-    else:
-        ratio = ref / rate if rate else float("inf")
-        print(f"puno tick check: {rate:.0f} ticks/s vs baseline "
-              f"{ref:.0f} ticks/s (slowdown {ratio:.2f}x, "
-              f"limit {tolerance:.1f}x)")
-        if ratio > tolerance:
-            print("puno tick check FAILED: rollover tick rate regression")
-            status = 1
+    status = _check_floor("puno tick", "ticks/s", rate, ref, tolerance,
+                          "rollover tick rate regression")
     width = fresh[small] / rate if rate else float("inf")
     print(f"puno tick check O(1): {PUNO_TICK_SIZES[0]} entries "
           f"{fresh[small]:.0f} ticks/s -> {PUNO_TICK_SIZES[-1]} entries "
@@ -690,10 +745,9 @@ def main(argv=None) -> int:
                     help="compare against a committed baseline JSON; "
                          "exit 1 on >2x aggregate event-rate regression")
     ap.add_argument("--reference-from", type=Path, metavar="PRIOR",
-                    help="embed PRIOR's own end-to-end (and puno_tick, "
-                         "workload_build) numbers as this report's "
-                         "reference_pre_pr "
-                         "block (use when "
+                    help="embed PRIOR's own end-to-end (and engine, "
+                         "puno_tick, workload_build) numbers as this "
+                         "report's reference_pre_pr block (use when "
                          "re-baselining: the prior committed report "
                          "becomes the new pre-optimization reference)")
     args = ap.parse_args(argv)
@@ -713,7 +767,8 @@ def main(argv=None) -> int:
             "scale": prior.get("scale"),
             "end_to_end": prior["end_to_end"],
         }
-        for phase in ("puno_tick", "workload_build"):
+        for phase in ("event_engine", "batched_drain", "chunked_drain",
+                      "puno_tick", "workload_build"):
             if phase in prior.get("phases", {}):
                 reference[phase] = prior["phases"][phase]
     else:
@@ -726,6 +781,9 @@ def main(argv=None) -> int:
         report["reference_pre_pr"] = reference
 
     args.out.write_text(json.dumps(report, indent=1) + "\n")
+    print("engine: " + "  ".join(
+        f"{phase} {report['phases'][phase]['events_per_sec']:.0f} ev/s"
+        for phase in ("event_engine", "batched_drain", "chunked_drain")))
     tick = report["phases"]["puno_tick"]
     print("puno tick: " + "  ".join(
         f"{n} entries {tick[f'ticks_per_sec_{n}']:.0f} ticks/s"

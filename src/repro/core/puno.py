@@ -41,7 +41,10 @@ class DirectoryPUNO:
         # rollover period, recomputed only where _avg_tx_len changes
         self._period = self._timeout_period()
         self._active = True
-        sim.call_later(self._period, self._on_timeout)
+        # bound once: the tick re-arms itself on most events of a
+        # large PUNO run
+        self._tick = self._on_timeout
+        sim.call_later(self._period, self._tick)
 
     # ------------------------------------------------------------------
     # critical-path latency the directory charges for prediction
@@ -169,12 +172,14 @@ class DirectoryPUNO:
         # One engine event per tick: puno_timeouts is digested and the
         # tick's heap sequence number orders it within its cycle, so
         # ticks are neither elided nor batched.  The decay itself is
-        # PBuffer.decay() inlined (an O(1) epoch bump).
+        # PBuffer.decay() inlined (an O(1) epoch bump), and the re-arm
+        # is an unchecked Simulator.enqueue, as in Network._send_fast.
         if not self._active:
             return
         self.pbuffer.decays += 1
         self.stats.puno_timeouts += 1
-        self.sim.call_later(self._period, self._on_timeout)
+        sim = self.sim
+        sim.enqueue(sim.now + self._period, self._tick, ())
 
     def stop(self) -> None:
         """Stop rescheduling timeouts so the event heap can drain."""

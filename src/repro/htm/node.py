@@ -120,6 +120,8 @@ class NodeController:
             else None)
         # Per-access config scalars, hoisted out of the op loop.
         self._hit_latency = config.cache.hit_latency
+        self._begin_cost = config.htm.begin_cost
+        self._commit_cost = config.htm.commit_cost
         self._num_nodes = config.num_nodes
 
         self.l1 = L1Cache(config.cache)
@@ -198,7 +200,9 @@ class NodeController:
     # ------------------------------------------------------------------
     def _begin_attempt(self) -> None:
         inst = self._instance
-        assert inst is not None
+        if inst is None:
+            raise AssertionError(
+                f"node {self.node}: attempt begins with no instance")
         if self._instance_ts < 0:
             # Timestamp assigned once per dynamic instance, retained
             # across re-executions (time-based policy, Section II-B).
@@ -221,8 +225,7 @@ class NodeController:
         self._op_idx = 0
         self._op_retries = 0
         self.cm.on_tx_begin(self.node)
-        self._pending = self.sim.schedule(self.config.htm.begin_cost,
-                                          self._run_op)
+        self._pending = self.sim.schedule(self._begin_cost, self._run_op)
 
     def _run_op(self) -> None:
         self._pending = None
@@ -233,9 +236,11 @@ class NodeController:
             self._handle_abort()
             return
         inst = self._instance
-        assert inst is not None
+        if inst is None:
+            raise AssertionError(
+                f"node {self.node}: transaction runs with no instance")
         if self._op_idx >= len(inst.ops):
-            self._pending = self.sim.schedule(self.config.htm.commit_cost,
+            self._pending = self.sim.schedule(self._commit_cost,
                                               self._commit)
             return
         op = inst.ops[self._op_idx]
@@ -245,7 +250,9 @@ class NodeController:
     def _commit(self) -> None:
         self._pending = None
         tx = self.tx
-        assert tx is not None
+        if tx is None:
+            raise AssertionError(f"node {self.node}: commit with no "
+                                 f"transaction")
         if tx.doomed:
             # A conflict landed during the commit window.
             self._handle_abort()
@@ -283,7 +290,9 @@ class NodeController:
         core is idle in think/backoff).
         """
         tx = self.tx
-        assert tx is not None and tx.active
+        if tx is None or not tx.active:
+            raise AssertionError(f"node {self.node}: abort of no active "
+                                 f"transaction")
         if self.san is not None:
             self.san.check_undo_log(self, tx)
         tx.doom(cause)
@@ -299,7 +308,9 @@ class NodeController:
         # Undo-log restore: logged lines are local (pinned, E/M).
         for addr, old in tx.undo_log.items():
             line = self.l1.lookup(addr, touch=False)
-            assert line is not None, f"undo target {addr} not resident"
+            if line is None:
+                raise AssertionError(f"node {self.node}: undo target "
+                                     f"{addr} not resident")
             line.value = old
         self._attempt_increments = 0
         self.l1.unpin_all(tx.read_set | tx.write_set)
@@ -316,7 +327,9 @@ class NodeController:
 
     def _handle_abort(self) -> None:
         tx = self.tx
-        assert tx is not None and tx.doomed
+        if tx is None or not tx.doomed:
+            raise AssertionError(f"node {self.node}: abort handling "
+                                 f"without a doomed transaction")
         tx.status = TxStatus.ABORTED
         self._ns_tx_aborted[self.node] += 1
         self._consecutive_aborts += 1
@@ -410,7 +423,9 @@ class NodeController:
     # request issue / retry
     # ------------------------------------------------------------------
     def _issue(self, op, exclusive: bool) -> None:
-        assert self.mshr is None, "one outstanding request per node"
+        if self.mshr is not None:
+            raise AssertionError(f"node {self.node}: second outstanding "
+                                 f"request (one per node)")
         addr = op.addr
         is_tx_op = isinstance(op, TxOp)
         tag: Optional[TxTag] = None
@@ -524,7 +539,9 @@ class NodeController:
     def _finish_request(self, m: Mshr) -> None:
         op = m.op
         grant = m.grant
-        assert grant is not None
+        if grant is None:
+            raise AssertionError(f"node {self.node}: request for "
+                                 f"{m.addr} completed without a grant")
         # Install the line with the proper state.
         if m.exclusive:
             state = L1State.M
@@ -535,7 +552,9 @@ class NodeController:
         if grant.mtype is MessageType.GRANT:
             # Upgrade: we still hold the (pinned or not) S copy.
             line = self.l1.lookup(m.addr, touch=True)
-            assert line is not None, "upgrade grant without an S copy"
+            if line is None:
+                raise AssertionError(f"node {self.node}: upgrade grant for "
+                                     f"{m.addr} without an S copy")
             line.state = L1State.M
         else:
             line = self._install(m.addr, state, grant.value)
@@ -604,8 +623,9 @@ class NodeController:
         try:
             line, evicted = self.l1.install(addr, state, value)
         except CapacityError:
-            assert self.tx is not None and self.tx.active, (
-                "capacity pressure without a transaction")
+            if self.tx is None or not self.tx.active:
+                raise AssertionError(f"node {self.node}: capacity pressure "
+                                     f"on {addr} without a transaction")
             self.stats.capacity_aborts += 1
             self._self_abort("capacity")
             line, evicted = self.l1.install(addr, state, value)

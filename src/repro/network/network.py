@@ -23,8 +23,9 @@ in the simulator.  Four things keep it lean:
   (``_handlers[dst * N + code]``), so the path neither hashes enum
   objects nor branches on ``DATA_TYPES`` membership;
 * delivery schedules the destination's per-type bound handler directly
-  (via the Event-free ``Simulator.call_later`` — deliveries are never
-  cancelled), so delivery costs zero intermediate Python calls;
+  (via ``Simulator.enqueue``, the unchecked Event-free ``call_later``
+  — deliveries are never cancelled), so delivery costs zero
+  intermediate Python calls;
 * the sanitizer check is hoisted out entirely: assigning ``san``
   switches the instance between the mode-selected fast send and
   ``_send_full`` (the same shadowing trick ``engine.run`` uses for
@@ -39,8 +40,6 @@ pairs) to expand in ``router_flits``.
 """
 
 from __future__ import annotations
-
-from heapq import heappush
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, \
     Union
@@ -162,15 +161,11 @@ class Network:
                 "msg", self.sim.now, type=mtype.name, addr=msg.addr,
                 src=msg.src, dst=dst, req=msg.requester,
                 u=msg.u_bit, mp=msg.mp_bit)
-        # Inlined ``sim.call_later`` — deliveries are the dominant
-        # event source, so the scheduling call is flattened into the
-        # heap push itself (delays here are always non-negative ints).
+        # Deliveries are the dominant event source: unchecked enqueue
+        # (delays here are always non-negative ints).
         sim = self.sim
-        seq = sim._seq
-        sim._seq = seq + 1
-        sim._live += 1
-        heappush(sim._heap, (sim.now + self._mesh_lat[idx] + extra_delay,
-                             seq, None, handler, (msg,)))
+        sim.enqueue(sim.now + self._mesh_lat[idx] + extra_delay,
+                    handler, (msg,))
 
     def _send_computed(self, msg: Message, extra_delay: int = 0) -> None:
         """Table-free twin of ``_send_fast`` for large meshes.
@@ -202,11 +197,7 @@ class Network:
                 src=msg.src, dst=dst, req=msg.requester,
                 u=msg.u_bit, mp=msg.mp_bit)
         sim = self.sim
-        seq = sim._seq
-        sim._seq = seq + 1
-        sim._live += 1
-        heappush(sim._heap, (sim.now + lat + extra_delay,
-                             seq, None, handler, (msg,)))
+        sim.enqueue(sim.now + lat + extra_delay, handler, (msg,))
 
     def _send_full(self, msg: Message, extra_delay: int = 0) -> None:
         """The mode-selected fast send plus the per-message sanitizer

@@ -18,36 +18,43 @@ Hot-path notes
 * :meth:`Simulator.call_later` schedules a callback with *no* Event
   object at all (the third tuple slot is ``None``).  Callers that never
   cancel — message delivery, directory wakeups — skip one object
-  allocation per event, which is the bulk of all events in a run.
-* The run loop processes same-cycle deliveries as a batch: the clock is
-  committed once per *timestamp*, not once per event, and in limited
-  runs the ``until`` horizon is checked once per timestamp too.  Events
-  stay in the heap until the instant they execute, so cancellation,
-  live-event accounting (the watchdog's quiescence check), and
-  exception unwinding all keep their obvious semantics — a batch is a
-  property of the dispatch order, not a side buffer.
-* The engine tracks the number of *live* (non-cancelled) queued events,
-  so :meth:`Simulator.idle` is O(1) instead of an O(n) heap scan.
+  allocation per event, which is the bulk of all events in a run.  The
+  :class:`Event` that :meth:`Simulator.schedule` returns is only a
+  cancellation handle: a ``cancelled`` flag and a backref to the
+  simulator, nothing the heap or the loop reads otherwise.
+  :meth:`Simulator.enqueue` is ``call_later`` at an absolute time
+  without validation or ``*args`` packing, for the callers that create
+  most events (message delivery, the PUNO tick); only this module
+  knows the heap entry's layout.
+* One drain loop serves every run without ``until``: full drains,
+  ``max_events`` chunks (what :meth:`repro.system.System.run` uses) and
+  :meth:`Simulator.step`.  It pops first, skips cancelled entries,
+  commits the clock only when the timestamp changes, and counts down a
+  local budget (:data:`_NO_BUDGET` when unbounded) and a local
+  ``events_processed``, written back once per call.  Events stay in the
+  heap until the instant they execute, so cancellation, live-event
+  accounting and exception unwinding keep their obvious semantics.
+  ``run(until=...)`` keeps a separate peek-first loop; only tests
+  use it.
+* The number of *live* (queued, not cancelled) events is derived, not
+  counted: ``len(heap) - cancelled_in_heap``.  :meth:`Simulator.idle`
+  and :attr:`Simulator.live_events` stay O(1) while ``schedule``, the
+  sends and the drain loop carry no counter update.
 * Cancelled events normally stay in the heap until they surface at the
   top, but once they exceed half the heap (and a small absolute floor)
   the heap is compacted in place — long runs with heavy
   cancel-and-reschedule traffic (node timeouts, PUNO timers) no longer
   drag a tail of dead entries through every sift.
-* ``schedule`` validation (negative-delay check, int coercion) can be
-  skipped by running ``python -O`` or setting ``REPRO_ENGINE_FAST=1``;
-  every internal caller passes non-negative ints, so release runs take
-  the fast path.
+* ``schedule``/``call_later`` validation (negative-delay check, int
+  coercion) follows ``__debug__``: it runs by default and under pytest,
+  and ``python -O`` drops it.  Every internal caller passes
+  non-negative ints, so both modes execute the same events.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Any, Callable, List, Optional, Tuple
-
-# Validation is on by default (and under pytest); `python -O` or
-# REPRO_ENGINE_FAST=1 drops it from the per-schedule hot path.
-_VALIDATE = __debug__ and os.environ.get("REPRO_ENGINE_FAST", "0") != "1"
 
 # Compact the heap when cancelled entries outnumber live ones and
 # there are at least this many of them (avoids churn on tiny heaps).
@@ -61,25 +68,17 @@ _NO_BUDGET = 1 << 62
 class Event:
     """A cancellation handle for a scheduled callback.
 
-    Events are comparable by ``(time, seq)`` which gives deterministic
-    FIFO ordering among events scheduled for the same cycle.  The heap
-    itself stores ``(time, seq, event, fn, args)`` tuples so sift
-    comparisons resolve on the leading ints without calling back into
-    Python, and the run loop dispatches from the tuple — the Event
-    object only carries the ``cancelled`` flag and the live-count
-    backref.
+    The heap stores ``(time, seq, event, fn, args)`` tuples and the run
+    loop dispatches from the tuple, so the handle carries only the
+    ``cancelled`` flag and the simulator backref that cancellation
+    accounting needs.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "sim")
+    __slots__ = ("cancelled", "sim")
 
-    def __init__(self, time: int, seq: int, fn: Callable[..., Any],
-                 args: Tuple[Any, ...], sim: "Optional[Simulator]" = None):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
+    def __init__(self, sim: "Optional[Simulator]" = None):
         self.cancelled = False
-        self.sim = sim  # backref for live-event accounting; None once run
+        self.sim = sim  # backref for cancel accounting; None once run
 
     def cancel(self) -> None:
         """Mark the event so the engine skips it when it surfaces.
@@ -94,20 +93,16 @@ class Event:
         if sim is not None:
             sim._on_cancel()
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        name = getattr(self.fn, "__qualname__", repr(self.fn))
         flag = " cancelled" if self.cancelled else ""
-        return f"<Event t={self.time} seq={self.seq} {name}{flag}>"
+        return f"<Event{flag}>"
 
 
 class Simulator:
     """Binary-heap event loop with an integer cycle clock."""
 
     __slots__ = ("now", "_heap", "_seq", "_running", "events_processed",
-                 "_live", "_cancelled_in_heap", "post_event")
+                 "_cancelled_in_heap", "post_event")
 
     def __init__(self) -> None:
         self.now: int = 0
@@ -118,9 +113,8 @@ class Simulator:
         self._seq: int = 0
         self._running = False
         self.events_processed: int = 0
-        # live = queued and not cancelled; cancelled entries still in
-        # the heap are tracked separately to drive lazy compaction.
-        self._live: int = 0
+        # cancelled entries still in the heap: drives lazy compaction
+        # and, subtracted from the heap size, gives the live count
         self._cancelled_in_heap: int = 0
         # Optional hook invoked after every executed event (the event
         # boundary).  Installed by the protocol sanitizer; None (the
@@ -131,7 +125,7 @@ class Simulator:
     # scheduling
     # ------------------------------------------------------------------
     def schedule(self, delay: int, fn: Callable[..., Any], *args: Any,
-                 _validate: bool = _VALIDATE) -> Event:
+                 _validate: bool = __debug__) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` cycles from now.
 
         ``delay`` must be non-negative; a zero delay runs later in the
@@ -141,16 +135,14 @@ class Simulator:
             if delay < 0:
                 raise ValueError(f"negative delay {delay}")
             delay = int(delay)
-        time = self.now + delay
         seq = self._seq
-        ev = Event(time, seq, fn, args, self)
         self._seq = seq + 1
-        self._live += 1
-        heapq.heappush(self._heap, (time, seq, ev, fn, args))
+        ev = Event(self)
+        heapq.heappush(self._heap, (self.now + delay, seq, ev, fn, args))
         return ev
 
     def call_later(self, delay: int, fn: Callable[..., Any], *args: Any,
-                   _validate: bool = _VALIDATE) -> None:
+                   _validate: bool = __debug__) -> None:
         """Schedule ``fn(*args)`` with no cancellation handle.
 
         Identical ordering semantics to :meth:`schedule`, but the heap
@@ -165,8 +157,19 @@ class Simulator:
             delay = int(delay)
         seq = self._seq
         self._seq = seq + 1
-        self._live += 1
         heapq.heappush(self._heap, (self.now + delay, seq, None, fn, args))
+
+    def enqueue(self, time: int, fn: Callable[..., Any],
+                args: Tuple[Any, ...]) -> None:
+        """Queue ``fn(*args)`` at absolute cycle ``time``, unchecked.
+
+        :meth:`call_later` without its validation or argument packing,
+        for the callers that create most events (message delivery, the
+        PUNO rollover tick).  ``time`` must not lie before :attr:`now`.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time, seq, None, fn, args))
 
     def schedule_at(self, time: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute cycle ``time`` (>= now)."""
@@ -179,7 +182,6 @@ class Simulator:
     # ------------------------------------------------------------------
     def _on_cancel(self) -> None:
         """Called by :meth:`Event.cancel` for a still-queued event."""
-        self._live -= 1
         self._cancelled_in_heap += 1
         if (self._cancelled_in_heap >= _PURGE_FLOOR
                 and self._cancelled_in_heap * 2 >= len(self._heap)):
@@ -203,84 +205,87 @@ class Simulator:
         """Run until the heap drains, ``until`` cycles pass, or
         ``max_events`` events execute.  Returns the final clock value.
 
-        Clock semantics with both limits: the clock only advances to
+        ``until`` may not lie before the current clock (the clock never
+        runs backwards) and ``max_events`` may not be negative.  Clock
+        semantics with both limits: the clock only advances to
         ``until`` when everything scheduled up to ``until`` actually
         executed (cancelled events never count against ``max_events``
-        and never hold the clock back); if the event budget expires with
-        a live event still pending at or before ``until``, the clock
-        stays at the last executed event.
+        and never hold the clock back); if the event budget expires
+        with a live event still pending at or before ``until``, the
+        clock stays at the last executed event.
         """
         if self._running:
             raise RuntimeError("simulator is not re-entrant")
+        if until is not None and until < self.now:
+            raise ValueError(
+                f"cannot run until a past cycle ({until} < {self.now})")
+        if max_events is not None and max_events < 0:
+            raise ValueError(f"negative max_events {max_events}")
+        budget = _NO_BUDGET if max_events is None else max_events
         self._running = True
         try:
-            heap = self._heap  # identity-stable: _purge compacts in place
-            pop = heapq.heappop
-            post = self.post_event
-            if until is None and max_events is None:
-                # Unbounded drain (the common full-run case): pop
-                # directly — no peek, no limit checks per event.  The
-                # clock is committed once per timestamp; same-cycle
-                # followers only pay a local compare.
-                now = self.now
-                while heap:
-                    item = pop(heap)
-                    ev = item[2]
-                    if ev is not None:
-                        if ev.cancelled:
-                            self._cancelled_in_heap -= 1
-                            continue
-                        ev.sim = None  # executed: cancel() is a no-op
-                    t = item[0]
-                    if t != now:
-                        self.now = now = t
-                    self._live -= 1
-                    self.events_processed += 1
-                    item[3](*item[4])
-                    if post is not None:
-                        post()
-                return self.now
-            budget = _NO_BUDGET if max_events is None else max_events
-            while heap:
-                head = heap[0]
-                ev = head[2]
-                if ev is not None and ev.cancelled:
-                    pop(heap)
-                    self._cancelled_in_heap -= 1
-                    continue
-                t = head[0]
-                if until is not None and t > until:
-                    self.now = until
-                    break
-                if budget <= 0:
-                    # live work pending at/before the limit: the clock
-                    # must not jump past it
-                    break
-                # Batch boundary: commit the clock and re-check the
-                # horizon once per timestamp, then run every live event
-                # at time t (up to the budget) straight off the heap —
-                # zero-delay followers scheduled mid-batch join it.
-                self.now = t
-                while heap and heap[0][0] == t and budget > 0:
-                    item = pop(heap)
-                    ev = item[2]
-                    if ev is not None:
-                        if ev.cancelled:
-                            self._cancelled_in_heap -= 1
-                            continue
-                        ev.sim = None
-                    budget -= 1
-                    self._live -= 1
-                    self.events_processed += 1
-                    item[3](*item[4])
-                    if post is not None:
-                        post()
+            if until is None:
+                self._drain(budget)
             else:
-                if until is not None and until > self.now:
-                    self.now = until
+                self._drain_until(until, budget)
         finally:
             self._running = False
         return self.now
+
+    def _drain(self, budget: int) -> None:
+        """The drain loop: pop, skip cancelled, run, up to ``budget``
+        live events or an empty heap."""
+        heap = self._heap  # identity-stable: _purge compacts in place
+        pop = heapq.heappop
+        post = self.post_event
+        now = self.now
+        processed = self.events_processed
+        try:
+            while budget and heap:
+                t, _, ev, fn, args = pop(heap)
+                if ev is not None:
+                    if ev.cancelled:
+                        self._cancelled_in_heap -= 1
+                        continue
+                    ev.sim = None  # executed: cancel() is a no-op
+                if t != now:
+                    self.now = now = t
+                budget -= 1
+                processed += 1
+                fn(*args)
+                if post is not None:
+                    post()
+        finally:
+            self.events_processed = processed
+
+    def _drain_until(self, until: int, budget: int) -> None:
+        """Peek-first loop for ``run(until=...)``: stops before the
+        first live event past ``until``, then moves the clock there."""
+        heap = self._heap
+        pop = heapq.heappop
+        post = self.post_event
+        while heap:
+            t, _, ev, fn, args = heap[0]
+            if ev is not None and ev.cancelled:
+                pop(heap)
+                self._cancelled_in_heap -= 1
+                continue
+            if t > until:
+                break
+            if not budget:
+                # live work pending at/before the limit: the clock
+                # must not jump past it
+                return
+            pop(heap)
+            if ev is not None:
+                ev.sim = None
+            self.now = t
+            budget -= 1
+            self.events_processed += 1
+            fn(*args)
+            if post is not None:
+                post()
+        self.now = until
 
     def step(self) -> bool:
         """Execute the next pending event.  Returns False when idle.
@@ -302,7 +307,7 @@ class Simulator:
     @property
     def live_events(self) -> int:
         """Number of queued non-cancelled events (O(1))."""
-        return self._live
+        return len(self._heap) - self._cancelled_in_heap
 
     def idle(self) -> bool:
-        return self._live == 0
+        return len(self._heap) == self._cancelled_in_heap

@@ -37,6 +37,8 @@ def test_zero_delay_runs_after_queued_same_cycle(sim):
     assert order == ["first", "second", "nested"]
 
 
+@pytest.mark.skipif(not __debug__, reason="schedule validation follows "
+                    "__debug__: python -O drops it")
 def test_negative_delay_rejected(sim):
     with pytest.raises(ValueError):
         sim.schedule(-1, lambda: None)
@@ -73,6 +75,30 @@ def test_run_until(sim):
 def test_run_until_advances_clock_with_empty_heap(sim):
     sim.run(until=100)
     assert sim.now == 100
+
+
+def test_run_until_past_cycle_rejected(sim):
+    """A horizon before the clock raises, as schedule_at does for a past
+    time: it used to move the clock back, so a zero-delay callback then
+    ran at an earlier cycle than events already executed."""
+    hits = []
+    sim.call_later(100, hits.append, "a")
+    sim.call_later(200, hits.append, "b")
+    assert sim.run(until=150) == 150
+    with pytest.raises(ValueError, match="past cycle"):
+        sim.run(until=120)
+    assert sim.now == 150
+    sim.call_later(0, lambda: hits.append(sim.now))
+    sim.run()  # the guard left the simulator runnable
+    assert hits == ["a", 150, "b"] and sim.now == 200
+
+
+def test_negative_max_events_rejected(sim):
+    """A negative budget raises instead of draining the whole heap."""
+    sim.call_later(1, lambda: None)
+    with pytest.raises(ValueError, match="negative max_events"):
+        sim.run(max_events=-1)
+    assert sim.events_processed == 0 and sim.live_events == 1
 
 
 def test_max_events(sim):

@@ -337,6 +337,21 @@ def test_puno_tick_check_fails_when_tick_cost_grows_with_size(capsys):
     capsys.readouterr()
 
 
+def _drain(rate):
+    return {"phases": {"chunked_drain": {"events_per_sec": rate}}}
+
+
+def test_chunked_drain_check_floors_rate_against_baseline(capsys):
+    bench = _bench_module()
+    base = _drain(800_000)
+    assert bench.check_chunked_drain(_drain(500_000), base) == 0
+    assert bench.check_chunked_drain(_drain(300_000), base) == 1
+    # older baselines without the phase skip the floor
+    assert bench.check_chunked_drain(_drain(300_000), {}) == 0
+    assert bench.check_chunked_drain({"phases": {}}, base) == 0
+    capsys.readouterr()
+
+
 def _build(rate_256, rate_8192):
     return {"phases": {"workload_build": {
         "ranks_per_sec_256": rate_256, "ranks_per_sec_8192": rate_8192}}}

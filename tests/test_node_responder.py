@@ -185,3 +185,71 @@ def test_stale_sharer_plain_ack(node_setup):
     sim.run(until=sim.now + 5)
     resp = net.pop(MessageType.ACK)
     assert not resp.aborted
+
+
+# ---------------------------------------------------------------------
+# protocol invariants: explicit raises, so they hold under python -O
+# ---------------------------------------------------------------------
+
+def _outstanding_gets(sim, node, net):
+    """Start the node and return its first GETS (line 0), in flight."""
+    node.start()
+    sim.run(until=sim.now + 10)
+    gets = net.pop(MessageType.GETS)
+    assert node.mshr is not None and node.mshr.req_id == gets.req_id
+    return gets
+
+
+def test_second_outstanding_request_raises(node_setup):
+    sim, node, net, stats = node_setup
+    _outstanding_gets(sim, node, net)
+    with pytest.raises(AssertionError, match="second outstanding"):
+        node._issue(TxOp(False, 8, 1, 9), exclusive=False)
+
+
+def test_upgrade_grant_without_s_copy_raises(node_setup):
+    sim, node, net, stats = node_setup
+    gets = _outstanding_gets(sim, node, net)
+    with pytest.raises(AssertionError, match="without an S copy"):
+        node.receive(Message(MessageType.GRANT, 0, 0, 1, requester=1,
+                             req_id=gets.req_id, acks_expected=0))
+
+
+def test_completion_without_grant_raises(node_setup):
+    sim, node, net, stats = node_setup
+    gets = _outstanding_gets(sim, node, net)
+    with pytest.raises(AssertionError, match="without a grant"):
+        node.receive(Message(MessageType.ACK, 0, 2, 1, requester=1,
+                             req_id=gets.req_id, terminal=True))
+
+
+def test_undo_target_not_resident_raises(node_setup):
+    sim, node, net, stats = node_setup
+    _start_tx(sim, node, net)
+    node.l1.invalidate(4)  # the write-set line the undo log restores
+    with pytest.raises(AssertionError, match="undo target 4"):
+        node._self_abort("getx_conflict")
+
+
+def test_self_abort_without_active_tx_raises(node_setup):
+    sim, node, net, stats = node_setup
+    assert node.tx is None
+    with pytest.raises(AssertionError, match="no active transaction"):
+        node._self_abort("getx_conflict")
+
+
+def test_abort_handling_without_doomed_tx_raises(node_setup):
+    sim, node, net, stats = node_setup
+    _start_tx(sim, node, net)
+    with pytest.raises(AssertionError, match="without a doomed"):
+        node._handle_abort()
+
+
+def test_capacity_pressure_without_tx_raises(node_setup):
+    sim, node, net, stats = node_setup
+    sets, ways = node.l1._num_sets, node.config.cache.ways
+    for way in range(ways):
+        node.l1.install(way * sets, L1State.S, 0)
+        node.l1.pin(way * sets, level=2)
+    with pytest.raises(AssertionError, match="capacity pressure"):
+        node._install(ways * sets, L1State.S, 0)
