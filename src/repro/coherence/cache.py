@@ -16,6 +16,14 @@ A set whose ways are all write-pinned surfaces as a *capacity abort*.
 
 Lines carry an integer ``value`` so the test suite can verify atomicity
 end-to-end (committed increments must equal final memory contents).
+
+Sets are created lazily: every slot of ``_sets`` starts as the one
+shared, never-mutated :data:`_EMPTY_SET`, and ``install`` swaps in a
+private dict the first time it touches a set.  Reads and removals
+(``lookup``, ``invalidate``, ``downgrade``, ``pin``, ``resident``,
+``state_of``) need no test: on the shared empty dict they find nothing
+and change nothing.  At 1024 nodes x 128 sets most sets are never
+touched, so this keeps 8 MB of empty dicts out of the heap.
 """
 
 from __future__ import annotations
@@ -45,15 +53,20 @@ class CapacityError(Exception):
     """Raised when an install cannot find an unpinned victim."""
 
 
+#: The placeholder every untouched set shares.  Only ``install`` adds
+#: lines, and it replaces this dict before adding, so it stays empty.
+_EMPTY_SET: Dict[int, CacheLine] = {}
+
+
 class L1Cache:
     """One node's private L1."""
 
     def __init__(self, config: CacheConfig):
         self.config = config
         # set index -> {addr: CacheLine}; dict preserves O(1) lookup.
-        self._sets: List[Dict[int, CacheLine]] = [
-            {} for _ in range(config.num_sets)
-        ]
+        # Untouched sets alias the shared _EMPTY_SET until install.
+        self._sets: List[Dict[int, CacheLine]] = \
+            [_EMPTY_SET] * config.num_sets
         # num_sets chains two properties on a frozen dataclass — cache
         # it, _set_for runs once per access
         self._num_sets = config.num_sets
@@ -86,7 +99,11 @@ class L1Cache:
         Raises :class:`CapacityError` when every way of the target set
         is pinned by the running transaction.
         """
-        cset = self._sets[addr % self._num_sets]
+        idx = addr % self._num_sets
+        cset = self._sets[idx]
+        if cset is _EMPTY_SET:
+            # First touch of this set: at most one dict per set per run.
+            cset = self._sets[idx] = {}  # lint: disable=event-alloc -- one allocation per set per run, replacing the shared empty placeholder
         self._tick += 1
         existing = cset.get(addr)
         if existing is not None:

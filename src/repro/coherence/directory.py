@@ -17,6 +17,7 @@ UD pointer off the critical path after each service.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Optional, Tuple
 
 from repro.coherence.dirstore import DirEntry, DirEntryPool, DirStore, \
@@ -116,7 +117,12 @@ class DirectoryController:
         # line with its preserved value/in-L2 bits).
         entry = self._obtain(msg.addr)
         if entry.blocked:
-            entry.waitq.append((msg, self.sim.now))
+            # The first waiter creates the queue; the entry keeps it
+            # through later releases (see DirEntryPool.release).
+            waitq = entry.waitq
+            if waitq is None:
+                waitq = entry.waitq = deque()
+            waitq.append((msg, self.sim.now))
             return
         self._service(msg, entry)
 
@@ -153,8 +159,9 @@ class DirectoryController:
             delay = self.config.directory_latency + self.config.l2_latency
             self.sim.call_later(delay, self._finish_simple_gets, msg, entry)
         else:  # M: forward to the owner
-            assert entry.owner is not None and entry.owner != msg.requester, (
-                f"GETS from owner {msg.requester} addr {msg.addr}")
+            if entry.owner is None or entry.owner == msg.requester:
+                raise AssertionError(
+                    f"GETS from owner {msg.requester} addr {msg.addr}")
             rec = ServiceRecord(msg, "gets", self.sim.now, owner_path=True)
             self._block(entry, rec)
             fwd = Message(
@@ -192,8 +199,9 @@ class DirectoryController:
             self._fetch_and_grant(msg, entry, exclusive=True)
             return
         if entry.state is DirState.M:
-            assert entry.owner is not None and entry.owner != msg.requester, (
-                f"GETX from owner {msg.requester} addr {msg.addr}")
+            if entry.owner is None or entry.owner == msg.requester:
+                raise AssertionError(
+                    f"GETX from owner {msg.requester} addr {msg.addr}")
             rec = ServiceRecord(msg, "getx", self.sim.now,
                                 is_txgetx=is_tx, owner_path=True)
             self._block(entry, rec)
@@ -373,7 +381,8 @@ class DirectoryController:
         # live: index the store internals directly.
         entry = self._live[self._slots[msg.addr]]
         rec = entry.service
-        assert rec is not None and entry.blocked, f"spurious UNBLOCK {msg}"
+        if rec is None or not entry.blocked:
+            raise AssertionError(f"spurious UNBLOCK {msg}")
         if (rec.kind == "gets" and rec.owner_path and msg.success
                 and not rec.wb_received):
             # The owner's WB_DATA is still in flight.  Only reachable
@@ -473,14 +482,16 @@ class DirectoryController:
     # blocking machinery
     # ------------------------------------------------------------------
     def _block(self, entry: DirEntry, rec: ServiceRecord) -> None:
-        assert not entry.blocked
+        if entry.blocked:
+            raise AssertionError("blocking an already blocked entry")
         entry.blocked = True
         entry.service = rec
         self.stats.dir_blocked_events += 1
 
     def _unblock(self, entry: DirEntry) -> None:
         rec = entry.service
-        assert rec is not None
+        if rec is None:
+            raise AssertionError("unblocking an entry with no service")
         addr = rec.msg.addr
         blocked_for = self.sim.now - rec.block_start
         self.stats.dir_blocked_cycles_total += blocked_for

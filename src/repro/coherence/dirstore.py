@@ -2,8 +2,8 @@
 
 At 16–64 nodes a plain ``Dict[int, DirEntry]`` per home bank is fine;
 at 256–1024 nodes the touched-address set is large and mostly *idle* —
-a line whose directory state has decayed back to I carries ten slots,
-a deque and a dict for the rest of the run.  This module splits the
+a line whose directory state has decayed back to I carries ten slots
+and a dict for the rest of the run.  This module splits the
 storage into the two things a bank actually needs:
 
 * :class:`DirStore` — an address-interned flat store.  Each address a
@@ -15,10 +15,17 @@ storage into the two things a bank actually needs:
   slots instead of a full entry object.
 * :class:`DirEntryPool` — a free list of reset :class:`DirEntry`
   objects shared by every bank in the system.  Retiring a line resets
-  its entry in place (the deque and dict are ``.clear()``-ed, not
-  replaced, so their allocations are reused too) and pushes it on the
+  its entry in place (the reader dict is ``.clear()``-ed, not
+  replaced, and a wait queue, already empty, is kept, so their
+  allocations are reused too) and pushes it on the
   list; the next ``obtain`` anywhere pops it back.  After warm-up the
   steady state allocates nothing.
+
+A wait queue exists only where a line ever had to queue: ``waitq``
+starts as ``None``, the directory creates the deque on the first
+request that arrives while the line is blocked, and the entry keeps
+it (empty) through every later release and reuse.  Most live lines
+never block with waiters, so most entries never carry one.
 
 Retirement is *digest-neutral*: an entry only retires when it is
 exactly the state a fresh entry would revive into (state I, unblocked,
@@ -38,7 +45,6 @@ address.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.coherence.states import DirState
@@ -66,7 +72,8 @@ class DirEntry:
         self.value: int = 0
         self.in_l2: bool = False  # False until first touch (memory fetch)
         self.blocked: bool = False
-        self.waitq: Deque[Tuple] = deque()  # (msg, arrival)
+        # (msg, arrival) waiters; None until the first blocked arrival
+        self.waitq: Optional[Deque[Tuple]] = None
         self.service = None  # Optional[ServiceRecord]
         self.ud: Optional[int] = None  # PUNO unicast-destination pointer
         # PUNO reader-epoch metadata: sharer -> timestamp of the
@@ -103,11 +110,12 @@ class DirEntryPool:
     def release(self, entry: DirEntry) -> None:
         """Reset ``entry`` in place and return it to the free list.
 
-        The deque and dict are cleared, not replaced, so their backing
+        The reader dict is cleared, not replaced, and the wait queue
+        (``None`` or an empty deque) is kept, so their backing
         allocations survive the round trip.
         """
-        assert not entry.blocked and not entry.waitq, \
-            "released a busy directory entry"
+        if entry.blocked or entry.waitq:
+            raise AssertionError("released a busy directory entry")
         entry.state = DirState.I
         entry.sharers = 0
         entry.owner = None
@@ -173,14 +181,15 @@ class DirStore:
         Idempotent by identity check: the unblock drain loop and the
         writeback path can both observe the same settled entry, and
         only the first call retires it.  The caller guarantees the
-        settled-I invariant (asserted here).
+        settled-I invariant (checked here, also under ``python -O``).
         """
         slot = self._slots.get(addr)
         if slot is None or self._live[slot] is not entry:
             return False
-        assert (entry.state is DirState.I and not entry.blocked
-                and not entry.waitq and entry.service is None), \
-            f"retiring unsettled entry for addr {addr}"
+        if (entry.state is not DirState.I or entry.blocked
+                or entry.waitq or entry.service is not None):
+            raise AssertionError(
+                f"retiring unsettled entry for addr {addr}")
         self._value[slot] = entry.value
         self._in_l2[slot] = entry.in_l2
         self._live[slot] = None

@@ -15,8 +15,8 @@ in the simulator.  Four things keep it lean:
   precomputed :class:`repro.network.topology.Mesh` tables (flat lists
   indexed ``src * n + dst``) when the mesh is small enough to carry
   them; past ``ROUTE_TABLE_MAX_NODES`` the topology runs table-free
-  and ``_send_computed`` derives the same quantities per message from
-  ``mesh.pair_cost`` (a handful of integer ops, O(N) total memory);
+  and ``_send_computed`` gets the same quantities per message from
+  ``mesh.charge`` (a handful of integer ops, no per-pair table);
 * everything keyed by message type indexes flat lists with the dense
   ``MessageType`` int code — flit counts (``_msg_flits``), the stats
   accumulator (``Stats._msg_counts``), and the delivery handler itself
@@ -32,11 +32,14 @@ in the simulator.  Four things keep it lean:
   ``post_event``), so unsanitized runs never test ``san is None`` per
   message.
 
-Per-pair flit accounting follows the same split: table mode uses a
-flat ``n*n`` list (dense, tiny), computed mode a dict keyed by the
-same ``src * n + dst`` index — at 1024 nodes real runs touch a sparse
-subset of the 1M pairs, so the dict is both smaller and O(active
-pairs) to expand in ``router_flits``.
+Per-router flit accounting follows the same split.  Table mode keeps
+a flat ``n*n`` per-pair list here (dense, tiny) and expands it over
+the route table in ``router_flits``.  In computed mode the topology
+owns the counts: ``mesh.charge`` credits each message to its route,
+and ``mesh.router_flits`` expands them.  For a flat mesh the counts
+are per DOR route leg, two lists of ``N * width`` and ``N * height``
+entries, so no structure grows with the number of (src, dst) pairs a
+run touches (a 1024-node run touches ~96k of them).
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ class Network:
         self._san = None  # Optional[ProtocolSanitizer]
         self.messages_sent = 0
         # Mode selection: table sends index the mesh's flat per-pair
-        # lists; computed sends call mesh.pair_cost.  Both charge the
+        # lists; computed sends call mesh.charge.  Both charge the
         # identical analytic quantities (pinned by test_topology), so
         # the digest stream is mode-independent.
         if mesh.has_tables:
@@ -97,8 +100,8 @@ class Network:
             self._fast_impl = self._send_fast
         else:
             self._mesh_lat = self._mesh_trav = None
-            self._pair_cost = mesh.pair_cost
-            self._pair_flits = {}
+            self._charge = mesh.charge
+            self._pair_flits = None  # the mesh counts flits
             self._fast_impl = self._send_computed
         self.send = self._fast_impl
 
@@ -170,9 +173,9 @@ class Network:
     def _send_computed(self, msg: Message, extra_delay: int = 0) -> None:
         """Table-free twin of ``_send_fast`` for large meshes.
 
-        Latency and traversals come from ``mesh.pair_cost`` (inline XY
-        arithmetic) and per-pair flits accumulate in a sparse dict, so
-        nothing here is O(N²) in memory.
+        ``mesh.charge`` returns latency and traversals (inline XY
+        arithmetic) and credits the flits to the route, so nothing
+        here is O(N²) in memory.
         """
         mtype = msg.mtype
         dst = msg.dst
@@ -182,13 +185,10 @@ class Network:
         if handler is None:
             raise KeyError(f"no endpoint registered for node {dst}")
         flits = self._msg_flits[mtype]
-        idx = msg.src * self._n + dst
-        lat, trav = self._pair_cost(msg.src, dst)
+        lat, trav = self._charge(msg.src, dst, flits)
         stats = self.stats
         stats.flits_injected += flits
         stats.flit_router_traversals += trav * flits
-        pf = self._pair_flits
-        pf[idx] = pf.get(idx, 0) + flits
         self._msg_counts[mtype] += 1
         self.messages_sent += 1
         if stats.tracer is not None:
@@ -219,19 +219,17 @@ class Network:
     def router_flits(self):
         """Per-router flit traversals (mesh order).
 
-        Materialized on demand from the per-pair counts the hot path
-        accumulates; each DOR route is walked once per *active pair*,
-        not once per message.
+        Materialized on demand from the counts the hot path
+        accumulates: table mode walks each DOR route once per *active
+        pair*, not once per message; computed mode asks the mesh.
         """
-        out = [0] * self._n
-        n = self._n
         pf = self._pair_flits
-        if isinstance(pf, dict):
-            items = pf.items()
-        else:
-            items = ((idx, flits) for idx, flits in enumerate(pf) if flits)
+        if pf is None:
+            return self.mesh.router_flits()
+        n = self._n
+        out = [0] * n
         route = self.mesh.route
-        for idx, flits in items:
+        for idx, flits in enumerate(pf):
             if flits:
                 for router in route(idx // n, idx % n):
                     out[router] += flits

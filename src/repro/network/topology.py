@@ -9,10 +9,19 @@ so small meshes keep the three-list-indexings fast path.  Past
 mesh would precompute ~1M route tuples, ~25 MB of latency/traversal
 ints and an O(N²) construction loop — so large meshes switch to
 *computed* mode: the same DOR quantities are derived per message from
-four integer operations (:meth:`Mesh.pair_cost`), keeping memory O(N)
-and construction O(1).  Both modes evaluate the same analytic formulas
+four integer operations (:meth:`Mesh.pair_cost`), so neither memory
+nor construction time grows with the N² pairs.  Both modes evaluate the same analytic formulas
 from :class:`repro.sim.config.NetworkConfig`, which remain the single
 source of truth; equivalence is pinned by ``tests/test_topology.py``.
+
+Computed mode also owns the per-router flit accounting.
+:meth:`Mesh.charge` is the one call a computed-mode send makes: it
+returns ``(latency, traversals)`` and credits the message's flits to
+its two DOR route legs.  An X leg is one counter per
+``(src, destination column)``, a Y leg one per ``(column, source row,
+destination row)``: two flat lists of ``N * width`` and ``N * height``
+entries (32k each at 1024 nodes), whatever the traffic, which
+:meth:`Mesh.router_flits` expands leg by leg after the run.
 
 For scale-out past a single flat mesh, :class:`ClusterMesh` provides a
 hierarchical cluster-of-meshes topology (``NetworkConfig.topology ==
@@ -24,7 +33,7 @@ selects the implementation from the config.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.sim.config import NetworkConfig
 
@@ -71,6 +80,11 @@ class Mesh:
         self._per_hop = config.link_latency + config.load_factor
         self._avg_latency = self._closed_form_avg_latency()
         n = self.num_nodes
+        # Flits charged per DOR route leg (see charge): the X leg of
+        # src -> dst at src * width + dst_x, the Y leg at
+        # (dst_x * height + src_y) * height + dst_y.
+        self._x_flits = [0] * (n * self.width)
+        self._y_flits = [0] * (n * self.height)
         if precompute not in ("auto", "always", "never"):
             raise ValueError(f"precompute must be auto/always/never, "
                              f"got {precompute!r}")
@@ -174,6 +188,52 @@ class Mesh:
         trav = hops + 1
         return trav * self._rl + hops * self._per_hop, trav
 
+    def charge(self, src: int, dst: int, flits: int) -> Tuple[int, int]:
+        """:meth:`pair_cost` for one message, crediting its ``flits`` to
+        the X and Y legs of its DOR route.
+
+        The computed-mode send path: a few integer ops and two list
+        increments, so nothing here grows with the pairs a run uses.
+        """
+        w = self.width
+        h = self.height
+        sx = src % w
+        sy = src // w
+        dx = dst % w
+        dy = dst // w
+        self._x_flits[src * w + dx] += flits
+        self._y_flits[(dx * h + sy) * h + dy] += flits
+        hops = abs(sx - dx) + abs(sy - dy)
+        trav = hops + 1
+        return trav * self._rl + hops * self._per_hop, trav
+
+    def router_flits(self) -> List[int]:
+        """Per-router flit traversals of every :meth:`charge` so far.
+
+        The X leg of ``src -> dst`` covers row ``src_y`` from ``src_x``
+        to ``dst_x``, both ends included; the Y leg covers column
+        ``dst_x`` from ``src_y`` to ``dst_y`` without the turn router
+        the X leg already counted.
+        """
+        w, h = self.width, self.height
+        out = [0] * self.num_nodes
+        for idx, flits in enumerate(self._x_flits):
+            if flits:
+                src, dx = divmod(idx, w)
+                sx = src % w
+                row = src - sx
+                for x in range(min(sx, dx), max(sx, dx) + 1):
+                    out[row + x] += flits
+        for idx, flits in enumerate(self._y_flits):
+            if flits:
+                col_row, dy = divmod(idx, h)
+                dx, sy = divmod(col_row, h)
+                ys = (range(sy + 1, dy + 1) if sy < dy
+                      else range(dy, sy))
+                for y in ys:
+                    out[y * w + dx] += flits
+        return out
+
     def hops(self, src: int, dst: int) -> int:
         if self._trav is not None:
             return self._trav[src * self.num_nodes + dst] - 1
@@ -214,10 +274,14 @@ class ClusterMesh:
     the destination cluster's gateway to the destination node.
 
     The interface matches :class:`Mesh` (``coords``/``route``/``hops``/
-    ``latency``/``router_traversals``/``pair_cost``/``avg_latency``),
-    so :class:`~repro.network.network.Network` and the PUNO backoff
-    work unchanged.  All quantities are deterministic functions of the
-    node pair; small instances precompute the same flat tables.
+    ``latency``/``router_traversals``/``pair_cost``/``charge``/
+    ``router_flits``/``avg_latency``), so
+    :class:`~repro.network.network.Network` and the PUNO backoff work
+    unchanged.  All quantities are deterministic functions of the node
+    pair; small instances precompute the same flat tables.  Flit
+    accounting keeps a per-pair dict: express routes do not split into
+    two DOR legs, and no registered scenario runs a hierarchy past 128
+    nodes.
     """
 
     def __init__(self, config: NetworkConfig, precompute: str = "auto"):
@@ -236,6 +300,8 @@ class ClusterMesh:
         self._express = config.cluster_link_latency + config.router_latency
         self._avg = None  # lazy: O(N²) pair sweep, PUNO-only consumer
         n = self.num_nodes
+        # flits charged per pair, keyed src * num_nodes + dst
+        self._pair_flits: Dict[int, int] = {}
         if precompute not in ("auto", "always", "never"):
             raise ValueError(f"precompute must be auto/always/never, "
                              f"got {precompute!r}")
@@ -353,6 +419,23 @@ class ClusterMesh:
             idx = src * self.num_nodes + dst
             return self._lat[idx], self._trav[idx]
         return self._computed_pair_cost(src, dst)
+
+    def charge(self, src: int, dst: int, flits: int) -> Tuple[int, int]:
+        """:meth:`pair_cost` for one message, crediting its ``flits``
+        to the pair."""
+        idx = src * self.num_nodes + dst
+        pf = self._pair_flits
+        pf[idx] = pf.get(idx, 0) + flits
+        return self.pair_cost(src, dst)
+
+    def router_flits(self) -> List[int]:
+        """Per-router flit traversals of every :meth:`charge` so far."""
+        n = self.num_nodes
+        out = [0] * n
+        for idx, flits in self._pair_flits.items():
+            for router in self.route(idx // n, idx % n):
+                out[router] += flits
+        return out
 
     def route(self, src: int, dst: int) -> List[int]:
         if self._routes is not None:

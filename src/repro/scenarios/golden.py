@@ -256,9 +256,10 @@ def check_section(section: str,
                   ) -> GoldenReport:
     """Run one section and compare it against its pinned digests.
 
-    ``scenarios`` restricts the run (CI's scale-smoke job checks only
-    ``paper-256``); pinned cells outside the selection are ignored
-    rather than reported missing.  ``current`` lets tests inject
+    ``scenarios`` restricts the run (CI's scale-smoke job checks one
+    scale scenario per child, to budget each one's peak RSS); pinned
+    cells outside the selection are ignored rather than reported
+    missing.  ``current`` lets tests inject
     precomputed (or deliberately mutated) digests instead of re-running
     the grids.
     """

@@ -1,7 +1,12 @@
 """Tests for the L1 cache model."""
 
-import pytest
+from typing import Dict, Iterator, List, Optional, Tuple
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.coherence import cache as cache_mod
 from repro.coherence.cache import CacheLine, CapacityError, L1Cache
 from repro.coherence.states import L1State
 from repro.sim.config import CacheConfig
@@ -142,3 +147,196 @@ def test_eviction_counter(tiny):
     tiny.install(2, L1State.S, 0)
     tiny.install(4, L1State.S, 0)
     assert tiny.evictions == 1
+
+
+# ---------------------------------------------------------------------
+# lazy sets vs the eager-dict cache they replaced
+# ---------------------------------------------------------------------
+
+class ReferenceL1Cache:
+    """The eager-dict L1 (one dict per set, built up front), kept
+    verbatim as the reference the lazy-set cache must match."""
+
+    def __init__(self, config: CacheConfig):
+        self.config = config
+        self._sets: List[Dict[int, CacheLine]] = [
+            {} for _ in range(config.num_sets)
+        ]
+        self._num_sets = config.num_sets
+        self._tick = 0
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def _set_for(self, addr: int) -> Dict[int, CacheLine]:
+        return self._sets[addr % self._num_sets]
+
+    def lookup(self, addr: int, touch: bool = True) -> Optional[CacheLine]:
+        line = self._sets[addr % self._num_sets].get(addr)
+        if line is not None and touch:
+            self._tick += 1
+            line.lru = self._tick
+        return line
+
+    def install(
+        self, addr: int, state: L1State, value: int
+    ) -> Tuple[CacheLine, Optional[CacheLine]]:
+        cset = self._sets[addr % self._num_sets]
+        self._tick += 1
+        existing = cset.get(addr)
+        if existing is not None:
+            existing.state = state
+            existing.value = value
+            existing.lru = self._tick
+            return existing, None
+        evicted: Optional[CacheLine] = None
+        if len(cset) >= self.config.ways:
+            victim = self._pick_victim(cset)
+            if victim is None:
+                raise CapacityError(addr)
+            del cset[victim.addr]
+            self.evictions += 1
+            evicted = victim
+        line = CacheLine(addr, state, value, self._tick)
+        cset[addr] = line
+        return line, evicted
+
+    def _pick_victim(self, cset: Dict[int, CacheLine]) -> Optional[CacheLine]:
+        victim: Optional[CacheLine] = None
+        for line in cset.values():
+            if line.pinned:
+                continue
+            if victim is None or line.lru < victim.lru:
+                victim = line
+        if victim is not None:
+            return victim
+        for state in (L1State.S, L1State.E):
+            for line in cset.values():
+                if line.pinned == 1 and line.state is state:
+                    if victim is None or line.lru < victim.lru:
+                        victim = line
+            if victim is not None:
+                return victim
+        return victim
+
+    def invalidate(self, addr: int) -> Optional[CacheLine]:
+        return self._sets[addr % self._num_sets].pop(addr, None)
+
+    def downgrade(self, addr: int) -> Optional[CacheLine]:
+        line = self._sets[addr % self._num_sets].get(addr)
+        if line is not None:
+            line.state = L1State.S
+        return line
+
+    def pin(self, addr: int, level: int = 1) -> None:
+        line = self._sets[addr % self._num_sets].get(addr)
+        if line is not None and level > line.pinned:
+            line.pinned = level
+
+    def unpin_all(self, addrs) -> None:
+        for addr in addrs:
+            line = self._set_for(addr).get(addr)
+            if line is not None:
+                line.pinned = 0
+
+    def lines(self) -> Iterator[CacheLine]:
+        for cset in self._sets:
+            yield from cset.values()
+
+    def resident(self, addr: int) -> bool:
+        return addr in self._sets[addr % self._num_sets]
+
+    def state_of(self, addr: int) -> L1State:
+        line = self._sets[addr % self._num_sets].get(addr)
+        return line.state if line is not None else L1State.I
+
+    def __len__(self) -> int:
+        return sum(len(s) for s in self._sets)
+
+
+def _view(line):
+    if line is None:
+        return None
+    return (line.addr, line.state, line.value, line.pinned, line.lru)
+
+
+def _apply(cache, op):
+    """Run one op; returns a comparable result (lines as tuples)."""
+    name, addr, arg = op
+    if name == "install":
+        state, value = arg
+        try:
+            line, evicted = cache.install(addr, state, value)
+        except CapacityError as exc:
+            return ("capacity", exc.args)
+        return _view(line), _view(evicted)
+    if name == "lookup":
+        return _view(cache.lookup(addr, touch=arg))
+    if name == "invalidate":
+        return _view(cache.invalidate(addr))
+    if name == "downgrade":
+        return _view(cache.downgrade(addr))
+    if name == "pin":
+        return cache.pin(addr, arg)
+    if name == "unpin_all":
+        return cache.unpin_all(arg)
+    if name == "lines":
+        return [_view(line) for line in cache.lines()]
+    if name == "len":
+        return len(cache)
+    if name == "resident":
+        return cache.resident(addr)
+    return cache.state_of(addr)
+
+
+ADDRS = st.integers(0, 40)
+CACHE_OPS = st.one_of(
+    st.tuples(st.just("install"), ADDRS,
+              st.tuples(st.sampled_from([L1State.S, L1State.E, L1State.M]),
+                        st.integers(0, 9))),
+    st.tuples(st.just("lookup"), ADDRS, st.booleans()),
+    st.tuples(st.sampled_from(["invalidate", "downgrade", "lines", "len",
+                               "resident", "state_of"]),
+              ADDRS, st.none()),
+    st.tuples(st.just("pin"), ADDRS, st.sampled_from([1, 2])),
+    st.tuples(st.just("unpin_all"), st.none(), st.lists(ADDRS, max_size=6)),
+)
+#: (size_bytes, ways) with 64-byte lines: 1-8 sets of 1-4 ways.
+GEOMETRIES = st.sampled_from([(64, 1), (2 * 64, 1), (4 * 64, 2),
+                              (8 * 64, 2), (6 * 64, 3), (32 * 64, 4)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(GEOMETRIES, st.lists(CACHE_OPS, max_size=80),
+       st.lists(CACHE_OPS, max_size=80))
+def test_lazy_sets_match_eager_reference(geometry, ops_a, ops_b):
+    size, ways = geometry
+    config = CacheConfig(size_bytes=size, ways=ways)
+    caches = []
+    for ops in (ops_a, ops_b):
+        lazy, ref = L1Cache(config), ReferenceL1Cache(config)
+        for op in ops:
+            assert _apply(lazy, op) == _apply(ref, op), op
+        assert [_view(x) for x in lazy.lines()] == \
+            [_view(x) for x in ref.lines()]
+        assert lazy.evictions == ref.evictions
+        caches.append(lazy)
+    # the shared placeholder never gained a line, and no mutated set is
+    # shared between two caches
+    assert cache_mod._EMPTY_SET == {}
+    owned = [{id(cset) for cset in c._sets if cset is not cache_mod._EMPTY_SET}
+             for c in caches]
+    assert not owned[0] & owned[1]
+
+
+def test_untouched_sets_share_the_empty_placeholder():
+    cache = L1Cache(CacheConfig())
+    assert all(cset is cache_mod._EMPTY_SET for cset in cache._sets)
+    assert cache.invalidate(7) is None and cache.downgrade(7) is None
+    cache.pin(7, 2)
+    assert not cache.resident(7) and cache.state_of(7) is L1State.I
+    cache.install(7, L1State.S, 1)
+    touched = [i for i, cset in enumerate(cache._sets)
+               if cset is not cache_mod._EMPTY_SET]
+    assert touched == [7 % cache.config.num_sets]
+    assert cache_mod._EMPTY_SET == {}

@@ -58,6 +58,38 @@ def test_release_busy_entry_asserts():
         pool.release(e)
 
 
+def test_wait_queue_is_created_by_the_first_waiter_and_kept():
+    """An entry carries no wait queue until a request arrives while it
+    is blocked; the queue then stays with the entry, empty, through the
+    drain and a pool round trip."""
+    from repro.coherence.directory import DirectoryController
+    from repro.network.message import Message, MessageType
+    from repro.sim.config import small_config
+    from repro.sim.engine import Simulator
+    from repro.sim.stats import Stats
+    from repro.testing import RecordingNetwork
+
+    sim, stats = Simulator(), Stats(4)
+    d = DirectoryController(sim, 0, small_config(4),
+                            RecordingNetwork(sim, stats), stats)
+
+    def gets(src):
+        return Message(MessageType.GETS, 0, src, 0, requester=src,
+                       req_id=src)
+
+    d.receive(gets(1))  # cold fetch: blocks the entry, nobody waits
+    entry = d.store.lookup(0)
+    assert entry.blocked and entry.waitq is None
+    d.receive(gets(2))
+    waitq = entry.waitq
+    assert [m.requester for m, _ in waitq] == [2]
+    sim.run()  # the fetch completes and the waiter is drained
+    assert entry.waitq is waitq and not waitq
+    entry.blocked, entry.service = False, None
+    d.store.pool.release(entry)
+    assert d.store.pool.acquire() is entry and entry.waitq is waitq
+
+
 # ---------------------------------------------------------------------
 # store
 # ---------------------------------------------------------------------

@@ -3,9 +3,11 @@
 The 256/1024-node scenarios run entirely on the computed-routing and
 pooled-directory paths, so their sanitized smoke digests are the
 bit-identity contract for the scale-out machinery the same way the
-STAMP tour pins the 16-node protocol.  The full family (~20 s) runs in
-CI's scale-smoke job via ``repro golden --scale``; the tests here keep
-every pytest invocation cheap by re-running only the cheapest cell.
+STAMP tour pins the 16-node protocol.  The full family (both
+scenarios, ~14 s) runs in CI's scale-smoke job, one ``repro golden
+--scale --scenarios <name>`` child per scenario under that scenario's
+own peak-RSS budget; the tests here keep every pytest invocation cheap
+by re-running only the cheapest cell.
 The file-level checks of the section run with every other section in
 ``test_golden.py``.
 """
