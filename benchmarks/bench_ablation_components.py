@@ -5,11 +5,9 @@ quantifies each half's contribution on a high-contention workload.
 """
 
 from repro.sim.config import SystemConfig
-from repro.sim.resultcache import cached_run_workload
 from repro.analysis.report import render_table
-from repro.workloads.stamp import make_stamp_workload
 
-from conftest import BENCH_SCALE, BENCH_SEED, write_result
+from conftest import run_cells, write_result
 
 
 def _run_variants():
@@ -22,12 +20,8 @@ def _run_variants():
                               base_cfg.with_puno(unicast_enabled=False)),
         "full-puno": ("puno", base_cfg.with_puno()),
     }
-    out = {}
-    for label, (cm, cfg) in variants.items():
-        wl = make_stamp_workload("bayes", scale=BENCH_SCALE,
-                                 seed=BENCH_SEED)
-        out[label] = cached_run_workload(cfg, wl, cm=cm).stats
-    return out
+    return run_cells({label: ("bayes", cm, cfg)
+                      for label, (cm, cfg) in variants.items()})
 
 
 def test_ablation_components(benchmark):

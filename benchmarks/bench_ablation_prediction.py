@@ -9,23 +9,17 @@ accuracy usable; this bench quantifies both.
 """
 
 from repro.sim.config import SystemConfig
-from repro.sim.resultcache import cached_run_workload
 from repro.analysis.report import render_table
-from repro.workloads.stamp import HIGH_CONTENTION, make_stamp_workload
+from repro.workloads.stamp import HIGH_CONTENTION
 
-from conftest import BENCH_SCALE, BENCH_SEED, write_result
+from conftest import run_cells, write_result
 
 
 def _run():
-    out = {}
-    for name in HIGH_CONTENTION:
-        for epoch in (True, False):
-            cfg = SystemConfig().with_puno(reader_epoch_filter=epoch)
-            wl = make_stamp_workload(name, scale=BENCH_SCALE,
-                                     seed=BENCH_SEED)
-            out[(name, epoch)] = cached_run_workload(cfg, wl,
-                                                     cm="puno").stats
-    return out
+    return run_cells({
+        (name, epoch): (name, "puno",
+                        SystemConfig().with_puno(reader_epoch_filter=epoch))
+        for name in HIGH_CONTENTION for epoch in (True, False)})
 
 
 def test_ablation_prediction(benchmark):

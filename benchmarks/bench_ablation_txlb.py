@@ -6,11 +6,9 @@ notification cap bounds how long a requester trusts one estimate.
 """
 
 from repro.sim.config import SystemConfig
-from repro.sim.resultcache import cached_run_workload
 from repro.analysis.report import render_table
-from repro.workloads.stamp import make_stamp_workload
 
-from conftest import BENCH_SCALE, BENCH_SEED, write_result
+from conftest import run_cells, write_result
 
 
 def _run():
@@ -21,12 +19,8 @@ def _run():
         "txlb=32 cap=64": base_cfg.with_puno(notification_cap=64),
         "txlb=32 uncapped": base_cfg.with_puno(notification_cap=0),
     }
-    out = {}
-    for label, cfg in variants.items():
-        wl = make_stamp_workload("bayes", scale=BENCH_SCALE,
-                                 seed=BENCH_SEED)
-        out[label] = cached_run_workload(cfg, wl, cm="puno").stats
-    return out
+    return run_cells({label: ("bayes", "puno", cfg)
+                      for label, cfg in variants.items()})
 
 
 def test_ablation_txlb(benchmark):

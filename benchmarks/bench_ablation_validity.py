@@ -7,11 +7,9 @@ that trade-off.
 """
 
 from repro.sim.config import SystemConfig
-from repro.sim.resultcache import cached_run_workload
 from repro.analysis.report import render_table
-from repro.workloads.stamp import make_stamp_workload
 
-from conftest import BENCH_SCALE, BENCH_SEED, write_result
+from conftest import run_cells, write_result
 
 
 def _run():
@@ -22,12 +20,8 @@ def _run():
         "threshold=1 fixed": base_cfg.with_puno(adaptive_timeout=False),
         "no-decay (scale=1e6)": base_cfg.with_puno(timeout_scale=1e6),
     }
-    out = {}
-    for label, cfg in variants.items():
-        wl = make_stamp_workload("bayes", scale=BENCH_SCALE,
-                                 seed=BENCH_SEED)
-        out[label] = cached_run_workload(cfg, wl, cm="puno").stats
-    return out
+    return run_cells({label: ("bayes", "puno", cfg)
+                      for label, cfg in variants.items()})
 
 
 def test_ablation_validity(benchmark):

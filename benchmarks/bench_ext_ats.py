@@ -6,11 +6,9 @@ scheduler alone and composed with PUNO on a high-contention workload.
 """
 
 from repro.sim.config import SystemConfig
-from repro.sim.resultcache import cached_run_workload
 from repro.analysis.report import render_table
-from repro.workloads.stamp import make_stamp_workload
 
-from conftest import BENCH_SCALE, BENCH_SEED, write_result
+from conftest import run_cells, write_result
 
 
 def _run():
@@ -20,12 +18,8 @@ def _run():
         "ats": ("ats", SystemConfig()),
         "ats+puno": ("ats+puno", SystemConfig().with_puno()),
     }
-    out = {}
-    for label, (cm, cfg) in variants.items():
-        wl = make_stamp_workload("labyrinth", scale=BENCH_SCALE,
-                                 seed=BENCH_SEED)
-        out[label] = cached_run_workload(cfg, wl, cm=cm).stats
-    return out
+    return run_cells({label: ("labyrinth", cm, cfg)
+                      for label, (cm, cfg) in variants.items()})
 
 
 def test_ext_ats(benchmark):

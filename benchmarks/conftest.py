@@ -33,6 +33,20 @@ BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS",
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
+def run_cells(cells):
+    """Simulate ``{key: (stamp workload, scheme, config)}`` at the bench
+    scale and seed through the sweep executor, and so through the
+    result cache; returns ``{key: Stats}``."""
+    from repro.analysis.parallel import SweepTask, WorkloadSpec, \
+        run_tasks_resilient
+    tasks = [SweepTask(str(key), scheme, config,
+                       WorkloadSpec(name, scale=BENCH_SCALE,
+                                    seed=BENCH_SEED))
+             for key, (name, scheme, config) in cells.items()]
+    results = run_tasks_resilient(tasks, BENCH_JOBS)
+    return {key: r.stats for key, r in zip(cells, results)}
+
+
 def write_result(name: str, text: str) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")

@@ -22,12 +22,10 @@ from repro.analysis.falseabort import (
     victim_distribution,
 )
 from repro.analysis.parallel import (
-    SweepCheckpoint,
     SweepExecutionError,
     SweepTask,
     TaskResult,
     WorkloadSpec,
-    run_tasks,
     run_tasks_resilient,
 )
 from repro.analysis.chaos import ChaosOutcome, ChaosReport, run_chaos
@@ -35,12 +33,10 @@ from repro.analysis.report import render_table, render_series
 from repro.analysis.sweep import SweepResult
 
 __all__ = [
-    "SweepCheckpoint",
     "SweepExecutionError",
     "SweepTask",
     "TaskResult",
     "WorkloadSpec",
-    "run_tasks",
     "run_tasks_resilient",
     "ChaosOutcome",
     "ChaosReport",

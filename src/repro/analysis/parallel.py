@@ -2,25 +2,37 @@
 
 Every cell of an evaluation grid (one workload under one scheme) is an
 independent simulation, so a sweep is embarrassingly parallel.  This
-module runs grids across a :mod:`multiprocessing` pool driven by
-*picklable task descriptors* — a :class:`WorkloadSpec` naming how to
-rebuild the workload (name / scale / seed / node count) plus the scheme
-name and frozen :class:`~repro.sim.config.SystemConfig` — never live
+module runs grids across a process pool driven by *picklable task
+descriptors* — a :class:`WorkloadSpec` naming how to rebuild the
+workload (name / scale / seed / node count) plus the scheme name and
+frozen :class:`~repro.sim.config.SystemConfig` — never live
 ``Workload`` or ``System`` objects.  Each worker rebuilds its workload
-from the spec, consults the on-disk result cache
-(:mod:`repro.sim.resultcache`), simulates on a miss, and ships the
+from the spec, simulates it, and ships the
 :class:`~repro.sim.stats.Stats` back.
 
-Results are assembled in task-submission order (``Pool.map`` preserves
-it), so a parallel sweep is bit-identical to the serial path: same
-per-cell Stats, same grid iteration order, independent of worker
-scheduling.
+Results are assembled in task-submission order, so a parallel sweep is
+bit-identical to the serial path: same per-cell Stats, same grid
+iteration order, independent of worker scheduling.
+
+The result store
+----------------
+
+:func:`run_tasks_resilient` is the one place a grid consults the
+on-disk result cache (:mod:`repro.sim.resultcache`).  It resolves the
+store once, in the parent, and keys every cell by its content address
+:func:`task_key` (source digest, label, scheme, config, workload spec,
+``max_cycles``, audit and fault profile).  Hits are served before any
+dispatch, without building the workload; misses go to the runner, and
+the parent stores each result as it arrives.  An interrupted sweep is
+therefore resumed by running it again with the cache on: only the
+missing cells simulate.  Sanitized runs bypass the store (see
+:func:`~repro.sim.resultcache.resolve_cache`).
 
 Resilient execution
 -------------------
 
-:func:`run_tasks_resilient` adds the orchestration-level robustness a
-multi-hour sweep needs (Issue 4, Level 2):
+The executor also adds the orchestration-level robustness a
+multi-hour sweep needs:
 
 * **crashed-worker replacement** — workers run under a
   ``concurrent.futures.ProcessPoolExecutor`` (which detects worker
@@ -33,11 +45,7 @@ multi-hour sweep needs (Issue 4, Level 2):
   as :class:`SweepExecutionError`);
 * **progress timeouts** — if no task completes for ``task_timeout``
   seconds the whole pool is considered stuck, its processes are
-  terminated, and the unfinished cells retried;
-* **checkpointing** — completed cells are persisted to a
-  :class:`SweepCheckpoint` (checksummed, content-keyed like the result
-  cache), so an interrupted sweep resumed with ``--resume`` recomputes
-  only the missing cells.
+  terminated, and the unfinished cells retried.
 """
 
 from __future__ import annotations
@@ -50,20 +58,14 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from functools import partial
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.sim.config import SystemConfig
-from repro.sim.resultcache import CacheCorruption, ResultCache, \
-    cache_enabled, cached_run_workload, config_fingerprint, quarantine, \
-    read_checked_pickle, source_digest, write_checked_pickle
+from repro.sim.resultcache import CacheLike, ResultCache, \
+    config_fingerprint, resolve_cache, source_digest
 from repro.sim.stats import Stats
 from repro.workloads.base import Workload
-
-# Sweep checkpoint directory; set (e.g. by ``--resume``) so nested
-# grid runs — the experiment harnesses run their own scenarios — pick
-# up checkpointing without plumbing.
-ENV_CHECKPOINT = "REPRO_SWEEP_CHECKPOINT"
 
 
 @dataclass(frozen=True)
@@ -124,11 +126,9 @@ class SweepTask:
     spec: WorkloadSpec
     max_cycles: Optional[int] = None
     audit: bool = True
-    use_cache: bool = True
-    cache_dir: Optional[str] = None
     # Optional parse_fault_spec string (scenario fault profiles).  A
-    # fault cell always simulates — the result cache key does not cover
-    # fault configurations — and runs with the engine watchdog armed.
+    # fault cell runs with the engine watchdog armed; task_key covers
+    # the string, so it never shares a store entry with a plain cell.
     faults: str = ""
 
 
@@ -152,36 +152,24 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 
 def run_task(task: SweepTask) -> TaskResult:
     """Execute one cell (worker entry point; must stay module-level
-    so it pickles under every multiprocessing start method)."""
-    workload = task.spec.build()
-    if task.faults:
-        return _run_fault_task(task, workload)
-    cache: object = False
-    if task.use_cache and cache_enabled():
-        cache = ResultCache(task.cache_dir)
-    t0 = time.perf_counter()
-    result = cached_run_workload(task.config, workload, cm=task.scheme,
-                                 max_cycles=task.max_cycles,
-                                 audit=task.audit, cache=cache)
-    wall = time.perf_counter() - t0
-    return TaskResult(task.workload, task.scheme, result.stats, wall,
-                      bool(result.extras.get("cache_hit")))
+    so it pickles under every multiprocessing start method).
 
-
-def _run_fault_task(task: SweepTask, workload: Workload) -> TaskResult:
-    """One cell under an injected fault profile: never cached, engine
-    watchdog armed, audits only when the mix preserves their
-    assumptions (no drop/reorder)."""
-    from repro.analysis.chaos import audits_safe
-    from repro.faults import parse_fault_spec
+    A fault cell runs with the engine watchdog armed, and with the
+    audits only when its fault mix preserves their assumptions (no
+    drop/reorder)."""
     from repro.system import run_workload
-    faults = parse_fault_spec(task.faults)
-    faults.validate()
+    workload = task.spec.build()
+    faults, watchdog, audit = None, None, task.audit
+    if task.faults:
+        from repro.analysis.chaos import audits_safe
+        from repro.faults import parse_fault_spec
+        faults = parse_fault_spec(task.faults)
+        faults.validate()
+        watchdog, audit = True, audit and audits_safe(faults)
     t0 = time.perf_counter()
     result = run_workload(task.config, workload, cm=task.scheme,
-                          max_cycles=task.max_cycles,
-                          audit=task.audit and audits_safe(faults),
-                          faults=faults, watchdog=True)
+                          max_cycles=task.max_cycles, audit=audit,
+                          faults=faults, watchdog=watchdog)
     wall = time.perf_counter() - t0
     return TaskResult(task.workload, task.scheme, result.stats, wall,
                       False)
@@ -195,35 +183,11 @@ def _pool_context():
     return multiprocessing.get_context()
 
 
-def run_tasks(tasks: Iterable[SweepTask],
-              jobs: Optional[int] = None) -> List[TaskResult]:
-    """Run tasks across ``jobs`` worker processes, results in input
-    order.
-
-    ``jobs <= 1`` (after resolution) executes in-process — the same
-    code path the workers run, so serial and parallel sweeps differ
-    only in scheduling.  A worker that raises propagates the exception
-    to the caller; no partial grid is returned.
-    """
-    task_list = list(tasks)
-    n = resolve_jobs(jobs)
-    if n <= 1 or len(task_list) <= 1:
-        return [run_task(t) for t in task_list]
-    ctx = _pool_context()
-    with ctx.Pool(processes=min(n, len(task_list))) as pool:
-        return pool.map(run_task, task_list)
-
-
-# ---------------------------------------------------------------------
-# checkpointing
-# ---------------------------------------------------------------------
-
 def task_key(task: SweepTask) -> str:
-    """Content address of one sweep cell for checkpointing.
+    """Content address of one sweep cell in the result store.
 
-    Includes the package-source digest, so a checkpoint directory can
-    never resume stale results across a code change — the same
-    self-invalidation contract as the result cache.
+    Includes the package-source digest, so a store can never replay a
+    stale result across a code change.
     """
     h = hashlib.sha256()
     h.update(source_digest().encode())
@@ -235,88 +199,6 @@ def task_key(task: SweepTask) -> str:
     return h.hexdigest()
 
 
-class SweepCheckpoint:
-    """Per-cell persistent store of completed :class:`TaskResult`.
-
-    Entries share the checksummed on-disk format of the result cache:
-    corrupt/truncated entries are quarantined to ``*.corrupt`` and
-    treated as missing, never raised mid-sweep.
-    """
-
-    def __init__(self, root: Union[str, Path]):
-        self.root = Path(root)
-        self.hits = 0
-        self.stores = 0
-        self.quarantined = 0
-
-    def _path(self, task: SweepTask) -> Path:
-        return self.root / f"{task_key(task)}.pkl"
-
-    def get(self, task: SweepTask) -> Optional[TaskResult]:
-        path = self._path(task)
-        try:
-            result = read_checked_pickle(path)
-        except FileNotFoundError:
-            return None
-        except CacheCorruption:
-            quarantine(path)
-            self.quarantined += 1
-            return None
-        if not isinstance(result, TaskResult):
-            quarantine(path)
-            self.quarantined += 1
-            return None
-        self.hits += 1
-        return result
-
-    def put(self, task: SweepTask, result: TaskResult) -> None:
-        result.stats.tracer = None  # never persist tracers
-        write_checked_pickle(self._path(task), result)
-        self.stores += 1
-
-    def clear(self) -> int:
-        n = 0
-        if self.root.is_dir():
-            for p in self.root.glob("*.pkl"):
-                try:
-                    p.unlink()
-                    n += 1
-                except OSError:
-                    continue
-        return n
-
-    def __len__(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*.pkl"))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"SweepCheckpoint({str(self.root)!r}, hits={self.hits}, "
-                f"stores={self.stores}, quarantined={self.quarantined})")
-
-
-def default_checkpoint() -> Optional[SweepCheckpoint]:
-    """The env-configured checkpoint store, or None when unset."""
-    root = os.environ.get(ENV_CHECKPOINT, "")
-    if not root:
-        return None
-    return SweepCheckpoint(root)
-
-
-def resolve_checkpoint(checkpoint) -> Optional[SweepCheckpoint]:
-    """Normalize the ``checkpoint=`` argument: an explicit
-    :class:`SweepCheckpoint` or path is used as-is, ``None`` defers to
-    the ``REPRO_SWEEP_CHECKPOINT`` environment variable, ``False``
-    disables checkpointing unconditionally."""
-    if isinstance(checkpoint, SweepCheckpoint):
-        return checkpoint
-    if checkpoint is False:
-        return None
-    if checkpoint is None:
-        return default_checkpoint()
-    return SweepCheckpoint(checkpoint)
-
-
 # ---------------------------------------------------------------------
 # resilient execution
 # ---------------------------------------------------------------------
@@ -326,13 +208,14 @@ class SweepExecutionError(RuntimeError):
     crash/timeout, or a worker raised a deterministic exception."""
 
 
-def _run_one_checkpointed(task: SweepTask, cp: Optional[SweepCheckpoint],
-                          runner: Callable[[SweepTask], TaskResult]
-                          ) -> TaskResult:
-    result = runner(task)
-    if cp is not None:
-        cp.put(task, result)
-    return result
+def _record(results: List[Optional[TaskResult]],
+            store: Optional[ResultCache], keys: List[str], i: int,
+            result: TaskResult) -> None:
+    """File one computed cell in ``results`` and, when the store is on,
+    under its key."""
+    results[i] = result
+    if store is not None:
+        store.put(keys[i], result.stats)
 
 
 def _shutdown_pool(ex: ProcessPoolExecutor) -> None:
@@ -346,15 +229,16 @@ def _shutdown_pool(ex: ProcessPoolExecutor) -> None:
 
 def _run_round(task_list: List[SweepTask], pending: List[int],
                workers: int, task_timeout: Optional[float],
-               runner: Callable[[SweepTask], TaskResult]
-               ) -> Tuple[Dict[int, TaskResult], Dict[int, str]]:
-    """One pool generation: submit every pending cell, harvest what
-    completes, classify crashes and stalls.  Returns ``(completed,
-    failed)`` keyed by task index; a deterministic worker exception
-    raises :class:`SweepExecutionError` immediately (no retry)."""
+               runner: Callable[[SweepTask], TaskResult],
+               finish: Callable[[int, TaskResult], None]
+               ) -> Dict[int, str]:
+    """One pool generation: submit every pending cell, hand each
+    result to ``finish`` as it arrives, classify crashes and stalls.
+    Returns the failed cells' reasons keyed by task index; a
+    deterministic worker exception raises :class:`SweepExecutionError`
+    immediately (no retry)."""
     ctx = _pool_context()
     ex = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
-    completed: Dict[int, TaskResult] = {}
     failed: Dict[int, str] = {}
     futures = {}
     for i in pending:
@@ -377,18 +261,20 @@ def _run_round(task_list: List[SweepTask], pending: List[int],
             for f in done:
                 i = futures[f]
                 try:
-                    completed[i] = f.result()
+                    result = f.result()
                 except BrokenProcessPool:
                     failed[i] = "worker process died (BrokenProcessPool)"
+                    continue
                 except Exception as exc:
                     task = task_list[i]
                     raise SweepExecutionError(
                         f"sweep cell {task.workload!r}/{task.scheme!r} "
                         f"raised {exc!r}; deterministic worker errors "
                         f"are not retried") from exc
+                finish(i, result)
     finally:
         _shutdown_pool(ex)
-    return completed, failed
+    return failed
 
 
 def run_tasks_resilient(tasks: Iterable[SweepTask],
@@ -397,54 +283,52 @@ def run_tasks_resilient(tasks: Iterable[SweepTask],
                         task_timeout: Optional[float] = None,
                         backoff_base: float = 0.25,
                         backoff_cap: float = 8.0,
-                        checkpoint=None,
+                        cache: CacheLike = True,
                         runner: Callable[[SweepTask], TaskResult] = run_task
                         ) -> List[TaskResult]:
-    """:func:`run_tasks` with crash replacement, bounded retry and
-    checkpointing.  Results come back in input order, exactly like the
-    plain runner.
+    """Run every cell, results in input order.
+
+    ``jobs <= 1`` (after resolution), or a single cell to compute,
+    runs in-process — the same runner the workers use, so serial and
+    parallel sweeps differ only in scheduling.  ``cache`` is resolved
+    once by :func:`~repro.sim.resultcache.resolve_cache`; cells found
+    in the store come back without running (``cache_hit=True``), and
+    every computed cell is stored as it arrives, so a re-run recomputes
+    only what is missing.
 
     Crashed workers and stuck pools are retried up to ``retries``
     times with exponential backoff (``backoff_base * 2**round``,
     capped); exhaustion raises :class:`SweepExecutionError` naming the
-    failed cells.  ``checkpoint`` accepts a :class:`SweepCheckpoint`,
-    a directory path, ``False`` (off) or ``None`` (defer to
-    ``REPRO_SWEEP_CHECKPOINT``); previously checkpointed cells are
-    returned without re-running, so a resumed sweep recomputes only
-    what is missing.  ``runner`` is the per-cell entry point and must
+    failed cells.  ``runner`` is the per-cell entry point and must
     stay a module-level function (it crosses the pickle boundary).
     """
     task_list = list(tasks)
-    cp = resolve_checkpoint(checkpoint)
+    store = resolve_cache(cache)
+    keys = [task_key(t) for t in task_list] if store is not None else []
     results: List[Optional[TaskResult]] = [None] * len(task_list)
     pending: List[int] = []
     for i, task in enumerate(task_list):
-        prior = cp.get(task) if cp is not None else None
-        if prior is not None:
-            results[i] = prior
-        else:
+        stats = store.get(keys[i]) if store is not None else None
+        if stats is None:
             pending.append(i)
-    if not pending:
-        return results
+        else:
+            results[i] = TaskResult(task.workload, task.scheme, stats,
+                                    0.0, True)
+    finish = partial(_record, results, store, keys)
     n = resolve_jobs(jobs)
     if n <= 1 or len(pending) <= 1:
         # in-process path: a crash here is a crash of the caller, so
-        # only checkpointing applies
+        # there is nothing to retry
         for i in pending:
-            results[i] = _run_one_checkpointed(task_list[i], cp, runner)
+            finish(i, runner(task_list[i]))
         return results
     attempts = dict.fromkeys(pending, 0)
     round_no = 0
     while pending:
         for i in pending:
             attempts[i] += 1
-        completed, failed = _run_round(task_list, pending,
-                                       min(n, len(pending)),
-                                       task_timeout, runner)
-        for i in sorted(completed):
-            results[i] = completed[i]
-            if cp is not None:
-                cp.put(task_list[i], completed[i])
+        failed = _run_round(task_list, pending, min(n, len(pending)),
+                            task_timeout, runner, finish)
         exhausted = [i for i in sorted(failed) if attempts[i] > retries]
         if exhausted:
             details = "; ".join(

@@ -28,9 +28,10 @@ Commands:
 
 ``run``/``compare``/``experiment`` accept ``--sanitize`` to enable the
 dynamic protocol sanitizer (equivalent to ``REPRO_SANITIZE=1``).
-``compare``/``experiment`` accept ``--resume`` to checkpoint completed
-sweep cells on disk (``REPRO_SWEEP_CHECKPOINT``) so an interrupted
-grid picks up where it left off.
+Every grid command (compare, experiment, scenario, tournament) stores
+each finished cell in the on-disk result cache (``REPRO_CACHE_DIR``,
+default ``.repro-cache/``), so re-running an interrupted grid resumes
+it; ``--no-cache`` turns the store off, and sanitized runs bypass it.
 """
 
 from __future__ import annotations
@@ -102,15 +103,6 @@ def _apply_sanitize_flag(args) -> None:
     import os
     if getattr(args, "sanitize", False):
         os.environ["REPRO_SANITIZE"] = "1"
-
-
-def _apply_resume_flag(args) -> None:
-    """``--resume`` turns on sweep checkpointing for the process (the
-    same ``REPRO_SWEEP_CHECKPOINT`` env var the sweeps consult), so
-    completed cells persist and a rerun only computes missing ones."""
-    import os
-    if getattr(args, "resume", False):
-        os.environ["REPRO_SWEEP_CHECKPOINT"] = args.checkpoint_dir
 
 
 def _make_faults(args):
@@ -233,7 +225,6 @@ def cmd_compare(args) -> int:
         return 2
     _apply_cache_flag(args)
     _apply_sanitize_flag(args)
-    _apply_resume_flag(args)
     from repro.analysis.parallel import run_tasks_resilient
     from repro.scenarios.runner import scenario_tasks
     from repro.scenarios.spec import ScenarioSpec
@@ -269,7 +260,6 @@ def cmd_experiment(args) -> int:
         return 2
     _apply_cache_flag(args)
     _apply_sanitize_flag(args)
-    _apply_resume_flag(args)
     result = fn(args)
     print(result.text)
     return 0
@@ -341,7 +331,6 @@ def cmd_scenario(args) -> int:
         return 2
     _apply_cache_flag(args)
     _apply_sanitize_flag(args)
-    _apply_resume_flag(args)
     from repro.scenarios import run_scenario
     rc = 0
     for name in args.names:
@@ -375,7 +364,6 @@ def cmd_tournament(args) -> int:
         schemes.insert(0, "puno")  # the normalization base
     _apply_cache_flag(args)
     _apply_sanitize_flag(args)
-    _apply_resume_flag(args)
     from repro.schemes.tournament import run_tournament
     result = run_tournament(smoke=args.smoke, jobs=args.jobs,
                             schemes=tuple(schemes),
@@ -543,15 +531,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes for the sweep "
                              "(0 = all cores)")
         sp.add_argument("--no-cache", action="store_true",
-                        help="disable the on-disk result cache "
-                             "(same as REPRO_NO_CACHE=1)")
-        sp.add_argument("--resume", action="store_true",
-                        help="checkpoint completed sweep cells so an "
-                             "interrupted grid resumes (same as "
-                             "REPRO_SWEEP_CHECKPOINT=<dir>)")
-        sp.add_argument("--checkpoint-dir",
-                        default=".repro-sweep-checkpoint",
-                        help="where --resume stores completed cells")
+                        help="disable the on-disk result cache, which "
+                             "otherwise replays finished cells and so "
+                             "resumes an interrupted grid (same as "
+                             "REPRO_NO_CACHE=1)")
 
     cmp_p = sub.add_parser("compare", help="compare schemes")
     common(cmp_p)

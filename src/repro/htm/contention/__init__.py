@@ -19,14 +19,6 @@ from repro.htm.contention.rmw_predictor import RMWPredictor
 from repro.htm.contention.puno_cm import PUNOBackoff
 from repro.htm.contention.ats import ATSScheduler
 
-CM_REGISTRY = {
-    "baseline": FixedBackoff,
-    "backoff": RandomBackoff,
-    "rmw": RMWPredictor,
-    "puno": PUNOBackoff,
-    "ats": ATSScheduler,
-}
-
 __all__ = [
     "ContentionManager",
     "FixedBackoff",
@@ -34,5 +26,4 @@ __all__ = [
     "RMWPredictor",
     "PUNOBackoff",
     "ATSScheduler",
-    "CM_REGISTRY",
 ]

@@ -63,7 +63,8 @@ class CommitToken:
             self.max_queue = max(self.max_queue, len(self._queue))
 
     def release(self, node: int) -> None:
-        assert self._holder == node, "release by non-holder"
+        if self._holder != node:
+            raise AssertionError("release by non-holder")
         if self._queue:
             self._holder, grant = self._queue.popleft()
             self.grants += 1
@@ -136,7 +137,9 @@ class LazyNodeController(NodeController):
             return
         self._pending = None
         tx = self.tx
-        assert tx is not None
+        if tx is None:
+            raise AssertionError(f"node {self.node}: commit token granted "
+                                 f"with no transaction")
         if tx.doomed:
             self._handle_abort()
             return
@@ -162,7 +165,9 @@ class LazyNodeController(NodeController):
 
     def _publish_next(self) -> None:
         tx = self.tx
-        assert tx is not None and self._publishing
+        if tx is None or not self._publishing:
+            raise AssertionError(f"node {self.node}: publish step outside "
+                                 f"a commit")
         if not self._publish_queue:
             self._finish_publish()
             return
@@ -176,7 +181,9 @@ class LazyNodeController(NodeController):
         self._publish_issue(addr)
 
     def _publish_issue(self, addr: int) -> None:
-        assert self.mshr is None
+        if self.mshr is not None:
+            raise AssertionError(f"node {self.node}: publish issued with "
+                                 f"a request outstanding")
         tx = self.tx
         req_id = next(self._req_seq)
         tag = TxTag(self.node, tx.timestamp, tx.static_id, 0)
@@ -195,7 +202,9 @@ class LazyNodeController(NodeController):
 
     def _finish_publish(self) -> None:
         tx = self.tx
-        assert tx is not None
+        if tx is None:
+            raise AssertionError(f"node {self.node}: publish finished "
+                                 f"with no transaction")
         self._publishing = False
         self.commit_token.release(self.node)
         tx.status = TxStatus.COMMITTED
@@ -222,10 +231,14 @@ class LazyNodeController(NodeController):
         if isinstance(m.op, tuple) and m.op[0] == "publish":
             addr = m.op[1]
             grant = m.grant
-            assert grant is not None
+            if grant is None:
+                raise AssertionError(f"node {self.node}: publish of {addr} "
+                                     f"completed without a grant")
             if grant.mtype is MessageType.GRANT:
                 line = self.l1.lookup(addr, touch=True)
-                assert line is not None
+                if line is None:
+                    raise AssertionError(f"node {self.node}: published "
+                                         f"line {addr} not resident")
                 line.state = L1State.M
             else:
                 line = self._install(addr, L1State.M, grant.value)
@@ -264,8 +277,11 @@ class LazyNodeController(NodeController):
     # ------------------------------------------------------------------
     def _self_abort(self, cause: str) -> None:
         tx = self.tx
-        assert tx is not None and tx.active
-        assert not self._publishing, "committer must not be aborted"
+        if tx is None or not tx.active:
+            raise AssertionError(f"node {self.node}: abort of no active "
+                                 f"transaction")
+        if self._publishing:
+            raise AssertionError("committer must not be aborted")
         if self._lazy_mode():
             # no undo log to restore: clear the buffer and fall through
             # to the shared bookkeeping with an empty log
@@ -298,7 +314,9 @@ class HybridNodeController(LazyNodeController):
 
     def _begin_attempt(self) -> None:
         inst = self._instance
-        assert inst is not None
+        if inst is None:
+            raise AssertionError(
+                f"node {self.node}: attempt begins with no instance")
         count = self._abort_counts.get(inst.static_id, 0)
         self._lazy_attempt = count >= self.lazy_threshold
         if self._lazy_attempt:
@@ -309,7 +327,9 @@ class HybridNodeController(LazyNodeController):
 
     def _self_abort(self, cause: str) -> None:
         tx = self.tx
-        assert tx is not None
+        if tx is None:
+            raise AssertionError(f"node {self.node}: abort of no "
+                                 f"transaction")
         self._abort_counts[tx.static_id] = \
             self._abort_counts.get(tx.static_id, 0) + 1
         super()._self_abort(cause)

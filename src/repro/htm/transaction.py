@@ -94,7 +94,9 @@ class Transaction:
 
     def doom(self, cause: str) -> None:
         """Mark the transaction as aborting (recovery happens later)."""
-        assert self._status is TxStatus.RUNNING
+        if self._status is not TxStatus.RUNNING:
+            raise AssertionError(f"doom of a {self._status.name} "
+                                 f"transaction")
         self._status = TxStatus.DOOMED
         self.active = False
         self.doomed = True

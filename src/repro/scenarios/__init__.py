@@ -9,7 +9,8 @@ envelope — 32- and 64-node meshes where sharer counts, P-Buffer
 staleness and TxLB estimates are stressed well beyond anything the
 paper measured — and the matrix runner executes a scenario's
 workload x scheme x seed grid through the resilient/parallel sweep
-machinery (checkpoint resume, result cache, per-cell manifests).
+machinery (one content-addressed result store, which is also how an
+interrupted run resumes, and per-cell manifests).
 
 Entry points:
 

@@ -24,9 +24,9 @@ of :class:`~repro.scenarios.spec.ScenarioSpec` run through
 
 Every section shares one compute / save / load / check path.  Digests
 are keyed ``<scenario>/<workload>/<scheme>/s<seed>``.  Pinned runs
-always bypass the result cache and the sweep checkpoint (a replayed
-result would re-hash the pinned one and verify nothing) and run with
-the protocol sanitizer armed.
+always bypass the result store (a replayed result would re-hash the
+pinned one and verify nothing) and run with the protocol sanitizer
+armed.
 """
 
 from __future__ import annotations
@@ -108,11 +108,11 @@ def section_specs(section: str,
 
 
 def run_pinned(spec: ScenarioSpec) -> ScenarioResult:
-    """One pinned grid: sanitized, uncached, no checkpoint, in-process."""
+    """One pinned grid: sanitized, uncached, in-process."""
     saved = os.environ.get(SANITIZE_FLAG)
     os.environ[SANITIZE_FLAG] = "1"
     try:
-        return run_scenario(spec, cache=False, checkpoint=False)
+        return run_scenario(spec, cache=False)
     finally:
         if saved is None:
             del os.environ[SANITIZE_FLAG]

@@ -5,8 +5,9 @@ workload x scheme x seed grid of picklable
 :class:`~repro.analysis.parallel.SweepTask` descriptors and executes
 them through the resilient sweep executor — the same machinery the
 paper experiments use, so scenario runs get process-pool fan-out,
-crashed-worker replacement, the content-addressed result cache and
-checkpoint resume for free.  Cells are ordered workload-major, then
+crashed-worker replacement and the content-addressed result store for
+free (re-running an interrupted scenario with the cache on recomputes
+only its missing cells).  Cells are ordered workload-major, then
 scheme, then seed; the executor returns results in input order, so a
 parallel run is bit-identical to a serial one.
 
@@ -33,7 +34,7 @@ from repro.analysis.parallel import (
 from repro.analysis.report import render_table
 from repro.analysis.sweep import SweepResult
 from repro.scenarios.spec import ScenarioSpec
-from repro.sim.resultcache import resolve_cache
+from repro.sim.resultcache import CacheLike
 from repro.sim.stats import Stats
 
 #: One cell's coordinates in the scenario matrix.
@@ -49,7 +50,6 @@ def scenario_cells(spec: ScenarioSpec) -> List[Cell]:
 
 
 def scenario_tasks(spec: ScenarioSpec,
-                   cache: object = True,
                    max_cycles: Optional[int] = None) -> List[SweepTask]:
     """The grid as resilient-executor task descriptors.
 
@@ -57,9 +57,6 @@ def scenario_tasks(spec: ScenarioSpec,
     scenario sweeps more than one, so multi-seed grids stay
     rectangular in :class:`~repro.analysis.sweep.SweepResult` terms.
     """
-    resolved = resolve_cache(cache)
-    use_cache = resolved is not None
-    cache_dir = str(resolved.root) if use_cache else None
     budget = max_cycles if max_cycles is not None else spec.max_cycles
     tasks: List[SweepTask] = []
     for wl in spec.workloads:
@@ -70,9 +67,7 @@ def scenario_tasks(spec: ScenarioSpec,
                 tasks.append(SweepTask(
                     label, scheme, spec.config(scheme, seed),
                     wl.to_spec(spec.nodes, spec.scale, seed),
-                    max_cycles=budget, audit=True,
-                    use_cache=use_cache, cache_dir=cache_dir,
-                    faults=spec.faults,
+                    max_cycles=budget, audit=True, faults=spec.faults,
                 ))
     return tasks
 
@@ -184,30 +179,38 @@ class ScenarioResult:
 def run_scenario(spec: ScenarioSpec,
                  smoke: bool = False,
                  jobs: int = 1,
-                 cache: object = True,
-                 checkpoint: object = None,
+                 cache: CacheLike = True,
                  retries: int = 2,
                  task_timeout: Optional[float] = None,
                  max_cycles: Optional[int] = None,
-                 verbose: bool = False) -> ScenarioResult:
+                 verbose: bool = False,
+                 checkpoint: object = None) -> ScenarioResult:
     """Execute one scenario's full matrix and return every cell.
 
     ``smoke=True`` runs the scaled-down :meth:`ScenarioSpec.smoke`
-    variant.  ``jobs``/``cache``/``checkpoint``/``retries``/
-    ``task_timeout`` are passed straight to the resilient sweep
-    executor, so a scenario run inherits process-pool fan-out, the
-    on-disk result cache and checkpoint resume.
+    variant.  ``jobs``/``cache``/``retries``/``task_timeout`` are
+    passed straight to the resilient sweep executor, so a scenario run
+    inherits process-pool fan-out and the on-disk result store.
+
+    ``checkpoint`` exists only for the end-to-end benchmark harness,
+    which still passes ``checkpoint=False``: it accepts ``False`` or
+    ``None`` and does nothing (the result store is the checkpoint);
+    anything else raises :class:`TypeError`.
     """
+    if checkpoint is not None and checkpoint is not False:
+        raise TypeError(f"run_scenario: checkpoint={checkpoint!r} is not "
+                        f"supported; re-running with the cache on "
+                        f"resumes a sweep")
     problems = spec.validate()
     if problems:
         raise ValueError(f"scenario {spec.name!r} is invalid: "
                          + "; ".join(problems))
     if smoke:
         spec = spec.smoke()
-    tasks = scenario_tasks(spec, cache=cache, max_cycles=max_cycles)
+    tasks = scenario_tasks(spec, max_cycles=max_cycles)
     results = run_tasks_resilient(
         tasks, jobs, retries=retries, task_timeout=task_timeout,
-        checkpoint=checkpoint)
+        cache=cache)
     out = ScenarioResult(spec, scenario_cells(spec), results)
     if verbose:
         for (wl, scheme, seed), r in zip(out.cells, out.results):

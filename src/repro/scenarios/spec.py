@@ -14,7 +14,7 @@ of one experiment matrix:
 * ``overrides`` — declarative config deltas per section
   (``htm``/``puno``/``network``/``cache``/``system``),
 * ``faults`` — an optional :func:`repro.faults.parse_fault_spec`
-  string; fault cells run uncached with the engine watchdog armed.
+  string; fault cells run with the engine watchdog armed.
 
 ``smoke()`` derives the scaled-down variant CI and the determinism
 audit run: same mesh, same schemes, same overrides — only fewer

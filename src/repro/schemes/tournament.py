@@ -2,7 +2,8 @@
 
 Sweeps every registered scheme head-to-head against PUNO over a
 16-node scenario matrix, through the same resilient executor scenario
-runs use (process fan-out, result cache, checkpoint resume).  PUNO is
+runs use (process fan-out, the result store that also resumes an
+interrupted run).  PUNO is
 the first scheme of the spec, so the rendered table normalizes every
 contender against it.
 

@@ -21,8 +21,6 @@ from repro.sim.rng import RngFactory
 from repro.sim.resultcache import (
     CacheCorruption,
     ResultCache,
-    cache_key,
-    cached_run_workload,
     default_cache,
 )
 from repro.sim.watchdog import (
@@ -35,8 +33,6 @@ from repro.sim.watchdog import (
 __all__ = [
     "CacheCorruption",
     "ResultCache",
-    "cache_key",
-    "cached_run_workload",
     "default_cache",
     "StallError",
     "StallReport",

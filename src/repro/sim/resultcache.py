@@ -1,18 +1,20 @@
-"""Content-addressed on-disk cache for simulation results.
+"""Content-addressed on-disk store of simulation results.
 
-Every cell of an evaluation grid is a pure function of (system
-configuration, workload contents, contention-manager name) — the
-workload contents already encode scale and seed, and ``config.seed``
-covers the simulator-side randomness.  This module hashes exactly that
-tuple (plus the package version and a digest of the package sources, so
-stale results can never survive a code change) into a key, and stores
-the pickled :class:`~repro.sim.stats.Stats` under it.  A cache hit
-skips the simulation entirely, which makes repeated sweeps — the bench
-suite, ``repro experiment``, notebook iteration — near-instant.
+This is the one per-cell store of the package.  Every cell of an
+evaluation grid is a pure function of its sweep task — the package
+sources, the system configuration, the workload recipe, the scheme,
+the cycle budget, the audit switch and the fault profile.  The sweep
+executor (:func:`repro.analysis.parallel.run_tasks_resilient`) hashes
+exactly that into a key (:func:`repro.analysis.parallel.task_key`) and
+stores the pickled :class:`~repro.sim.stats.Stats` under it here.  A
+hit skips the simulation and the workload build entirely, which makes
+repeated sweeps — the bench suite, ``repro experiment``, notebook
+iteration — near-instant, and makes re-running an interrupted sweep
+its resume: only the missing cells simulate.
 
 Layout: ``<root>/<key[:2]>/<key>.pkl`` with atomic writes (tempfile +
-``os.replace``), so concurrent sweep workers can share one cache
-directory safely.
+``os.replace``), so concurrent sweeps can share one cache directory
+safely.
 
 Entries are checksummed on disk (``RPRC1`` magic + sha256 of the
 pickle payload): a truncated or bit-rotted entry is detected on read,
@@ -20,11 +22,14 @@ pickle payload): a truncated or bit-rotted entry is detected on read,
 and treated as a plain miss — a multi-hour sweep recomputes the cell
 instead of dying mid-grid on an unpickling error.
 
-Escape hatches:
+Escape hatches, all applied in :func:`resolve_cache`:
 
-* ``REPRO_NO_CACHE=1`` (env) disables the default cache globally,
+* ``REPRO_NO_CACHE=1`` (env) disables the store globally,
 * ``--no-cache`` on the CLI sets the same variable for the process,
-* ``REPRO_CACHE_DIR`` relocates the cache (default:
+* ``REPRO_SANITIZE=1`` (or ``--sanitize``) bypasses it too: a sanitized
+  run must simulate (a replayed result would check nothing) and must
+  not write its results for later unsanitized sweeps,
+* ``REPRO_CACHE_DIR`` relocates the store (default:
   ``.repro-cache/`` under the current working directory).
 """
 
@@ -38,6 +43,7 @@ import tempfile
 from pathlib import Path
 from typing import Optional, Union
 
+from repro.sanitize import sanitize_enabled
 from repro.sim.config import SystemConfig
 from repro.sim.stats import Stats
 from repro.workloads.base import Gap, NonTxOp, TxInstance, Workload
@@ -56,7 +62,7 @@ _DIGEST_LEN = 64  # hex sha256
 
 
 class CacheCorruption(Exception):
-    """A cache/checkpoint entry failed its integrity check."""
+    """A store entry failed its integrity check."""
 
 
 def cache_enabled() -> bool:
@@ -71,7 +77,7 @@ def cache_enabled() -> bool:
 _source_digest_memo: Optional[str] = None
 
 
-def _source_digest() -> str:
+def source_digest() -> str:
     """Digest of every ``repro`` source file (memoized per process).
 
     Folding the sources into the key makes the cache self-invalidating:
@@ -89,11 +95,6 @@ def _source_digest() -> str:
             h.update(path.read_bytes())
         _source_digest_memo = h.hexdigest()
     return _source_digest_memo
-
-
-def source_digest() -> str:
-    """Public alias of the memoized package-source digest."""
-    return _source_digest()
 
 
 def config_fingerprint(config: SystemConfig) -> str:
@@ -132,20 +133,8 @@ def workload_fingerprint(workload: Workload) -> str:
     return h.hexdigest()
 
 
-def cache_key(config: SystemConfig, workload: Workload, cm: str) -> str:
-    """The content address of one simulation cell."""
-    from repro import __version__
-    h = hashlib.sha256()
-    h.update(__version__.encode())
-    h.update(_source_digest().encode())
-    h.update(config_fingerprint(config).encode())
-    h.update(cm.encode())
-    h.update(workload_fingerprint(workload).encode())
-    return h.hexdigest()
-
-
 # ---------------------------------------------------------------------
-# checksummed pickle I/O (shared with the sweep checkpoint store)
+# checksummed pickle I/O
 # ---------------------------------------------------------------------
 
 def write_checked_pickle(path: Path, obj: object) -> None:
@@ -286,64 +275,23 @@ class ResultCache:
 
 
 def default_cache() -> Optional[ResultCache]:
-    """The process-default cache, or None when disabled by env."""
-    if not cache_enabled():
-        return None
-    return ResultCache()
+    """The process-default store, or None when disabled by env."""
+    return resolve_cache(True)
 
 
 def resolve_cache(cache: CacheLike) -> Optional[ResultCache]:
     """Normalize the ``cache=`` argument accepted across the stack.
 
-    ``True`` -> the process default (None when ``REPRO_NO_CACHE`` is
-    set); ``None``/``False`` -> no caching; a path -> a cache rooted
-    there (still subject to ``REPRO_NO_CACHE``); a :class:`ResultCache`
-    -> itself, unconditionally.
+    ``None``/``False`` -> no store; ``True`` -> the process default
+    (``REPRO_CACHE_DIR`` or ``.repro-cache/``); a path -> a store rooted
+    there; a :class:`ResultCache` -> itself.  Every form resolves to
+    None while ``REPRO_NO_CACHE`` or the protocol sanitizer is set:
+    this is the one place that policy lives.
     """
-    if isinstance(cache, ResultCache):
-        return cache
     if cache is None or cache is False:
         return None
-    if cache is True:
-        return default_cache()
-    if not cache_enabled():
+    if not cache_enabled() or sanitize_enabled():
         return None
-    return ResultCache(cache)
-
-
-# ---------------------------------------------------------------------
-# cached run harness
-# ---------------------------------------------------------------------
-
-def cached_run_workload(config: SystemConfig, workload: Workload,
-                        cm: str = "baseline",
-                        max_cycles: Optional[int] = None,
-                        audit: bool = True,
-                        cache: CacheLike = True):
-    """:func:`repro.system.run_workload` with result caching.
-
-    On a hit the returned :class:`~repro.system.RunResult` carries the
-    cached Stats, ``wall_seconds == 0`` and ``extras["cache_hit"] == 1``.
-    Only string ``cm`` names are cacheable (a live ContentionManager
-    instance has no stable identity); those fall through to a plain run.
-    """
-    from repro.sanitize import sanitize_enabled
-    from repro.system import RunResult, run_workload
-    resolved = resolve_cache(cache) if isinstance(cm, str) else None
-    if resolved is not None and sanitize_enabled():
-        # A sanitized run must actually simulate (a cache hit would
-        # check nothing), and its Stats must not poison the cache for
-        # later unsanitized sweeps.
-        resolved = None
-    if resolved is None:
-        return run_workload(config, workload, cm=cm,
-                            max_cycles=max_cycles, audit=audit)
-    key = cache_key(config, workload, cm)
-    stats = resolved.get(key)
-    if stats is not None:
-        return RunResult(stats, config, workload.name, cm,
-                         wall_seconds=0.0, extras={"cache_hit": 1.0})
-    result = run_workload(config, workload, cm=cm,
-                          max_cycles=max_cycles, audit=audit)
-    resolved.put(key, result.stats)
-    return result
+    if isinstance(cache, ResultCache):
+        return cache
+    return ResultCache(None if cache is True else cache)

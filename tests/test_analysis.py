@@ -119,8 +119,7 @@ def test_scheme_sweep_end_to_end():
     spec = ScenarioSpec(name="synth-4", nodes=4, workloads=(synth,),
                         schemes=("baseline", "puno"),
                         max_cycles=5_000_000)
-    result = run_scenario(spec, cache=False,
-                          checkpoint=False).sweep_result()
+    result = run_scenario(spec, cache=False).sweep_result()
     t = result.table("aborts")
     assert set(t.workloads) == {"synth"}
     n = result.normalized("exec")

@@ -60,7 +60,7 @@ def test_compare_unknown_scheme(capsys):
 
 def test_puno_runs_on_a_32_node_mesh(monkeypatch, capsys):
     """The P-Buffer is sized one entry per node off the 16-node mesh."""
-    _guard_checkpoint_env(monkeypatch)
+    _guard_cache_env(monkeypatch)
     assert main(["run", "intruder", "--nodes", "32", "--scale", "0.05",
                  "--scheme", "puno"]) == 0
     assert main(["compare", "intruder", "--nodes", "32", "--scale",
@@ -71,7 +71,7 @@ def test_puno_runs_on_a_32_node_mesh(monkeypatch, capsys):
 def test_compare_runs_a_chain_mesh(monkeypatch, capsys):
     """7 nodes only factor as a 7x1 chain: scenario validation rejects
     such a mesh, but compare has always run it."""
-    _guard_checkpoint_env(monkeypatch)
+    _guard_cache_env(monkeypatch)
     assert main(["compare", "intruder", "--nodes", "7", "--scale", "0.05",
                  "--schemes", "baseline,puno", "--no-cache"]) == 0
     assert "scheme comparison" in capsys.readouterr().out
@@ -188,42 +188,56 @@ def test_chaos_unknown_workload_is_usage_error(capsys):
 
 
 # ---------------------------------------------------------------------
-# --resume plumbing
+# resume: a re-run against the result store
 # ---------------------------------------------------------------------
 
-def _guard_checkpoint_env(monkeypatch):
-    """Register the process-wide flags with monkeypatch *before* the
-    code under test sets them via os.environ directly, so teardown
-    removes whatever _apply_resume_flag/_apply_cache_flag leave
-    behind."""
-    for name in ("REPRO_SWEEP_CHECKPOINT", "REPRO_NO_CACHE"):
+def _guard_cache_env(monkeypatch):
+    """Register the process-wide cache switches with monkeypatch
+    *before* the code under test sets them via os.environ directly, so
+    teardown removes whatever _apply_cache_flag leaves behind."""
+    for name in ("REPRO_NO_CACHE", "REPRO_CACHE_DIR"):
         monkeypatch.setenv(name, "guard")
         monkeypatch.delenv(name)
 
 
-def test_resume_flag_sets_checkpoint_env(tmp_path, monkeypatch):
-    import os
-    from argparse import Namespace
+@pytest.mark.parametrize("command", [
+    ["compare", "kmeans"], ["experiment", "fig10"],
+    ["scenario", "run", "hotspot-32"], ["tournament"]],
+    ids=["compare", "experiment", "scenario", "tournament"])
+@pytest.mark.parametrize("flag", [["--resume"],
+                                  ["--checkpoint-dir", "somewhere"]],
+                         ids=["resume", "checkpoint-dir"])
+def test_resume_and_checkpoint_flags_are_gone(command, flag, capsys):
+    """Re-running with the cache on is the resume, so no grid command
+    takes a resume or checkpoint flag any more."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(command + flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
-    from repro.cli import _apply_resume_flag
 
-    _guard_checkpoint_env(monkeypatch)
-    _apply_resume_flag(Namespace(resume=False))
-    assert "REPRO_SWEEP_CHECKPOINT" not in os.environ
-
-    cp_dir = tmp_path / "cp"
-    _apply_resume_flag(Namespace(resume=True, checkpoint_dir=str(cp_dir)))
-    assert os.environ["REPRO_SWEEP_CHECKPOINT"] == str(cp_dir)
-
-
-def test_compare_resume_populates_checkpoint(tmp_path, monkeypatch, capsys):
-    _guard_checkpoint_env(monkeypatch)
-    monkeypatch.chdir(tmp_path)
-    rc = main(["compare", "kmeans", "--nodes", "4", "--scale", "0.1",
-               "--schemes", "baseline,puno", "--no-cache", "--resume"])
-    assert rc == 0
-    cp_dir = tmp_path / ".repro-sweep-checkpoint"
-    assert len(list(cp_dir.glob("*.pkl"))) == 2  # one per scheme
+def test_compare_rerun_resumes_from_the_store(tmp_path, monkeypatch,
+                                              capsys):
+    """compare stores each cell under REPRO_CACHE_DIR; a re-run with
+    one entry lost recomputes just that one, and --no-cache writes
+    nothing."""
+    _guard_cache_env(monkeypatch)
+    store = tmp_path / "store"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(store))
+    argv = ["compare", "kmeans", "--nodes", "4", "--scale", "0.1",
+            "--schemes", "baseline,puno"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    entries = sorted(store.rglob("*.pkl"))
+    assert len(entries) == 2  # one per scheme
+    entries[0].unlink()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert len(list(store.rglob("*.pkl"))) == 2
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "off"))
+    assert main(argv + ["--no-cache"]) == 0
+    assert capsys.readouterr().out == first
+    assert not (tmp_path / "off").exists()
 
 
 # ---------------------------------------------------------------------
@@ -259,7 +273,7 @@ def test_scenario_run_requires_name(capsys):
 
 
 def test_scenario_run_smoke(tmp_path, monkeypatch, capsys):
-    _guard_checkpoint_env(monkeypatch)
+    _guard_cache_env(monkeypatch)
     rc = main(["scenario", "run", "prodcons-32", "--smoke", "--no-cache",
                "--out", str(tmp_path)])
     assert rc == 0
@@ -272,7 +286,7 @@ def test_scenario_run_smoke(tmp_path, monkeypatch, capsys):
 
 
 def test_scenario_run_json(monkeypatch, capsys):
-    _guard_checkpoint_env(monkeypatch)
+    _guard_cache_env(monkeypatch)
     rc = main(["scenario", "run", "prodcons-32", "--smoke", "--no-cache",
                "--json"])
     assert rc == 0
@@ -337,7 +351,7 @@ def test_golden_update_then_check(tmp_path, capsys):
 # ---------------------------------------------------------------------
 
 def test_tournament_smoke_table(monkeypatch, capsys):
-    _guard_checkpoint_env(monkeypatch)
+    _guard_cache_env(monkeypatch)
     rc = main(["tournament", "--smoke", "--no-cache",
                "--schemes", "baseline"])
     assert rc == 0
@@ -347,7 +361,7 @@ def test_tournament_smoke_table(monkeypatch, capsys):
 
 
 def test_tournament_json_payload(monkeypatch, capsys):
-    _guard_checkpoint_env(monkeypatch)
+    _guard_cache_env(monkeypatch)
     rc = main(["tournament", "--smoke", "--no-cache", "--json",
                "--schemes", "phase-priority,adaptive-requeue"])
     assert rc == 0

@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from repro.htm.contention import CM_REGISTRY
+from repro.htm.contention.ats import ATSScheduler
 from repro.htm.contention.fixed import FixedBackoff
 from repro.htm.contention.puno_cm import PUNOBackoff
 from repro.htm.contention.random_backoff import RandomBackoff
 from repro.htm.contention.rmw_predictor import RMWPredictor
+from repro.schemes import get_scheme, scheme_names
 from repro.sim.config import SystemConfig, small_config
 from repro.sim.stats import Stats
 
@@ -23,9 +24,17 @@ def stats():
     return Stats(4)
 
 
-def test_registry_contents():
-    assert set(CM_REGISTRY) == {"baseline", "backoff", "rmw", "puno",
-                                "ats"}
+def test_registry_contents(cfg, stats):
+    """The five eager contention managers are registered schemes, each
+    building its own manager class."""
+    expected = {"baseline": FixedBackoff, "backoff": RandomBackoff,
+                "rmw": RMWPredictor, "puno": PUNOBackoff,
+                "ats": ATSScheduler}
+    assert set(expected) <= set(scheme_names())
+    for name, cls in expected.items():
+        scheme = get_scheme(name)
+        config = cfg.with_puno() if scheme.needs_puno else cfg
+        assert type(scheme.make_cm(config, stats)) is cls
 
 
 def test_fixed_backoff_is_paper_constant(cfg, stats):

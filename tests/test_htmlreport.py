@@ -77,7 +77,7 @@ def test_end_to_end_with_sweep(tmp_path):
     spec = ScenarioSpec(name="synth-4", nodes=4, workloads=(synth,),
                         schemes=("baseline", "puno"),
                         max_cycles=5_000_000)
-    res = run_scenario(spec, cache=False, checkpoint=False).sweep_result()
+    res = run_scenario(spec, cache=False).sweep_result()
     table = res.normalized("aborts")
     rep = Report("sweep")
     rep.add_grouped_bars("aborts", table.values, ["baseline", "puno"])

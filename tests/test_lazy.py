@@ -38,8 +38,21 @@ def test_token_fifo():
 def test_token_release_by_non_holder_rejected():
     token = CommitToken()
     token.acquire(0, lambda: None)
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match="release by non-holder"):
         token.release(1)
+
+
+def test_token_release_check_survives_python_O():
+    """The non-holder check is an explicit raise, not an ``assert``: a
+    free token rejects a release even with assertions stripped, and a
+    rejected release leaves the holder in place."""
+    token = CommitToken()
+    with pytest.raises(AssertionError, match="release by non-holder"):
+        token.release(0)
+    token.acquire(2, lambda: None)
+    with pytest.raises(AssertionError, match="release by non-holder"):
+        token.release(0)
+    assert token.holder == 2
 
 
 # ---------------------------------------------------------------------

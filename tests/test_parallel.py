@@ -1,6 +1,7 @@
 """Parallel grid execution: serial/parallel equivalence, determinism,
 task descriptors, the resilient executor (crash replacement, timeouts,
-checkpoint/resume), and the strict (non-ragged) SweepResult grid."""
+resume through the result store), and the strict (non-ragged)
+SweepResult grid."""
 
 from __future__ import annotations
 
@@ -12,20 +13,17 @@ import pytest
 
 from repro.analysis.experiments import paper_spec
 from repro.analysis.parallel import (
-    ENV_CHECKPOINT,
-    SweepCheckpoint,
     SweepExecutionError,
     WorkloadSpec,
-    resolve_checkpoint,
     resolve_jobs,
     run_task,
-    run_tasks,
     run_tasks_resilient,
     task_key,
 )
 from repro.analysis.sweep import SweepResult
 from repro.scenarios import ScenarioSpec, WorkloadDef, run_scenario
 from repro.scenarios.runner import scenario_tasks
+from repro.sim.resultcache import ResultCache
 from repro.sim.stats import Stats
 
 SCHEMES4 = ("baseline", "backoff", "rmw", "puno")
@@ -40,7 +38,7 @@ def _spec4(names=("intruder", "kmeans"), schemes=SCHEMES4,
 
 
 def _run(spec, **kw):
-    return run_scenario(spec, checkpoint=False, **kw)
+    return run_scenario(spec, **kw)
 
 
 def _assert_same_cells(a, b):
@@ -84,22 +82,27 @@ def test_serial_reruns_are_deterministic():
 
 def test_warm_cache_replays_grid_without_simulating(tmp_path):
     spec = _spec4()
-    cold = _run(spec, cache=tmp_path)
-    # run the same grid through the process pool against the warm
-    # cache: every cell must be a hit and identical
-    results = run_tasks(scenario_tasks(spec, cache=tmp_path), jobs=2)
+    cold = _run(spec, jobs=2, cache=tmp_path)
+    assert cold.cache_hits == 0
+    # run the same grid with a pool against the warm store: every cell
+    # must be a hit and identical, and the runner is never called
+    cache = ResultCache(tmp_path)
+    results = run_tasks_resilient(scenario_tasks(spec), jobs=2,
+                                  cache=cache, runner=_raise_run_task)
     assert all(tr.cache_hit for tr in results)
+    assert cache.hits == len(results) and cache.stores == 0
     for tr, cell in zip(results, cold.results):
         assert tr.stats.snapshot() == cell.stats.snapshot()
 
 
 def test_no_cache_env_defeats_task_cache(tmp_path, monkeypatch):
-    spec = _spec4(names=("kmeans",))
+    spec = _spec4(names=("kmeans",), schemes=("baseline",))
     _run(spec, cache=tmp_path)
-    task = scenario_tasks(spec, cache=tmp_path)[0]
-    assert task.use_cache
+    assert _run(spec, cache=tmp_path).cache_hits == 1
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    assert not run_task(task).cache_hit
+    cache = ResultCache(tmp_path)
+    assert _run(spec, cache=cache).cache_hits == 0
+    assert cache.hits == cache.stores == 0
 
 
 # ---------------------------------------------------------------------
@@ -183,9 +186,11 @@ def _raise_run_task(task):
 
 
 def test_resilient_matches_plain_runner():
+    """The pool path returns, in input order, what calling the plain
+    runner on each cell in-process returns."""
     tasks = _tasks2()
-    plain = run_tasks(tasks, jobs=2)
-    resilient = run_tasks_resilient(tasks, jobs=2, checkpoint=False)
+    plain = [run_task(t) for t in tasks]
+    resilient = run_tasks_resilient(tasks, jobs=2, cache=False)
     assert [(r.workload, r.scheme) for r in resilient] \
         == [(t.workload, t.scheme) for t in tasks]
     for a, b in zip(plain, resilient):
@@ -196,7 +201,7 @@ def test_killed_worker_is_retried_to_completion(tmp_path, monkeypatch):
     monkeypatch.setenv(_CRASH_FLAG_ENV, str(tmp_path))
     tasks = _tasks2()
     results = run_tasks_resilient(tasks, jobs=2, retries=3,
-                                  checkpoint=False,
+                                  cache=False,
                                   runner=_crashy_run_task)
     assert all(r is not None for r in results)
     assert all(r.stats.tx_committed > 0 for r in results)
@@ -207,14 +212,14 @@ def test_killed_worker_is_retried_to_completion(tmp_path, monkeypatch):
 def test_stuck_pool_times_out_with_structured_error():
     with pytest.raises(SweepExecutionError, match="no completion within"):
         run_tasks_resilient(_tasks2(), jobs=2, retries=0,
-                            task_timeout=0.5, checkpoint=False,
+                            task_timeout=0.5, cache=False,
                             runner=_sleepy_run_task)
 
 
 def test_deterministic_worker_error_is_not_retried():
     with pytest.raises(SweepExecutionError, match="not retried"):
         run_tasks_resilient(_tasks2(), jobs=2, retries=5,
-                            checkpoint=False, runner=_raise_run_task)
+                            cache=False, runner=_raise_run_task)
 
 
 def test_crash_exhaustion_names_the_failed_cells(tmp_path, monkeypatch):
@@ -222,35 +227,42 @@ def test_crash_exhaustion_names_the_failed_cells(tmp_path, monkeypatch):
     monkeypatch.setenv(_CRASH_FLAG_ENV, str(tmp_path))
     with pytest.raises(SweepExecutionError, match="after 1 attempt"):
         run_tasks_resilient(_tasks2(), jobs=2, retries=0,
-                            checkpoint=False, runner=_crashy_run_task)
+                            cache=False, runner=_crashy_run_task)
 
 
 # ---------------------------------------------------------------------
-# checkpoint / resume
+# resume: a re-run against the result store
 # ---------------------------------------------------------------------
+
+def _entry(root, task):
+    key = task_key(task)
+    return root / key[:2] / f"{key}.pkl"
+
 
 def test_checkpoint_stores_every_cell_and_resumes_for_free(tmp_path):
+    """The store is the sweep's checkpoint: a cold run stores every
+    cell, and a re-run replays every cell without calling the runner
+    (which would raise)."""
     tasks = _tasks2()
-    cp = SweepCheckpoint(tmp_path)
-    first = run_tasks_resilient(tasks, jobs=1, checkpoint=cp)
-    assert cp.stores == len(tasks)
-    assert len(cp) == len(tasks)
+    cache = ResultCache(tmp_path)
+    first = run_tasks_resilient(tasks, jobs=1, cache=cache)
+    assert cache.stores == len(tasks)
+    assert len(cache) == len(tasks)
+    assert not any(r.cache_hit for r in first)
 
-    # full resume: every cell replays from disk; the runner (which
-    # would raise) is never invoked
-    cp2 = SweepCheckpoint(tmp_path)
-    second = run_tasks_resilient(tasks, jobs=1, checkpoint=cp2,
+    cache2 = ResultCache(tmp_path)
+    second = run_tasks_resilient(tasks, jobs=1, cache=cache2,
                                  runner=_raise_run_task)
-    assert cp2.hits == len(tasks) and cp2.stores == 0
+    assert cache2.hits == len(tasks) and cache2.stores == 0
+    assert all(r.cache_hit for r in second)
     for a, b in zip(first, second):
         assert a.stats.snapshot() == b.stats.snapshot()
 
 
 def test_resume_recomputes_only_the_missing_cell(tmp_path):
     tasks = _tasks2()
-    run_tasks_resilient(tasks, jobs=1, checkpoint=SweepCheckpoint(tmp_path))
-    victim = tmp_path / f"{task_key(tasks[0])}.pkl"
-    victim.unlink()
+    run_tasks_resilient(tasks, jobs=1, cache=ResultCache(tmp_path))
+    _entry(tmp_path, tasks[0]).unlink()
 
     calls = []
 
@@ -258,24 +270,38 @@ def test_resume_recomputes_only_the_missing_cell(tmp_path):
         calls.append((task.workload, task.scheme))
         return run_task(task)
 
-    cp = SweepCheckpoint(tmp_path)
-    results = run_tasks_resilient(tasks, jobs=1, checkpoint=cp,
+    cache = ResultCache(tmp_path)
+    results = run_tasks_resilient(tasks, jobs=1, cache=cache,
                                   runner=counting_runner)
     assert calls == [(tasks[0].workload, tasks[0].scheme)]
-    assert cp.hits == len(tasks) - 1 and cp.stores == 1
-    assert all(r is not None for r in results)
+    assert cache.hits == len(tasks) - 1 and cache.stores == 1
+    assert [r.cache_hit for r in results] == [False, True]
+
+
+def test_pool_rerun_stores_only_the_missing_cells(tmp_path):
+    """Resume through the process pool: the parent stores what the
+    workers compute, and a warm re-run then replays the whole grid."""
+    tasks = scenario_tasks(_spec4(names=("intruder",)))
+    run_tasks_resilient(tasks[:2], jobs=2, cache=ResultCache(tmp_path))
+    cache = ResultCache(tmp_path)
+    results = run_tasks_resilient(tasks, jobs=2, cache=cache)
+    assert cache.hits == 2 and cache.stores == len(tasks) - 2
+    assert [r.cache_hit for r in results] == [True, True, False, False]
+    warm = ResultCache(tmp_path)
+    run_tasks_resilient(tasks, jobs=2, cache=warm, runner=_raise_run_task)
+    assert warm.hits == len(tasks) and warm.stores == 0
 
 
 def test_corrupt_checkpoint_cell_is_quarantined_and_recomputed(tmp_path):
     tasks = _tasks2()
-    run_tasks_resilient(tasks, jobs=1, checkpoint=SweepCheckpoint(tmp_path))
-    victim = tmp_path / f"{task_key(tasks[1])}.pkl"
+    run_tasks_resilient(tasks, jobs=1, cache=ResultCache(tmp_path))
+    victim = _entry(tmp_path, tasks[1])
     victim.write_bytes(b"bit rot")
 
-    cp = SweepCheckpoint(tmp_path)
-    results = run_tasks_resilient(tasks, jobs=1, checkpoint=cp)
-    assert cp.quarantined == 1
-    assert cp.hits == len(tasks) - 1 and cp.stores == 1
+    cache = ResultCache(tmp_path)
+    results = run_tasks_resilient(tasks, jobs=1, cache=cache)
+    assert cache.quarantined == 1
+    assert cache.hits == len(tasks) - 1 and cache.stores == 1
     assert victim.with_name(victim.name + ".corrupt").is_file()
     assert all(r is not None for r in results)
 
@@ -289,29 +315,40 @@ def test_task_key_is_stable_and_sensitive():
 
 
 def test_resolve_checkpoint_forms(tmp_path, monkeypatch):
-    cp = SweepCheckpoint(tmp_path)
-    assert resolve_checkpoint(cp) is cp
-    assert resolve_checkpoint(False) is None
-    monkeypatch.delenv(ENV_CHECKPOINT, raising=False)
-    assert resolve_checkpoint(None) is None
-    monkeypatch.setenv(ENV_CHECKPOINT, str(tmp_path / "env"))
-    from_env = resolve_checkpoint(None)
-    assert isinstance(from_env, SweepCheckpoint)
-    assert from_env.root == tmp_path / "env"
-    from_path = resolve_checkpoint(tmp_path)
-    assert isinstance(from_path, SweepCheckpoint)
-    assert from_path.root == tmp_path
+    """The resilient runner's checkpoint is its ``cache`` argument, and
+    every form of it lands where it says: an explicit store is the one
+    used, a path is a store rooted there, ``True`` follows
+    REPRO_CACHE_DIR, and ``False``/``None`` store nothing."""
+    task = _tasks2()[:1]
+    explicit = ResultCache(tmp_path / "explicit")
+    run_tasks_resilient(task, jobs=1, cache=explicit)
+    assert explicit.stores == 1 and len(explicit) == 1
+    assert _entry(explicit.root, task[0]).is_file()
+
+    run_tasks_resilient(task, jobs=1, cache=tmp_path / "path")
+    assert _entry(tmp_path / "path", task[0]).is_file()
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+    for off in (False, None):
+        [result] = run_tasks_resilient(task, jobs=1, cache=off)
+        assert not result.cache_hit
+    assert not (tmp_path / "env").exists()
+    run_tasks_resilient(task, jobs=1, cache=True)
+    assert _entry(tmp_path / "env", task[0]).is_file()
+    [warm] = run_tasks_resilient(task, jobs=1, cache=True,
+                                 runner=_raise_run_task)
+    assert warm.cache_hit
 
 
 def test_scheme_sweep_checkpoint_round_trip(tmp_path):
-    """A scheme sweep run through run_scenario stores its cell in the
-    checkpoint and a second run replays it from disk unchanged."""
+    """A scheme sweep run through run_scenario stores its cell, and a
+    second run replays it from disk unchanged."""
     spec = _spec4(names=("intruder",), schemes=("baseline",))
-    cold = run_scenario(spec, jobs=1, cache=False,
-                        checkpoint=SweepCheckpoint(tmp_path))
-    cp = SweepCheckpoint(tmp_path)
-    warm = run_scenario(spec, jobs=1, cache=False, checkpoint=cp)
-    assert cp.hits == 1 and cp.stores == 0
+    cold = run_scenario(spec, jobs=1, cache=tmp_path)
+    cache = ResultCache(tmp_path)
+    warm = run_scenario(spec, jobs=1, cache=cache)
+    assert cache.hits == 1 and cache.stores == 0
+    assert warm.cache_hits == 1
     _assert_same_cells(cold, warm)
 
 

@@ -1,12 +1,12 @@
 """Tests for the scenario subsystem: spec validation, the built-in
-registry, the matrix runner (cache bit-identity + checkpoint resume),
+registry, the matrix runner (cache bit-identity + resume from the store),
 manifests, and the determinism audit over every registered scenario."""
 
 import json
 
 import pytest
 
-from repro.analysis.parallel import SweepCheckpoint, run_tasks_resilient
+from repro.analysis.parallel import run_tasks_resilient
 from repro.scenarios import (
     ScenarioSpec,
     WorkloadDef,
@@ -166,7 +166,7 @@ def test_register_rejects_duplicates_and_invalid():
 def test_cells_and_tasks_align():
     spec = tiny_spec(seeds=(0, 1))
     cells = scenario_cells(spec)
-    tasks = scenario_tasks(spec, cache=False)
+    tasks = scenario_tasks(spec)
     assert len(cells) == len(tasks) == spec.num_cells
     assert cells[0] == ("hotspot", "baseline", 0)
     assert cells[1] == ("hotspot", "baseline", 1)
@@ -174,26 +174,33 @@ def test_cells_and_tasks_align():
     # multi-seed rows carry the seed in the sweep label
     assert tasks[0].workload == "hotspot@s0"
     assert tasks[0].config.num_nodes == 32
-    single = scenario_tasks(tiny_spec(), cache=False)
+    single = scenario_tasks(tiny_spec())
     assert single[0].workload == "hotspot"
 
 
 def test_run_scenario_rejects_invalid():
     with pytest.raises(ValueError, match="invalid"):
-        run_scenario(tiny_spec(schemes=("warp",)), cache=False,
-                     checkpoint=False)
+        run_scenario(tiny_spec(schemes=("warp",)), cache=False)
+
+
+@pytest.mark.parametrize("checkpoint", [True, "some/dir", 0, object()],
+                         ids=["true", "path", "zero", "object"])
+def test_run_scenario_rejects_a_checkpoint(checkpoint):
+    """``checkpoint`` survives only as ``False``/``None``: the result
+    store is the checkpoint, so any other value is a caller bug."""
+    with pytest.raises(TypeError, match="checkpoint"):
+        run_scenario(tiny_spec(), cache=False, checkpoint=checkpoint)
 
 
 def test_matrix_run_cache_bitidentical_and_resume(tmp_path):
     """The acceptance path: a 32-node scenario x {baseline, puno}
     matrix completes end-to-end; a re-run against the warm cache is
-    served entirely from cache with bit-identical digests; a
-    checkpointed re-run resumes without executing a single cell."""
+    served entirely from cache with bit-identical digests, so a re-run
+    resumes without executing a single cell."""
     spec = tiny_spec(scale=0.5)
     cache = ResultCache(tmp_path / "cache")
-    cp = SweepCheckpoint(tmp_path / "cp")
 
-    first = run_scenario(spec, cache=cache, checkpoint=cp)
+    first = run_scenario(spec, cache=cache)
     assert first.cache_hits == 0
     assert len(first.results) == 2
     digests = first.snapshot_digests()
@@ -205,19 +212,19 @@ def test_matrix_run_cache_bitidentical_and_resume(tmp_path):
     assert st_puno.puno_unicasts > 0  # and PUNO must engage
 
     # warm cache: every cell a hit, digests bit-identical
-    second = run_scenario(spec, cache=cache, checkpoint=False)
+    second = run_scenario(spec, cache=cache)
     assert second.cache_hits == 2
     assert second.snapshot_digests() == digests
 
-    # checkpoint resume: all cells come back without running anything
+    # resume: all cells come back without running anything
     calls = []
 
     def boom(task):
         calls.append(task)
         raise AssertionError("resume must not re-run completed cells")
 
-    tasks = scenario_tasks(spec, cache=False)
-    resumed = run_tasks_resilient(tasks, 1, checkpoint=cp, runner=boom)
+    tasks = scenario_tasks(spec)
+    resumed = run_tasks_resilient(tasks, 1, cache=cache, runner=boom)
     assert calls == []
     assert [r.stats.snapshot_digest() for r in resumed] == [
         digests["hotspot/baseline/s0"], digests["hotspot/puno/s0"]]
@@ -228,7 +235,7 @@ def test_matrix_run_cache_bitidentical_and_resume(tmp_path):
 
 def test_smoke_run_and_manifest(tmp_path):
     spec = tiny_spec(smoke_scale=0.5)
-    result = run_scenario(spec, smoke=True, cache=False, checkpoint=False)
+    result = run_scenario(spec, smoke=True, cache=False)
     assert result.spec.name == "tiny-32-smoke"
     text = result.render_text()
     assert "tiny-32-smoke" in text and "exec x" in text
@@ -261,8 +268,8 @@ def test_scenario_smoke_is_deterministic(name):
     experiment artifact, so nondeterminism anywhere (workload
     generation, scheduling, fault injection) is a bug."""
     spec = get_scenario(name)
-    a = run_scenario(spec, smoke=True, cache=False, checkpoint=False)
-    b = run_scenario(spec, smoke=True, cache=False, checkpoint=False)
+    a = run_scenario(spec, smoke=True, cache=False)
+    b = run_scenario(spec, smoke=True, cache=False)
     da, db = a.snapshot_digests(), b.snapshot_digests()
     assert da == db
     assert len(da) == spec.smoke().num_cells

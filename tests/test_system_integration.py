@@ -294,6 +294,6 @@ def test_sanitized_parallel_sweep(monkeypatch):
                         workloads=(WorkloadDef("intruder"),),
                         schemes=("baseline", "puno"), scale=0.05,
                         max_cycles=20_000_000)
-    result = run_scenario(spec, jobs=2, cache=False, checkpoint=False)
+    result = run_scenario(spec, jobs=2, cache=False)
     for (_, scheme, _), r in zip(result.cells, result.results):
         assert r.stats.sanitizer_checks > 0, scheme
