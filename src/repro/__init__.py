@@ -28,7 +28,7 @@ from repro.sim.config import (
     SystemConfig,
     small_config,
 )
-from repro.faults import FaultConfig, FaultInjector, chaos_profile
+from repro.faults import FaultConfig, FaultInjector
 from repro.sim.stats import Stats
 from repro.sim.watchdog import (
     StallError,
@@ -66,7 +66,6 @@ __all__ = [
     "run_workload",
     "FaultConfig",
     "FaultInjector",
-    "chaos_profile",
     "StallError",
     "StallReport",
     "Watchdog",

@@ -28,7 +28,7 @@ from repro.analysis.parallel import (
     WorkloadSpec,
     run_tasks_resilient,
 )
-from repro.analysis.chaos import ChaosOutcome, ChaosReport, run_chaos
+from repro.analysis.chaos import ChaosOutcome, ChaosReport
 from repro.analysis.report import render_table, render_series
 from repro.analysis.sweep import SweepResult
 
@@ -40,7 +40,6 @@ __all__ = [
     "run_tasks_resilient",
     "ChaosOutcome",
     "ChaosReport",
-    "run_chaos",
     "normalized",
     "geomean",
     "high_contention_average",

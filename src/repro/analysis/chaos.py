@@ -1,126 +1,99 @@
-"""Chaos tour: run workloads under injected coherence faults.
+"""Chaos tour verdict: did every faulted cell commit or stall explainably?
 
-This is the harness behind ``repro chaos`` and the CI chaos job.  Each
-cell runs one STAMP workload under one scheme with a
-:class:`~repro.faults.FaultConfig` attached and the engine watchdog
-armed, then classifies the outcome:
+``repro chaos`` and the CI chaos job run a tour of STAMP workloads as
+an ordinary scenario grid whose ``faults`` field is the fault spec:
+each cell runs through the sweep executor with the engine watchdog
+armed, and comes back as a :class:`~repro.analysis.parallel.TaskResult`
+that is either
 
 * ``committed`` — the workload ran to completion (and, when the fault
-  mix is loss-free, passed the coherence/value audits);
+  mix is loss-free, passed the coherence/value audits); or
 * ``stalled`` — the watchdog raised a structured
   :class:`~repro.sim.watchdog.StallReport`.  A stall is *explained*
   when the injected faults can account for it (messages were dropped
   or reordered, nodes were stalled, or delays blew the cycle budget);
-  an unexplained stall is a protocol bug and fails the tour;
-* ``violation`` — the protocol sanitizer flagged an invariant breach;
-* ``crashed`` — any other exception escaped the run.
+  an unexplained stall is a protocol bug and fails the tour.
 
-The tour passes (``ChaosReport.ok``) iff every cell either committed
-or stalled in an explained way, with zero sanitizer violations and
-zero crashes — exactly the CI gate.
-
-Audits assume lossless, ordered transport, so they are disabled
-automatically for fault mixes that drop or reorder messages (an
-injected loss *should* leave memory short of the committed
-increments); delay/duplicate/stall mixes keep them on.
+A sanitizer violation or any other exception is not an outcome: it
+fails the sweep with :class:`~repro.analysis.parallel.SweepExecutionError`
+naming the cell.  The tour passes (``ChaosReport.ok``) iff every cell
+committed or stalled in an explained way — exactly the CI gate.  It
+runs with the result store off: a replayed verdict verifies nothing.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List
 
-from repro.faults import FaultConfig
-from repro.sanitize import SanitizerViolation
-from repro.sim.config import SystemConfig, small_config
-from repro.sim.watchdog import StallError, StallReport, WatchdogConfig
-from repro.workloads.stamp import STAMP_WORKLOADS, make_stamp_workload
+from repro.analysis.parallel import TaskResult
+from repro.workloads.stamp import STAMP_WORKLOADS
 
 #: The default tour: every STAMP analogue, alphabetical.
 TOUR = tuple(sorted(STAMP_WORKLOADS))
-
-
-def audits_safe(faults: Optional[FaultConfig]) -> bool:
-    """True when the fault mix preserves the audits' assumptions
-    (no message ever lost or reordered)."""
-    if faults is None:
-        return True
-    if faults.drop or faults.reorder:
-        return False
-    kinds = {kind for _, kind, rate in faults.per_type if rate}
-    kinds |= {kind for _, _, kind, rate in faults.per_pair if rate}
-    return not kinds & {"drop", "reorder"}
 
 
 @dataclass
 class ChaosOutcome:
     """One (workload, scheme) cell of a chaos tour."""
 
-    workload: str
-    scheme: str
-    status: str  # "committed" | "stalled" | "violation" | "crashed"
-    commits: int = 0
-    aborts: int = 0
-    cycles: int = 0
-    stale_dropped: int = 0
-    retry_cap_exhausted: int = 0
-    sanitizer_checks: int = 0
-    wall_seconds: float = 0.0
-    error: str = ""
-    stall: Optional[StallReport] = None
-    faults: Dict[str, int] = field(default_factory=dict)
+    result: TaskResult
+
+    @property
+    def status(self) -> str:
+        return "committed" if self.result.stall is None else "stalled"
 
     @property
     def explained(self) -> bool:
         """Can the injected faults account for a stall?"""
-        if self.stall is None:
+        stall, f = self.result.stall, self.result.faults
+        if stall is None:
             return False
-        f = self.faults
         if f.get("dropped") or f.get("reordered") or f.get("stalls_injected"):
             return True
-        return self.stall.kind == "max-cycles" and bool(f.get("delayed"))
+        return stall.kind == "max-cycles" and bool(f.get("delayed"))
 
     @property
     def ok(self) -> bool:
-        if self.status == "committed":
-            return True
-        return self.status == "stalled" and self.explained
+        return self.result.stall is None or self.explained
 
     def row(self) -> Dict[str, object]:
+        r = self.result
         outcome = self.status
-        if self.status == "stalled":
+        if r.stall is not None:
             tag = "explained" if self.explained else "UNEXPLAINED"
-            outcome = f"stalled/{self.stall.kind} ({tag})"
+            outcome = f"stalled/{r.stall.kind} ({tag})"
         return {
-            "workload": self.workload,
+            "workload": r.workload,
             "outcome": outcome,
-            "commits": self.commits,
-            "aborts": self.aborts,
-            "dropped": self.faults.get("dropped", 0),
-            "dup": self.faults.get("duplicated", 0),
-            "delayed": self.faults.get("delayed", 0),
-            "stale": self.stale_dropped,
-            "san checks": self.sanitizer_checks,
+            "commits": r.stats.tx_committed,
+            "aborts": r.stats.tx_aborted,
+            "dropped": r.faults.get("dropped", 0),
+            "dup": r.faults.get("duplicated", 0),
+            "delayed": r.faults.get("delayed", 0),
+            "stale": r.stats.stale_responses_dropped,
+            "san checks": r.stats.sanitizer_checks,
         }
 
     def to_dict(self) -> Dict[str, object]:
+        r = self.result
         out = {
-            "workload": self.workload,
-            "scheme": self.scheme,
+            "workload": r.workload,
+            "scheme": r.scheme,
             "status": self.status,
             "ok": self.ok,
-            "commits": self.commits,
-            "aborts": self.aborts,
-            "cycles": self.cycles,
-            "stale_responses_dropped": self.stale_dropped,
-            "retry_cap_exhausted": self.retry_cap_exhausted,
-            "sanitizer_checks": self.sanitizer_checks,
-            "faults": dict(self.faults),
-            "error": self.error,
+            "commits": r.stats.tx_committed,
+            "aborts": r.stats.tx_aborted,
+            "cycles": r.end_cycle,
+            "stale_responses_dropped": r.stats.stale_responses_dropped,
+            "retry_cap_exhausted": r.stats.retry_cap_exhausted,
+            "sanitizer_checks": r.stats.sanitizer_checks,
+            "faults": dict(r.faults),
+            # a failing cell raises instead; the key keeps the schema
+            "error": "",
         }
-        if self.stall is not None:
-            out["stall"] = self.stall.to_dict()
+        if r.stall is not None:
+            out["stall"] = r.stall.to_dict()
         return out
 
 
@@ -130,21 +103,26 @@ class ChaosReport:
 
     outcomes: List[ChaosOutcome] = field(default_factory=list)
 
+    @classmethod
+    def from_results(cls, results: List[TaskResult]) -> "ChaosReport":
+        return cls([ChaosOutcome(r) for r in results])
+
     @property
     def ok(self) -> bool:
         return all(o.ok for o in self.outcomes)
 
     def render_text(self) -> str:
         from repro.analysis.report import render_table
-        rows = [o.row() for o in self.outcomes]
-        scheme = self.outcomes[0].scheme if self.outcomes else "?"
-        text = render_table(rows, title=f"chaos tour under {scheme}")
-        problems = [o for o in self.outcomes if not o.ok]
-        lines = [text]
-        for o in problems:
-            detail = o.error or (o.stall.describe() if o.stall else "")
-            lines.append(f"\nFAIL {o.workload}/{o.scheme} [{o.status}]: "
-                         f"{detail}")
+        schemes = dict.fromkeys(o.result.scheme for o in self.outcomes)
+        lines = ["\n\n".join(
+            render_table([o.row() for o in self.outcomes
+                          if o.result.scheme == scheme],
+                         title=f"chaos tour under {scheme}")
+            for scheme in schemes)]
+        problems = [o.result for o in self.outcomes if not o.ok]
+        for r in problems:
+            lines.append(f"\nFAIL {r.workload}/{r.scheme} [stalled]: "
+                         f"{r.stall.describe()}")
         verdict = "PASS" if self.ok else f"FAIL ({len(problems)} cell(s))"
         lines.append(f"\nchaos verdict: {verdict}")
         return "\n".join(lines)
@@ -152,73 +130,3 @@ class ChaosReport:
     def to_dict(self) -> Dict[str, object]:
         return {"ok": self.ok,
                 "outcomes": [o.to_dict() for o in self.outcomes]}
-
-
-def _chaos_config(nodes: int, seed: int, scheme: str) -> SystemConfig:
-    cfg = (SystemConfig(seed=seed) if nodes == 16
-           else small_config(nodes, seed=seed))
-    if scheme == "puno":
-        cfg = cfg.with_puno()
-    return cfg
-
-
-def run_chaos_cell(workload: str, scheme: str, faults: Optional[FaultConfig],
-                   nodes: int = 16, scale: float = 0.2, seed: int = 0,
-                   max_cycles: Optional[int] = 500_000_000,
-                   watchdog: Union[bool, WatchdogConfig] = True,
-                   sanitize: Optional[bool] = None) -> ChaosOutcome:
-    """Run one faulted cell and classify its outcome."""
-    from repro.system import System
-    wl = make_stamp_workload(workload, num_nodes=nodes, scale=scale,
-                             seed=seed)
-    cfg = _chaos_config(nodes, seed, scheme)
-    system = System(cfg, wl, scheme, sanitize=sanitize, faults=faults,
-                    watchdog=watchdog)
-    outcome = ChaosOutcome(workload=workload, scheme=scheme, status="")
-    t0 = time.perf_counter()
-    try:
-        system.run(max_cycles=max_cycles, audit=audits_safe(faults))
-    except StallError as exc:
-        outcome.status = "stalled"
-        outcome.stall = exc.report
-    except SanitizerViolation as exc:
-        outcome.status = "violation"
-        outcome.error = str(exc)
-    except Exception as exc:
-        outcome.status = "crashed"
-        outcome.error = f"{type(exc).__name__}: {exc}"
-    else:
-        outcome.status = "committed"
-    outcome.wall_seconds = time.perf_counter() - t0
-    stats = system.stats
-    outcome.commits = stats.tx_committed
-    outcome.aborts = stats.tx_aborted
-    outcome.cycles = system.sim.now
-    outcome.stale_dropped = stats.stale_responses_dropped
-    outcome.retry_cap_exhausted = stats.retry_cap_exhausted
-    outcome.sanitizer_checks = stats.sanitizer_checks
-    if system.fault_injector is not None:
-        outcome.faults = system.fault_injector.summary()
-    return outcome
-
-
-def run_chaos(faults: Optional[FaultConfig], workloads=None,
-              scheme: str = "puno", nodes: int = 16, scale: float = 0.2,
-              seed: int = 0, max_cycles: Optional[int] = 500_000_000,
-              watchdog: Union[bool, WatchdogConfig] = True,
-              sanitize: Optional[bool] = None,
-              verbose: bool = False) -> ChaosReport:
-    """Run the tour (default: every STAMP workload) under ``faults``."""
-    names = list(workloads) if workloads else list(TOUR)
-    report = ChaosReport()
-    for name in names:
-        outcome = run_chaos_cell(name, scheme, faults, nodes=nodes,
-                                 scale=scale, seed=seed,
-                                 max_cycles=max_cycles, watchdog=watchdog,
-                                 sanitize=sanitize)
-        report.outcomes.append(outcome)
-        if verbose:
-            flag = "ok" if outcome.ok else "FAIL"
-            print(f"  {name}/{scheme}: {outcome.status} [{flag}] "
-                  f"({outcome.wall_seconds:.2f}s wall)")
-    return report

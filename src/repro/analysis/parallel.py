@@ -8,7 +8,8 @@ workload (name / scale / seed / node count) plus the scheme name and
 frozen :class:`~repro.sim.config.SystemConfig` — never live
 ``Workload`` or ``System`` objects.  Each worker rebuilds its workload
 from the spec, simulates it, and ships the
-:class:`~repro.sim.stats.Stats` back.
+:class:`~repro.sim.stats.Stats` back — for a fault cell that stalled,
+with the watchdog's :class:`~repro.sim.watchdog.StallReport`.
 
 Results are assembled in task-submission order, so a parallel sweep is
 bit-identical to the serial path: same per-cell Stats, same grid
@@ -26,7 +27,8 @@ dispatch, without building the workload; misses go to the runner, and
 the parent stores each result as it arrives.  An interrupted sweep is
 therefore resumed by running it again with the cache on: only the
 missing cells simulate.  Sanitized runs bypass the store (see
-:func:`~repro.sim.resultcache.resolve_cache`).
+:func:`~repro.sim.resultcache.resolve_cache`), and a stalled cell is
+never stored.
 
 Resilient execution
 -------------------
@@ -57,14 +59,16 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.faults import audits_safe, parse_fault_spec
 from repro.sim.config import SystemConfig
 from repro.sim.resultcache import CacheLike, ResultCache, \
     config_fingerprint, resolve_cache, source_digest
 from repro.sim.stats import Stats
+from repro.sim.watchdog import StallReport
 from repro.workloads.base import Workload
 
 
@@ -134,13 +138,23 @@ class SweepTask:
 
 @dataclass
 class TaskResult:
-    """What a worker ships back for one cell."""
+    """What a worker ships back for one cell.
+
+    A fault cell that stalled comes back with the watchdog's ``stall``
+    report and the partial ``stats`` up to the stall; ``faults`` is the
+    injector's summary and ``end_cycle`` the engine clock when the run
+    returned or stalled.  A replayed cell has only its ``stats``: the
+    store holds nothing else, and never holds a stalled cell.
+    """
 
     workload: str
     scheme: str
     stats: Stats
     wall_seconds: float
     cache_hit: bool
+    stall: Optional[StallReport] = None
+    faults: Dict[str, int] = field(default_factory=dict)
+    end_cycle: int = 0
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -156,23 +170,28 @@ def run_task(task: SweepTask) -> TaskResult:
 
     A fault cell runs with the engine watchdog armed, and with the
     audits only when its fault mix preserves their assumptions (no
-    drop/reorder)."""
-    from repro.system import run_workload
+    drop/reorder).  Its stall is an outcome, returned with the partial
+    Stats; any other exception (a sanitizer violation, a failed audit)
+    is a bug and propagates."""
+    from repro.sim.watchdog import StallError
+    from repro.system import System
     workload = task.spec.build()
-    faults, watchdog, audit = None, None, task.audit
-    if task.faults:
-        from repro.analysis.chaos import audits_safe
-        from repro.faults import parse_fault_spec
-        faults = parse_fault_spec(task.faults)
-        faults.validate()
-        watchdog, audit = True, audit and audits_safe(faults)
+    faults = parse_fault_spec(task.faults) if task.faults else None
     t0 = time.perf_counter()
-    result = run_workload(task.config, workload, cm=task.scheme,
-                          max_cycles=task.max_cycles, audit=audit,
-                          faults=faults, watchdog=watchdog)
+    system = System(task.config, workload, task.scheme, faults=faults,
+                    watchdog=faults is not None)
+    stall = None
+    try:
+        system.run(max_cycles=task.max_cycles,
+                   audit=task.audit and audits_safe(faults))
+    except StallError as exc:  # only a fault cell arms the watchdog
+        stall = exc.report
     wall = time.perf_counter() - t0
-    return TaskResult(task.workload, task.scheme, result.stats, wall,
-                      False)
+    injector = system.fault_injector
+    return TaskResult(task.workload, task.scheme, system.stats, wall,
+                      False, stall=stall,
+                      faults=injector.summary() if injector else {},
+                      end_cycle=system.sim.now)
 
 
 def _pool_context():
@@ -208,13 +227,20 @@ class SweepExecutionError(RuntimeError):
     crash/timeout, or a worker raised a deterministic exception."""
 
 
+def _cell_error(task: SweepTask, exc: Exception) -> SweepExecutionError:
+    """The sweep's failure for a cell whose runner raised."""
+    return SweepExecutionError(
+        f"sweep cell {task.workload!r}/{task.scheme!r} raised {exc!r}; "
+        f"deterministic worker errors are not retried")
+
+
 def _record(results: List[Optional[TaskResult]],
             store: Optional[ResultCache], keys: List[str], i: int,
             result: TaskResult) -> None:
-    """File one computed cell in ``results`` and, when the store is on,
-    under its key."""
+    """File one computed cell in ``results`` and, when the store is on
+    and the cell did not stall, under its key."""
     results[i] = result
-    if store is not None:
+    if store is not None and result.stall is None:
         store.put(keys[i], result.stats)
 
 
@@ -266,11 +292,7 @@ def _run_round(task_list: List[SweepTask], pending: List[int],
                     failed[i] = "worker process died (BrokenProcessPool)"
                     continue
                 except Exception as exc:
-                    task = task_list[i]
-                    raise SweepExecutionError(
-                        f"sweep cell {task.workload!r}/{task.scheme!r} "
-                        f"raised {exc!r}; deterministic worker errors "
-                        f"are not retried") from exc
+                    raise _cell_error(task_list[i], exc) from exc
                 finish(i, result)
     finally:
         _shutdown_pool(ex)
@@ -296,6 +318,10 @@ def run_tasks_resilient(tasks: Iterable[SweepTask],
     every computed cell is stored as it arrives, so a re-run recomputes
     only what is missing.
 
+    A cell whose runner raises fails the sweep at once with
+    :class:`SweepExecutionError` naming the cell (the original
+    exception is its ``__cause__``); a fault cell's stall is not an
+    exception but a result (``TaskResult.stall``), and is never stored.
     Crashed workers and stuck pools are retried up to ``retries``
     times with exponential backoff (``backoff_base * 2**round``,
     capped); exhaustion raises :class:`SweepExecutionError` naming the
@@ -318,9 +344,14 @@ def run_tasks_resilient(tasks: Iterable[SweepTask],
     n = resolve_jobs(jobs)
     if n <= 1 or len(pending) <= 1:
         # in-process path: a crash here is a crash of the caller, so
-        # there is nothing to retry
+        # there is nothing to retry; a raising cell fails the sweep
+        # with the same error a worker's would
         for i in pending:
-            finish(i, runner(task_list[i]))
+            try:
+                result = runner(task_list[i])
+            except Exception as exc:
+                raise _cell_error(task_list[i], exc) from exc
+            finish(i, result)
         return results
     attempts = dict.fromkeys(pending, 0)
     round_no = 0

@@ -11,9 +11,9 @@ Commands:
 * ``lint`` — run the simulator-specific static analysis suite.
 * ``profile`` — run one cell under cProfile with per-event-callback
   and per-message-type accounting.
-* ``chaos`` — run workloads under injected coherence faults with the
-  engine watchdog armed; exit 0 iff every cell commits or stalls in a
-  fault-explained way.
+* ``chaos`` — run a workload x scheme grid under injected coherence
+  faults (``--faults``) with the engine watchdog armed; exit 0 iff
+  every cell commits or stalls in a fault-explained way.
 * ``scenario`` — list / validate / run declarative experiment
   scenarios (``repro scenario run <name>`` executes the full
   workload x scheme x seed matrix through the resilient sweep
@@ -105,26 +105,6 @@ def _apply_sanitize_flag(args) -> None:
         os.environ["REPRO_SANITIZE"] = "1"
 
 
-def _make_faults(args):
-    """Build a FaultConfig from ``--faults`` / chaos rate flags, or
-    None when every rate is zero (so plain runs stay untouched)."""
-    from repro.faults import FaultConfig, chaos_profile, parse_fault_spec
-    if getattr(args, "faults", None):
-        cfg = parse_fault_spec(args.faults)
-    else:
-        cfg = chaos_profile(
-            drop=getattr(args, "drop", 0.0),
-            duplicate=getattr(args, "dup", 0.0),
-            delay=getattr(args, "delay", 0.0),
-            reorder=getattr(args, "reorder", 0.0),
-            seed=getattr(args, "fault_seed", 0),
-            delay_max=getattr(args, "delay_max", 64),
-            stall_interval=getattr(args, "stall_interval", 0),
-            stall_duration=getattr(args, "stall_duration", 0))
-    cfg.validate()
-    return cfg if cfg.active() else None
-
-
 def _make_config(args, scheme: str) -> SystemConfig:
     cfg = scaled_config(args.nodes, seed=args.seed)
     if get_scheme(scheme).needs_puno:
@@ -176,9 +156,11 @@ def cmd_run(args) -> int:
     if args.trace:
         from repro.sim.trace import Tracer
         tracer = Tracer()
-    faults = _make_faults(args) if getattr(args, "faults", None) else None
-    from repro.analysis.chaos import audits_safe
+    from repro.faults import audits_safe, parse_fault_spec
     from repro.system import StallError, System
+    faults = parse_fault_spec(args.faults) if args.faults else None
+    if faults is not None and not faults.active():
+        faults = None
     system = System(cfg, wl, args.scheme, trace=tracer,
                     faults=faults, watchdog=faults is not None)
     try:
@@ -266,23 +248,47 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    _apply_sanitize_flag(args)
-    from repro.analysis.chaos import TOUR, run_chaos
-    faults = _make_faults(args)
-    if faults is None:
-        print("no faults configured: pass at least one of --drop/--dup/"
-              "--delay/--reorder/--stall-interval", file=sys.stderr)
+    from repro.analysis.chaos import TOUR, ChaosReport
+    from repro.analysis.parallel import SweepExecutionError, \
+        run_tasks_resilient
+    from repro.scenarios.runner import scenario_tasks
+    from repro.scenarios.spec import ScenarioSpec, WorkloadDef
+    spec = ScenarioSpec(
+        name="chaos", nodes=args.nodes,
+        workloads=tuple(WorkloadDef(w) for w in (
+            args.workloads.split(",") if args.workloads else TOUR)),
+        schemes=tuple(args.schemes.split(",")), scale=args.scale,
+        seeds=(args.seed,), faults=args.faults or "")
+    try:
+        active = spec.fault_config() is not None
+    except ValueError as exc:
+        print(f"bad --faults: {exc}", file=sys.stderr)
         return 2
-    workloads = (args.workloads.split(",") if args.workloads
-                 else list(TOUR))
-    unknown = set(workloads) - set(STAMP_WORKLOADS)
+    if not active:
+        print("no faults configured: pass --faults with at least one "
+              "nonzero rate, e.g. 'dup=0.02,delay=0.05,seed=7'",
+              file=sys.stderr)
+        return 2
+    unknown = {w.label for w in spec.workloads} - set(STAMP_WORKLOADS)
     if unknown:
         print(f"unknown workload(s): {sorted(unknown)}", file=sys.stderr)
         return 2
-    report = run_chaos(faults, workloads=workloads, scheme=args.scheme,
-                       nodes=args.nodes, scale=args.scale,
-                       seed=args.seed, max_cycles=args.max_cycles,
-                       verbose=not args.json)
+    unknown = set(spec.schemes) - set(SCHEMES)
+    if unknown:
+        print(f"unknown scheme(s): {sorted(unknown)}", file=sys.stderr)
+        return 2
+    _apply_sanitize_flag(args)
+    # the executor directly, not run_scenario: its validate() rejects
+    # the chain meshes chaos has always run; the store stays off, as a
+    # replayed verdict would verify nothing
+    try:
+        results = run_tasks_resilient(
+            scenario_tasks(spec, max_cycles=args.max_cycles), jobs=1,
+            cache=False)
+    except SweepExecutionError as exc:
+        print(f"chaos: {exc}", file=sys.stderr)
+        return 1
+    report = ChaosReport.from_results(results)
     if args.json:
         print(json.dumps(report.to_dict(), indent=1))
     else:
@@ -351,6 +357,11 @@ def cmd_scenario(args) -> int:
         if args.out:
             manifest = result.write_manifest(args.out)
             print(f"wrote manifest to {manifest}", file=sys.stderr)
+        for (wl, scheme, seed), r in zip(result.cells, result.results):
+            if r.stall is not None:
+                print(f"{name}: {wl}/{scheme}/s{seed} stalled: "
+                      f"{r.stall.describe()}", file=sys.stderr)
+                rc = 1
     return rc
 
 
@@ -652,27 +663,17 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_p.add_argument("--workloads", default=None,
                          help="comma-separated STAMP subset "
                               "(default: the full tour)")
-    chaos_p.add_argument("--scheme", choices=SCHEMES, default="puno")
+    chaos_p.add_argument("--schemes", default="puno",
+                         help="comma-separated subset of "
+                              f"{','.join(SCHEMES)} (default: puno)")
     chaos_p.add_argument("--nodes", type=int, default=16)
     chaos_p.add_argument("--scale", type=float, default=0.2)
     chaos_p.add_argument("--seed", type=int, default=0)
     chaos_p.add_argument("--max-cycles", type=int, default=500_000_000)
-    chaos_p.add_argument("--drop", type=float, default=0.0,
-                         help="message drop rate")
-    chaos_p.add_argument("--dup", type=float, default=0.0,
-                         help="response duplication rate")
-    chaos_p.add_argument("--delay", type=float, default=0.0,
-                         help="message delay rate")
-    chaos_p.add_argument("--reorder", type=float, default=0.0,
-                         help="response reorder rate")
-    chaos_p.add_argument("--delay-max", type=int, default=64,
-                         help="max injected delay in cycles")
-    chaos_p.add_argument("--fault-seed", type=int, default=0,
-                         help="seed for the fault decision stream")
-    chaos_p.add_argument("--stall-interval", type=int, default=0,
-                         help="cycles between injected node stalls")
-    chaos_p.add_argument("--stall-duration", type=int, default=0,
-                         help="length of each injected node stall")
+    chaos_p.add_argument("--faults", metavar="SPEC",
+                         help="the fault mix, e.g. "
+                              "'drop=0.02,dup=0.02,delay=0.05,seed=7' "
+                              "(the grammar of 'repro run --faults')")
     sanitize_opt(chaos_p)
     chaos_p.add_argument("--json", action="store_true",
                          help="print the report as JSON")

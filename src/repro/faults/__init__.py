@@ -16,7 +16,7 @@ from repro.faults.injector import (
     RESPONSE_TYPES,
     FaultConfig,
     FaultInjector,
-    chaos_profile,
+    audits_safe,
     parse_fault_spec,
 )
 
@@ -26,6 +26,6 @@ __all__ = [
     "RESPONSE_TYPES",
     "FaultConfig",
     "FaultInjector",
-    "chaos_profile",
+    "audits_safe",
     "parse_fault_spec",
 ]

@@ -17,6 +17,11 @@ per-workload comparison table or write a *stats manifest*: one
 ``manifest.json`` summarizing every cell (headline metrics + canonical
 snapshot digest) plus a full per-cell snapshot JSON under ``cells/``
 for external tooling.
+
+A fault cell (``spec.faults``) that stalls comes back as a result, not
+an exception: its ``TaskResult.stall`` holds the watchdog's report, the
+table gains a ``stall`` column, the manifest records the report, and
+the result store never keeps the cell.
 """
 
 from __future__ import annotations
@@ -139,6 +144,9 @@ class ScenarioResult:
                             / max(base.flit_router_traversals, 1), 3),
                         "cached": "yes" if r.cache_hit else "",
                     })
+                    if self.spec.faults:
+                        rows[-1]["stall"] = (r.stall.kind if r.stall
+                                             else "")
         title = (f"scenario {self.spec.name}: {self.spec.nodes} nodes, "
                  f"x = vs {base_scheme}")
         return render_table(rows, title=title)
@@ -156,6 +164,8 @@ class ScenarioResult:
                 "wall_seconds": round(r.wall_seconds, 4),
                 "summary": r.stats.summary(),
             })
+            if r.stall is not None:
+                cells[-1]["stall"] = r.stall.to_dict()
         return {"scenario": self.spec.to_dict(), "cells": cells}
 
     def write_manifest(self, outdir: Union[str, Path]) -> Path:
@@ -215,8 +225,10 @@ def run_scenario(spec: ScenarioSpec,
     if verbose:
         for (wl, scheme, seed), r in zip(out.cells, out.results):
             hit = " [cached]" if r.cache_hit else ""
+            stall = (f" STALLED ({r.stall.kind} at cycle {r.stall.cycle})"
+                     if r.stall else "")
             print(f"  {wl}/{scheme}/s{seed}: "
                   f"{r.stats.execution_cycles} cycles, "
                   f"{r.stats.tx_aborted} aborts "
-                  f"({r.wall_seconds:.2f}s wall){hit}")
+                  f"({r.wall_seconds:.2f}s wall){hit}{stall}")
     return out

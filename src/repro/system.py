@@ -337,9 +337,7 @@ class System:
 def run_workload(config: SystemConfig, workload: Workload,
                  cm: Union[str, ContentionManager] = "baseline",
                  max_cycles: Optional[int] = None,
-                 audit: bool = True, faults=None,
-                 watchdog: Union[None, bool, WatchdogConfig] = None
-                 ) -> RunResult:
+                 audit: bool = True) -> RunResult:
     """One-call convenience wrapper used by examples and benchmarks."""
-    return System(config, workload, cm, faults=faults,
-                  watchdog=watchdog).run(max_cycles=max_cycles, audit=audit)
+    return System(config, workload, cm).run(max_cycles=max_cycles,
+                                            audit=audit)

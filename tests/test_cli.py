@@ -162,14 +162,14 @@ def test_run_with_faults_spec(capsys):
 
 def test_chaos_smoke_passes(capsys):
     rc = main(["chaos", "--workloads", "intruder", "--nodes", "4",
-               "--scale", "0.05", "--dup", "0.02", "--delay", "0.05"])
+               "--scale", "0.05", "--faults", "dup=0.02,delay=0.05"])
     assert rc == 0
     assert "chaos verdict: PASS" in capsys.readouterr().out
 
 
 def test_chaos_json_payload(capsys):
     rc = main(["chaos", "--workloads", "intruder", "--nodes", "4",
-               "--scale", "0.05", "--dup", "0.02", "--delay", "0.05",
+               "--scale", "0.05", "--faults", "dup=0.02,delay=0.05",
                "--json"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
@@ -183,8 +183,76 @@ def test_chaos_without_faults_is_usage_error(capsys):
 
 
 def test_chaos_unknown_workload_is_usage_error(capsys):
-    rc = main(["chaos", "--workloads", "not-a-workload", "--drop", "0.1"])
+    rc = main(["chaos", "--workloads", "not-a-workload",
+               "--faults", "drop=0.1"])
     assert rc == 2
+
+
+def test_chaos_unknown_scheme_is_usage_error(capsys):
+    rc = main(["chaos", "--schemes", "puno,not-a-scheme",
+               "--faults", "drop=0.1"])
+    assert rc == 2
+    assert "not-a-scheme" in capsys.readouterr().err
+
+
+def test_chaos_enables_puno_for_every_scheme_that_needs_it(capsys):
+    """ats+puno runs with the PUNO units on, so its cells are not the
+    ats cells under another name."""
+    rc = main(["chaos", "--schemes", "ats,ats+puno",
+               "--faults", "dup=0.02,delay=0.05,seed=7",
+               "--workloads", "intruder", "--nodes", "4", "--json"])
+    assert rc == 0
+    ats, ats_puno = json.loads(capsys.readouterr().out)["outcomes"]
+    assert (ats["scheme"], ats_puno["scheme"]) == ("ats", "ats+puno")
+    assert ats["status"] == ats_puno["status"] == "committed"
+    del ats["scheme"], ats_puno["scheme"]
+    assert ats != ats_puno
+
+
+def test_chaos_sizes_the_pbuffer_for_any_mesh(capsys):
+    """A 32-node tour gets the scaled configuration: one P-Buffer
+    entry per node."""
+    rc = main(["chaos", "--nodes", "32", "--schemes", "puno",
+               "--workloads", "kmeans", "--faults", "delay=0.01"])
+    assert rc == 0
+    assert "chaos verdict: PASS" in capsys.readouterr().out
+
+
+def test_chaos_sanitizer_violation_names_the_cell(capsys, monkeypatch):
+    """A violation is a bug, not a verdict: the tour fails with exit 1
+    and names the cell that raised."""
+    from repro.sanitize import SanitizerViolation
+    from repro.system import System
+
+    def violating_run(self, max_cycles=None, audit=True):
+        raise SanitizerViolation("mesi-single-owner", "two owners",
+                                 cycle=42)
+
+    monkeypatch.setattr(System, "run", violating_run)
+    rc = main(["chaos", "--workloads", "kmeans", "--nodes", "4",
+               "--schemes", "backoff", "--faults", "delay=0.05"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "'kmeans'/'backoff'" in captured.err
+    assert "SanitizerViolation" in captured.err
+    assert "chaos verdict" not in captured.out
+
+
+def test_scenario_run_with_stalled_cells_prints_table_and_exits_1(
+        capsys, monkeypatch):
+    from repro.scenarios import ScenarioSpec, WorkloadDef
+    from repro.scenarios.registry import _REGISTRY
+    spec = ScenarioSpec(name="lossy-4", nodes=4,
+                        workloads=(WorkloadDef("kmeans"),),
+                        schemes=("baseline",), scale=0.1,
+                        faults="drop=0.02,seed=7")
+    monkeypatch.setitem(_REGISTRY, spec.name, spec)
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    assert main(["scenario", "run", "lossy-4"]) == 1
+    captured = capsys.readouterr()
+    assert "scenario lossy-4" in captured.out
+    assert "deadlock" in captured.out
+    assert "kmeans/baseline/s0 stalled" in captured.err
 
 
 # ---------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Deterministic fault injection: zero-rate transparency (the
 bit-identity property), same-seed determinism, structured stalls under
-loss, and the spec/profile parsing surface."""
+loss, and the spec parsing surface."""
 
 from __future__ import annotations
 
@@ -9,13 +9,12 @@ import json
 
 import pytest
 
-from repro.analysis.chaos import audits_safe
 from repro.faults import (
     DUP_SAFE_TYPES,
     RESPONSE_TYPES,
     FaultConfig,
     FaultInjector,
-    chaos_profile,
+    audits_safe,
     parse_fault_spec,
 )
 from repro.network.message import MessageType
@@ -197,7 +196,7 @@ def test_validate_rejects_bad_entries():
     with pytest.raises(ValueError, match="outside"):
         FaultConfig(drop=1.5).validate()
     with pytest.raises(ValueError, match="outside"):
-        chaos_profile(drop=2.0)
+        FaultConfig(drop=2.0).validate()
 
 
 def test_parse_fault_spec_aliases_and_ints():

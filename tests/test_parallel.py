@@ -5,8 +5,10 @@ SweepResult grid."""
 
 from __future__ import annotations
 
+import json
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -222,12 +224,62 @@ def test_deterministic_worker_error_is_not_retried():
                             cache=False, runner=_raise_run_task)
 
 
+def test_serial_raising_cell_fails_the_sweep_by_name():
+    """In-process, a raising cell fails the sweep with the same error a
+    pool worker's would, naming the cell, original exception chained."""
+    with pytest.raises(SweepExecutionError,
+                       match="'intruder'/'baseline'") as info:
+        run_tasks_resilient(_tasks2(), jobs=1, cache=False,
+                            runner=_raise_run_task)
+    assert isinstance(info.value.__cause__, ValueError)
+
+
 def test_crash_exhaustion_names_the_failed_cells(tmp_path, monkeypatch):
     """retries=0 means a first-attempt crash is already exhaustion."""
     monkeypatch.setenv(_CRASH_FLAG_ENV, str(tmp_path))
     with pytest.raises(SweepExecutionError, match="after 1 attempt"):
         run_tasks_resilient(_tasks2(), jobs=2, retries=0,
                             cache=False, runner=_crashy_run_task)
+
+
+# ---------------------------------------------------------------------
+# fault cells: a stall is a result, not an error
+# ---------------------------------------------------------------------
+
+def _lossy_spec():
+    """Message loss wedges every cell of this grid: baseline deadlocks,
+    PUNO's timers keep the heap alive until no-progress fires."""
+    return replace(_spec4(schemes=("baseline", "puno")),
+                   faults="drop=0.02,seed=7")
+
+
+def _stall_view(result):
+    return (result.stall.to_dict(), result.faults, result.end_cycle,
+            result.stats.snapshot_digest())
+
+
+def test_lossy_scenario_stalls_identically_serial_and_parallel():
+    """Stalled cells come back as results through run_scenario, and the
+    StallReport survives the pickle boundary: jobs=2 equals jobs=1 in
+    stall kind and cycle, injector summary and partial Stats."""
+    spec = _lossy_spec()
+    serial = _run(spec, jobs=1, cache=False)
+    parallel = _run(spec, jobs=2, cache=False)
+    assert serial.cells == parallel.cells
+    assert all(r.stall is not None for r in serial.results)
+    assert {r.stall.kind for r in serial.results} \
+        == {"deadlock", "no-progress"}
+    assert all(r.faults["dropped"] > 0 for r in serial.results)
+    assert [_stall_view(r) for r in serial.results] \
+        == [_stall_view(r) for r in parallel.results]
+
+
+def test_stalled_cells_reach_the_manifest(tmp_path):
+    result = _run(_lossy_spec(), cache=False)
+    doc = json.loads(result.write_manifest(tmp_path).read_text())
+    for cell, r in zip(doc["cells"], result.results):
+        assert cell["stall"] == r.stall.to_dict()
+    assert "stall" in result.render_text()
 
 
 # ---------------------------------------------------------------------

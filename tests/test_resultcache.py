@@ -316,6 +316,43 @@ def test_resolve_cache_forms(tmp_path, monkeypatch):
     assert resolve_cache(True) is None
 
 
+def test_stalled_fault_cell_is_never_stored(tmp_path, cfg):
+    """A stall is recomputed on every run and never enters the store;
+    a committed fault cell beside it is stored and replayed."""
+    tasks = (_task(cfg, faults="delay=0.05,seed=7"),
+             _task(cfg, faults="drop=0.3,seed=1"))
+    cache = ResultCache(tmp_path)
+    committed, stalled = _run(cache, *tasks)
+    assert committed.stall is None and stalled.stall is not None
+    assert cache.stores == 1 and len(cache) == 1
+    warm = ResultCache(tmp_path)
+    replayed, again = _run(warm, *tasks)
+    assert replayed.cache_hit and not again.cache_hit
+    assert warm.hits == 1 and warm.stores == 0 and len(warm) == 1
+    assert (replayed.stats.snapshot_digest()
+            == committed.stats.snapshot_digest())
+    assert again.stall.to_dict() == stalled.stall.to_dict()
+
+
+def test_lossy_scenario_rerun_recomputes_its_stalls(tmp_path):
+    """With the store on, a grid whose every cell stalls recomputes
+    them all on a re-run, and the store's entry count stays put."""
+    from repro.scenarios import ScenarioSpec, WorkloadDef, run_scenario
+    spec = ScenarioSpec(name="lossy-4", nodes=4,
+                        workloads=(WorkloadDef("intruder"),
+                                   WorkloadDef("kmeans")),
+                        schemes=("baseline",), scale=0.1,
+                        faults="drop=0.02,seed=7")
+    cache = ResultCache(tmp_path)
+    cold = run_scenario(spec, cache=cache)
+    assert all(r.stall is not None for r in cold.results)
+    assert cache.misses == 2 and cache.stores == 0 and len(cache) == 0
+    warm = ResultCache(tmp_path)
+    rerun = run_scenario(spec, cache=warm)
+    assert rerun.cache_hits == 0 and warm.stores == 0 and len(warm) == 0
+    assert rerun.snapshot_digests() == cold.snapshot_digests()
+
+
 def test_cache_false_always_runs(tmp_path, cfg):
     for _ in range(2):
         (r,) = _run(False, _task(cfg))
