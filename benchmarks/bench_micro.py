@@ -2,8 +2,8 @@
 """Hot-path microbenchmarks: message allocation, network send/deliver,
 handler dispatch, raw event-engine throughput (unbounded and in the
 ``max_events`` chunks real runs drain by), the PUNO rollover tick,
-Zipf workload generation, and an end-to-end STAMP-tour event-rate
-measurement.
+Zipf workload generation, the workload builds of the paper grid's
+set-up, and an end-to-end STAMP-tour event-rate measurement.
 
 Writes ``BENCH_hotpath.json`` (repo root by default) so the perf
 trajectory is versioned alongside the code.  ``--check BASELINE.json``
@@ -454,6 +454,46 @@ def bench_workload_build(repeats: int) -> dict:
 
 
 # ---------------------------------------------------------------------
+# phase 4f: workload builds over the paper grid
+# ---------------------------------------------------------------------
+
+def bench_grid_setup(scale: float, repeats: int) -> dict:
+    """Factory builds and their wall time when every cell of the 8 x 4
+    paper grid asks ``WorkloadSpec.build`` for its workload, in the
+    grid's (workload-major) task order, starting with nothing kept.
+    One build per distinct spec is the contract ``--check`` gates: a
+    count, so runner speed does not enter it."""
+    import repro.workloads.stamp as stamp
+    from repro.analysis.experiments import paper_spec
+    from repro.analysis.parallel import forget_last_build
+    from repro.scenarios.runner import scenario_tasks
+
+    tasks = scenario_tasks(paper_spec(scale=scale))
+    real = stamp.make_stamp_workload
+    builds = []
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    def setup():
+        forget_last_build()
+        builds.clear()
+        for task in tasks:
+            task.spec.build()
+
+    stamp.make_stamp_workload = counting
+    try:
+        best = _best_of(setup, repeats)
+    finally:
+        stamp.make_stamp_workload = real
+        forget_last_build()
+    return {"cells": len(tasks),
+            "distinct_specs": len({repr(t.spec) for t in tasks}),
+            "builds": len(builds), "seconds": best}
+
+
+# ---------------------------------------------------------------------
 # phase 5: end-to-end STAMP tour
 # ---------------------------------------------------------------------
 
@@ -530,6 +570,7 @@ def run_benchmarks(scale: float, repeats: int, micro_n: int,
             "int_dispatch": bench_int_dispatch(micro_n, repeats),
             "puno_tick": bench_puno_tick(micro_n // 4, repeats),
             "workload_build": bench_workload_build(repeats),
+            "grid_setup": bench_grid_setup(scale, repeats),
         },
         "mesh_scaling": bench_mesh_scaling(mesh_repeats),
         "end_to_end": bench_end_to_end(scale, repeats),
@@ -564,6 +605,7 @@ def check_against(report: dict, baseline_path: Path,
     status |= check_chunked_drain(report, baseline, tolerance)
     status |= check_puno_tick(report, baseline, tolerance)
     status |= check_workload_build(report)
+    status |= check_grid_setup(report)
     status |= check_mesh_scaling(report, baseline, tolerance)
     if status == 0:
         print("perf check OK")
@@ -648,6 +690,24 @@ def check_workload_build(report: dict) -> int:
     if width > WORKLOAD_BUILD_WIDTH_LIMIT:
         print("workload build check FAILED: the per-draw cost grows with "
               "the Zipf array size")
+        return 1
+    return 0
+
+
+def check_grid_setup(report: dict) -> int:
+    """One workload build per distinct spec over the paper grid: the
+    schemes of a row share their workload's build."""
+    fresh = report.get("phases", {}).get("grid_setup")
+    if not fresh:
+        print("grid setup check skipped: no grid_setup phase in the fresh "
+              "report")
+        return 0
+    print(f"grid setup check: {fresh['builds']} workload builds for "
+          f"{fresh['cells']} cells of {fresh['distinct_specs']} distinct "
+          f"specs")
+    if fresh["builds"] != fresh["distinct_specs"]:
+        print("grid setup check FAILED: a workload is rebuilt for each "
+              "cell that names it, not once per spec")
         return 1
     return 0
 
@@ -792,6 +852,9 @@ def main(argv=None) -> int:
     print(f"workload build ({build['nodes']} nodes): " + "  ".join(
         f"{n} lines {build[f'ranks_per_sec_{n}']:.0f} ranks/s"
         for n in WORKLOAD_BUILD_LINES))
+    grid = report["phases"]["grid_setup"]
+    print(f"grid setup: {grid['builds']} workload builds for "
+          f"{grid['cells']} cells in {grid['seconds']:.3f} s")
     for size, r in sorted(report["mesh_scaling"].items(),
                           key=lambda kv: int(kv[0])):
         print(f"mesh {size:>5} nodes: {r['events']} events @ "

@@ -7,7 +7,9 @@ descriptors* — a :class:`WorkloadSpec` naming how to rebuild the
 workload (name / scale / seed / node count) plus the scheme name and
 frozen :class:`~repro.sim.config.SystemConfig` — never live
 ``Workload`` or ``System`` objects.  Each worker rebuilds its workload
-from the spec, simulates it, and ships the
+from the spec (once for a run of equal specs, as a grid's schemes for
+one workload are: see :meth:`WorkloadSpec.build`), simulates it, and
+ships the
 :class:`~repro.sim.stats.Stats` back — for a fault cell that stalled,
 with the watchdog's :class:`~repro.sim.watchdog.StallReport`.
 
@@ -65,11 +67,23 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.faults import audits_safe, parse_fault_spec
 from repro.sim.config import SystemConfig
-from repro.sim.resultcache import CacheLike, ResultCache, \
+from repro.sim.resultcache import CacheLike, CellRecord, ResultCache, \
     config_fingerprint, resolve_cache, source_digest
 from repro.sim.stats import Stats
 from repro.sim.watchdog import StallReport
 from repro.workloads.base import Workload
+
+
+#: The last workload :meth:`WorkloadSpec.build` made in this process,
+#: under ``repr`` of its spec (at most one entry).  Forked pool workers
+#: inherit it.
+_kept: Dict[str, Workload] = {}
+
+
+def forget_last_build() -> None:
+    """Drop the workload :meth:`WorkloadSpec.build` keeps (for tests
+    that swap a workload factory)."""
+    _kept.clear()
 
 
 @dataclass(frozen=True)
@@ -93,6 +107,23 @@ class WorkloadSpec:
     params: Tuple[Tuple[str, object], ...] = ()
 
     def build(self) -> Workload:
+        """The workload this spec names, built at most once in a row.
+
+        The last build is kept, keyed by ``repr(self)``: a grid runs
+        workload-major, so every scheme of a row after the first gets
+        the same object back.  Sharing is sound because no run writes
+        into a ``Workload`` (nodes only index ``programs`` and
+        ``ops``).  A miss drops the kept workload before building, so
+        its memory is free for the next one.
+        """
+        key = repr(self)
+        workload = _kept.get(key)
+        if workload is None:
+            _kept.clear()
+            workload = _kept[key] = self._generate()
+        return workload
+
+    def _generate(self) -> Workload:
         if self.kind == "stamp":
             from repro.workloads.stamp import make_stamp_workload
             return make_stamp_workload(self.name, num_nodes=self.num_nodes,
@@ -143,8 +174,8 @@ class TaskResult:
     A fault cell that stalled comes back with the watchdog's ``stall``
     report and the partial ``stats`` up to the stall; ``faults`` is the
     injector's summary and ``end_cycle`` the engine clock when the run
-    returned or stalled.  A replayed cell has only its ``stats``: the
-    store holds nothing else, and never holds a stalled cell.
+    returned or stalled.  A replayed cell carries all three as they
+    were computed; the store never holds a stalled cell.
     """
 
     workload: str
@@ -241,7 +272,8 @@ def _record(results: List[Optional[TaskResult]],
     and the cell did not stall, under its key."""
     results[i] = result
     if store is not None and result.stall is None:
-        store.put(keys[i], result.stats)
+        store.put(keys[i], CellRecord(result.stats, result.faults,
+                                      result.end_cycle))
 
 
 def _shutdown_pool(ex: ProcessPoolExecutor) -> None:
@@ -334,12 +366,14 @@ def run_tasks_resilient(tasks: Iterable[SweepTask],
     results: List[Optional[TaskResult]] = [None] * len(task_list)
     pending: List[int] = []
     for i, task in enumerate(task_list):
-        stats = store.get(keys[i]) if store is not None else None
-        if stats is None:
+        record = store.get(keys[i]) if store is not None else None
+        if record is None:
             pending.append(i)
         else:
-            results[i] = TaskResult(task.workload, task.scheme, stats,
-                                    0.0, True)
+            results[i] = TaskResult(task.workload, task.scheme,
+                                    record.stats, 0.0, True,
+                                    faults=record.faults,
+                                    end_cycle=record.end_cycle)
     finish = partial(_record, results, store, keys)
     n = resolve_jobs(jobs)
     if n <= 1 or len(pending) <= 1:

@@ -149,6 +149,15 @@ def cmd_workloads(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from repro.faults import audits_safe, parse_fault_spec
+    from repro.system import StallError, System
+    try:
+        faults = parse_fault_spec(args.faults) if args.faults else None
+    except ValueError as exc:
+        print(f"bad --faults: {exc}", file=sys.stderr)
+        return 2
+    if faults is not None and not faults.active():
+        faults = None
     _apply_sanitize_flag(args)
     wl = _make_workload(args)
     cfg = _make_config(args, args.scheme)
@@ -156,11 +165,6 @@ def cmd_run(args) -> int:
     if args.trace:
         from repro.sim.trace import Tracer
         tracer = Tracer()
-    from repro.faults import audits_safe, parse_fault_spec
-    from repro.system import StallError, System
-    faults = parse_fault_spec(args.faults) if args.faults else None
-    if faults is not None and not faults.active():
-        faults = None
     system = System(cfg, wl, args.scheme, trace=tracer,
                     faults=faults, watchdog=faults is not None)
     try:

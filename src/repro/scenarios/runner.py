@@ -119,16 +119,19 @@ class ScenarioResult:
     # ------------------------------------------------------------------
     def render_text(self) -> str:
         """Per-cell comparison table, normalized against the first
-        scheme of the spec."""
+        scheme of the spec.  A ratio reads ``-`` when its cell or its
+        base cell stalled: a stalled cell's counters stop at the stall,
+        so nothing is normalized by or against them."""
         base_scheme = self.spec.schemes[0]
         rows: List[Dict[str, object]] = []
         by_cell = dict(zip(self.cells, self.results))
         for wl in self.spec.workloads:
             for seed in self.spec.seeds:
-                base = by_cell[(wl.label, base_scheme, seed)].stats
+                base = by_cell[(wl.label, base_scheme, seed)]
                 for scheme in self.spec.schemes:
                     r = by_cell[(wl.label, scheme, seed)]
                     st = r.stats
+                    stalled = r.stall is not None or base.stall is not None
                     rows.append({
                         "workload": wl.label,
                         "seed": seed,
@@ -136,12 +139,13 @@ class ScenarioResult:
                         "commits": st.tx_committed,
                         "aborts": st.tx_aborted,
                         "abort %": round(100 * st.abort_rate(), 1),
-                        "exec x": round(st.execution_cycles
-                                        / max(base.execution_cycles, 1),
-                                        3),
-                        "traffic x": round(
+                        "exec x": "-" if stalled else round(
+                            st.execution_cycles
+                            / max(base.stats.execution_cycles, 1), 3),
+                        "traffic x": "-" if stalled else round(
                             st.flit_router_traversals
-                            / max(base.flit_router_traversals, 1), 3),
+                            / max(base.stats.flit_router_traversals, 1),
+                            3),
                         "cached": "yes" if r.cache_hit else "",
                     })
                     if self.spec.faults:

@@ -6,7 +6,8 @@ sources, the system configuration, the workload recipe, the scheme,
 the cycle budget, the audit switch and the fault profile.  The sweep
 executor (:func:`repro.analysis.parallel.run_tasks_resilient`) hashes
 exactly that into a key (:func:`repro.analysis.parallel.task_key`) and
-stores the pickled :class:`~repro.sim.stats.Stats` under it here.  A
+stores a pickled :class:`CellRecord` under it here: the cell's
+:class:`~repro.sim.stats.Stats`, fault-injector summary and end clock.  A
 hit skips the simulation and the workload build entirely, which makes
 repeated sweeps — the bench suite, ``repro experiment``, notebook
 iteration — near-instant, and makes re-running an interrupted sweep
@@ -41,7 +42,7 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Optional, Union
+from typing import Dict, Optional, Union
 
 from repro.sanitize import sanitize_enabled
 from repro.sim.config import SystemConfig
@@ -63,6 +64,17 @@ _DIGEST_LEN = 64  # hex sha256
 
 class CacheCorruption(Exception):
     """A store entry failed its integrity check."""
+
+
+@dataclasses.dataclass(slots=True)
+class CellRecord:
+    """What the store keeps of one computed cell: its Stats, the fault
+    injector's summary (empty for a plain cell) and the engine clock
+    when the run returned."""
+
+    stats: Stats
+    faults: Dict[str, int]
+    end_cycle: int
 
 
 def cache_enabled() -> bool:
@@ -203,7 +215,7 @@ def quarantine(path: Path) -> Optional[Path]:
 # ---------------------------------------------------------------------
 
 class ResultCache:
-    """Filesystem-backed store of pickled :class:`Stats` by key."""
+    """Filesystem-backed store of pickled :class:`CellRecord` by key."""
 
     def __init__(self, root: Union[None, str, Path] = None):
         if root is None:
@@ -217,13 +229,13 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.pkl"
 
-    def get(self, key: str) -> Optional[Stats]:
-        """The cached Stats for ``key``, or None.  Truncated/corrupt
+    def get(self, key: str) -> Optional[CellRecord]:
+        """The cached record for ``key``, or None.  Truncated/corrupt
         entries are quarantined to ``*.corrupt`` and count as misses —
         never an exception mid-sweep."""
         path = self._path(key)
         try:
-            stats = read_checked_pickle(path)
+            record = read_checked_pickle(path)
         except FileNotFoundError:
             self.misses += 1
             return None
@@ -232,21 +244,22 @@ class ResultCache:
             self.quarantined += 1
             self.misses += 1
             return None
-        if not isinstance(stats, Stats):
+        if not isinstance(record, CellRecord):
             # integrity-valid but not ours (foreign writer?): move aside
             quarantine(path)
             self.quarantined += 1
             self.misses += 1
             return None
         self.hits += 1
-        return stats
+        return record
 
-    def put(self, key: str, stats: Stats) -> None:
-        """Atomically store ``stats`` under ``key`` (checksummed)."""
+    def put(self, key: str, record: CellRecord) -> None:
+        """Atomically store ``record`` under ``key`` (checksummed)."""
         path = self._path(key)
+        stats = record.stats
         tracer, stats.tracer = stats.tracer, None  # never pickle tracers
         try:
-            write_checked_pickle(path, stats)
+            write_checked_pickle(path, record)
         finally:
             stats.tracer = tracer
         self.stores += 1

@@ -6,6 +6,7 @@ from typing import List, Optional
 
 import pytest
 
+from repro.analysis.parallel import forget_last_build
 from repro.network.message import Message
 from repro.network.topology import Mesh
 from repro.sim.config import (
@@ -18,6 +19,16 @@ from repro.sim.engine import Simulator
 from repro.sim.stats import Stats
 from repro.workloads.base import Gap, NonTxOp, TxInstance, TxOp, Workload
 from repro.workloads.generator import read_ops, write_ops
+
+
+@pytest.fixture(autouse=True)
+def _no_kept_workload():
+    """Every test starts and ends without a workload kept by
+    ``WorkloadSpec.build``, so a test that swaps a workload factory
+    never receives a build from before the swap."""
+    forget_last_build()
+    yield
+    forget_last_build()
 
 
 @pytest.fixture

@@ -160,6 +160,14 @@ def test_run_with_faults_spec(capsys):
     assert "faults injected" in captured.err
 
 
+@pytest.mark.parametrize("spec", ["bogus=1", "drop", "drop=lots"])
+def test_run_bad_faults_spec_is_usage_error(capsys, spec):
+    """A malformed --faults is a usage error (exit 2), as it is for
+    chaos, not a traceback."""
+    assert main(["run", "kmeans", "--faults", spec]) == 2
+    assert "bad --faults" in capsys.readouterr().err
+
+
 def test_chaos_smoke_passes(capsys):
     rc = main(["chaos", "--workloads", "intruder", "--nodes", "4",
                "--scale", "0.05", "--faults", "dup=0.02,delay=0.05"])

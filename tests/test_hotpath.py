@@ -369,6 +369,30 @@ def test_workload_build_check_fails_when_draw_cost_grows_with_lines(
     capsys.readouterr()
 
 
+def _grid(builds, distinct=8):
+    return {"phases": {"grid_setup": {
+        "cells": 32, "distinct_specs": distinct, "builds": builds,
+        "seconds": 0.1}}}
+
+
+def test_grid_setup_check_gates_builds_per_distinct_spec(capsys):
+    """Rebuilding a workload for each of its four schemes is a count
+    mismatch, whatever the runner's speed."""
+    bench = _bench_module()
+    assert bench.check_grid_setup(_grid(8)) == 0
+    assert bench.check_grid_setup(_grid(32)) == 1
+    assert bench.check_grid_setup({"phases": {}}) == 0
+    capsys.readouterr()
+
+
+def test_grid_setup_phase_builds_each_spec_once():
+    bench = _bench_module()
+    phase = bench.bench_grid_setup(scale=0.02, repeats=1)
+    assert phase["cells"] == 32
+    assert phase["builds"] == phase["distinct_specs"] == 8
+    assert bench.check_grid_setup({"phases": {"grid_setup": phase}}) == 0
+
+
 def _mesh(rss_kb):
     return {"mesh_scaling": {
         str(n): {"events_per_sec": 200_000.0, "peak_rss_kb": kb}

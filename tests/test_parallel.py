@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import pytest
 from repro.analysis.experiments import paper_spec
 from repro.analysis.parallel import (
     SweepExecutionError,
+    TaskResult,
     WorkloadSpec,
     resolve_jobs,
     run_task,
@@ -24,9 +26,11 @@ from repro.analysis.parallel import (
 )
 from repro.analysis.sweep import SweepResult
 from repro.scenarios import ScenarioSpec, WorkloadDef, run_scenario
-from repro.scenarios.runner import scenario_tasks
+from repro.scenarios.runner import ScenarioResult, scenario_cells, \
+    scenario_tasks
 from repro.sim.resultcache import ResultCache
 from repro.sim.stats import Stats
+from repro.sim.watchdog import StallReport
 
 SCHEMES4 = ("baseline", "backoff", "rmw", "puno")
 
@@ -146,6 +150,92 @@ def test_scenario_tasks_order_is_workload_major():
     assert labels[:4] == [("intruder", "baseline"), ("intruder", "backoff"),
                           ("intruder", "rmw"), ("intruder", "puno")]
     assert labels[4][0] == "kmeans"
+
+
+# ---------------------------------------------------------------------
+# the workload memo: WorkloadSpec.build keeps its last build
+# ---------------------------------------------------------------------
+
+def _count_builds(monkeypatch, log):
+    """Log the pid of every STAMP factory call to the file ``log``;
+    forked pool workers inherit the patch and append to the same
+    file."""
+    import repro.workloads.stamp as stamp
+    real = stamp.make_stamp_workload
+
+    def counting(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stamp, "make_stamp_workload", counting)
+    return lambda: log.read_text().split() if log.exists() else []
+
+
+def test_paper_grid_builds_each_workload_once(tmp_path, monkeypatch):
+    """The 8 x 4 paper grid runs workload-major, so one kept build
+    serves all four schemes of a row: 8 factory calls, not 32."""
+    builds = _count_builds(monkeypatch, tmp_path / "builds")
+    spec = paper_spec(scale=0.02)
+    results = run_tasks_resilient(scenario_tasks(spec), jobs=1,
+                                  cache=False)
+    assert len(results) == 32
+    assert all(r.stats.tx_committed > 0 for r in results)
+    assert len(builds()) == len(spec.workloads) == 8
+
+
+def test_pool_workers_build_each_workload_at_most_once(tmp_path,
+                                                       monkeypatch):
+    """A worker takes cells in submission order, so on a 3 x 9
+    tournament grid it builds each of the 3 workloads at most once."""
+    from repro.schemes.tournament import tournament_spec
+    builds = _count_builds(monkeypatch, tmp_path / "builds")
+    spec = tournament_spec(nodes=4, scale=0.02,
+                           workloads=("intruder", "vacation",
+                                      "labyrinth"))
+    results = run_tasks_resilient(scenario_tasks(spec), jobs=2,
+                                  cache=False)
+    assert len(results) == 27
+    per_worker = Counter(builds())
+    assert str(os.getpid()) not in per_worker
+    assert 3 <= sum(per_worker.values()) <= 3 * len(per_worker)
+    assert max(per_worker.values()) <= 3
+
+
+def test_build_keeps_one_workload(tmp_path, monkeypatch):
+    """A, A, B, A: the repeat is served, B evicts A, and the rebuilt A
+    is a new object with the same content."""
+    from repro.sim.resultcache import workload_fingerprint
+    builds = _count_builds(monkeypatch, tmp_path / "builds")
+    a = WorkloadSpec("kmeans", num_nodes=4, scale=0.1)
+    b = WorkloadSpec("kmeans", num_nodes=4, scale=0.1, seed=1)
+    first = a.build()
+    assert a.build() is first
+    assert len(builds()) == 1
+    b.build()
+    again = a.build()
+    assert len(builds()) == 3
+    assert again is not first
+    assert workload_fingerprint(again) == workload_fingerprint(first)
+
+
+def test_a_run_never_writes_into_its_workload():
+    """Sharing one build across cells is sound only while no run
+    mutates it: every registered scheme and a fault cell, each with
+    aborts (so re-executions), leave the kept workload's fingerprint as
+    it was."""
+    from repro.schemes.tournament import tournament_spec
+    from repro.sim.resultcache import workload_fingerprint
+    tasks = scenario_tasks(tournament_spec(workloads=("intruder",)))
+    tasks.append(replace(tasks[0], faults="dup=0.02,delay=0.05,seed=7"))
+    assert len(tasks) == 10
+    workload = tasks[0].spec.build()
+    before = workload_fingerprint(workload)
+    for task in tasks:
+        result = run_task(task)
+        assert result.stall is None and result.stats.tx_aborted > 0
+        assert task.spec.build() is workload
+        assert workload_fingerprint(workload) == before, task.scheme
 
 
 # ---------------------------------------------------------------------
@@ -280,6 +370,40 @@ def test_stalled_cells_reach_the_manifest(tmp_path):
     for cell, r in zip(doc["cells"], result.results):
         assert cell["stall"] == r.stall.to_dict()
     assert "stall" in result.render_text()
+
+
+def _cell(scheme, cycles, stalled):
+    stats = Stats(4)
+    stats.execution_cycles = cycles
+    stats.flit_router_traversals = 10 * cycles
+    stall = StallReport(kind="deadlock", cycle=cycles, detail="",
+                        nodes_done=0, num_nodes=4, commits=0, aborts=0,
+                        window_nacks=0, live_events=0) if stalled else None
+    return TaskResult("w", scheme, stats, 0.0, False, stall=stall)
+
+
+def test_render_prints_no_ratio_against_a_stall():
+    """A ratio reads '-' when its cell or its base cell stalled; only a
+    committed cell over a committed base gets a number."""
+    spec = replace(_spec4(names=("intruder", "kmeans", "labyrinth"),
+                          schemes=("baseline", "puno")),
+                   faults="drop=0.02,seed=7")
+    stalls = {"intruder": (True, False), "kmeans": (False, True),
+              "labyrinth": (False, False)}
+    results = [_cell(scheme, 1000 * (i + 1), stalls[wl][i])
+               for wl in ("intruder", "kmeans", "labyrinth")
+               for i, scheme in enumerate(("baseline", "puno"))]
+    text = ScenarioResult(spec, scenario_cells(spec), results).render_text()
+    rows = [line.split() for line in text.splitlines()[3:]]
+    ratios = {(r[0], r[2]): (r[6], r[7]) for r in rows}
+    assert ratios == {
+        ("intruder", "baseline"): ("-", "-"),
+        ("intruder", "puno"): ("-", "-"),
+        ("kmeans", "baseline"): ("1.000", "1.000"),
+        ("kmeans", "puno"): ("-", "-"),
+        ("labyrinth", "baseline"): ("1.000", "1.000"),
+        ("labyrinth", "puno"): ("2.000", "2.000"),
+    }
 
 
 # ---------------------------------------------------------------------

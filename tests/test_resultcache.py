@@ -178,6 +178,19 @@ def test_fault_cell_never_shares_an_entry(tmp_path, cfg):
     assert again.stats.snapshot_digest() == delayed.stats.snapshot_digest()
 
 
+@pytest.mark.parametrize("faults", ["", "dup=0.05,delay=0.05,seed=7"])
+def test_warm_replay_returns_what_the_cold_run_did(tmp_path, cfg, faults):
+    """A replayed cell carries the cold run's injector summary and end
+    clock, not only its Stats."""
+    (cold,) = _run(ResultCache(tmp_path), _task(cfg, faults=faults))
+    (warm,) = _run(ResultCache(tmp_path), _task(cfg, faults=faults))
+    assert not cold.cache_hit and warm.cache_hit
+    assert cold.end_cycle > 0
+    assert bool(cold.faults) == bool(faults)
+    assert (warm.faults, warm.end_cycle) == (cold.faults, cold.end_cycle)
+    assert warm.stats.snapshot_digest() == cold.stats.snapshot_digest()
+
+
 def test_corrupt_entry_is_a_miss(tmp_path, cfg):
     cache = ResultCache(tmp_path)
     key = task_key(_task(cfg))
