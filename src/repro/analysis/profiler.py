@@ -8,8 +8,9 @@ reports three views future perf work actually needs:
   on);
 * **per-event-callback** time: every function the event loop invoked
   directly (identified from the pstats caller graph as being called by
-  ``Simulator.run``), with call counts and the cumulative time charged
-  under it — this is the event-mix view, "which callbacks cost what";
+  the engine's drain loops, ``Simulator._drain``/``_drain_until``),
+  with call counts and the cumulative time charged under it — this is
+  the event-mix view, "which callbacks cost what";
 * **per-message-type** counts from ``stats.messages_by_type``, so the
   callback costs can be read against the traffic mix that produced
   them.
@@ -24,6 +25,11 @@ import cProfile
 import pstats
 import time
 from typing import Dict, List, Optional, Tuple
+
+
+#: The engine's event loops (``Simulator._drain``/``_drain_until``):
+#: every event callback is called from one of them.
+_DRAIN_LOOPS = ("_drain", "_drain_until")
 
 
 def _is_repro(filename: str) -> bool:
@@ -131,16 +137,17 @@ def profile_run(workload, config, scheme: str, top: int = 15,
     top_rows = rows[:top]
 
     # --- per-event-callback accounting ------------------------------
-    # A callback is any repro function whose caller graph includes
-    # Simulator.run; the per-caller tuple gives exactly the calls and
-    # cumulative time charged from the event loop.
-    run_keys = {key for key in stats.stats
-                if key[2] == "run" and key[0].endswith("engine.py")}
+    # A callback is any repro function outside the engine whose caller
+    # graph includes one of the engine's drain loops; the per-caller
+    # tuple gives exactly the calls and cumulative time charged from
+    # the event loop.
+    loop_keys = {key for key in stats.stats
+                 if key[2] in _DRAIN_LOOPS and key[0].endswith("engine.py")}
     callbacks = []
     for key, (cc, nc, tt, ct, callers) in stats.stats.items():
-        if not _is_repro(key[0]):
+        if not _is_repro(key[0]) or key[0].endswith("engine.py"):
             continue
-        from_loop = [v for c, v in callers.items() if c in run_keys]
+        from_loop = [v for c, v in callers.items() if c in loop_keys]
         if not from_loop:
             continue
         events = sum(v[1] for v in from_loop)  # nc per caller

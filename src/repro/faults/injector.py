@@ -213,8 +213,7 @@ class FaultInjector:
         # wiring (filled by attach)
         self.sim = None
         self._inner = None
-        self._mesh_lat = None
-        self._n = 0
+        self._latency = None  # the mesh's per-pair latency
         self._held: Dict[Tuple[int, int], Tuple[Message, int, object]] = {}
         # per-(src, dst) arrival floor: injected lateness that later
         # messages on the pair must not undercut (FIFO preservation)
@@ -241,8 +240,7 @@ class FaultInjector:
         self.sim = system.sim
         net = system.network
         self._inner = net.send
-        self._mesh_lat = net._mesh_lat
-        self._n = net._n
+        self._latency = system.mesh.latency
         if not (self.config.active() or force):
             return
         net.send = self.send
@@ -314,7 +312,7 @@ class FaultInjector:
         bit-identical to a plain run.
         """
         naive = (self.sim.now + extra_delay + jitter
-                 + self._mesh_lat[key[0] * self._n + key[1]])
+                 + self._latency(key[0], key[1]))
         floor = self._fifo_floor.get(key)
         if floor is not None and naive < floor:
             jitter += floor - naive
@@ -360,7 +358,7 @@ class FaultInjector:
         if until is None:
             return 0
         arrival = (self.sim.now + base_delay
-                   + self._mesh_lat[msg.src * self._n + msg.dst])
+                   + self._latency(msg.src, msg.dst))
         if arrival >= until:
             del self._stalled_until[msg.dst]
             return 0

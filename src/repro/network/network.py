@@ -11,11 +11,11 @@ Hot-path notes
 ``send`` runs once per coherence message — it is the hottest function
 in the simulator.  Four things keep it lean:
 
-* all per-(src, dst) route/latency/traversal quantities come from the
-  precomputed :class:`repro.network.topology.Mesh` tables (flat lists
-  indexed ``src * n + dst``) when the mesh is small enough to carry
-  them; past ``ROUTE_TABLE_MAX_NODES`` the topology runs table-free
-  and ``_send_computed`` gets the same quantities per message from
+* all per-(src, dst) latency/traversal quantities come from the
+  :class:`repro.network.topology.Mesh` cost tables (flat lists indexed
+  ``src * n + dst``) when the mesh is small enough to carry them; past
+  ``ROUTE_TABLE_MAX_NODES`` the mesh carries none and
+  ``_send_computed`` gets the same quantities per message from
   ``mesh.charge`` (a handful of integer ops, no per-pair table);
 * everything keyed by message type indexes flat lists with the dense
   ``MessageType`` int code — flit counts (``_msg_flits``), the stats
@@ -32,24 +32,19 @@ in the simulator.  Four things keep it lean:
   ``post_event``), so unsanitized runs never test ``san is None`` per
   message.
 
-Per-router flit accounting follows the same split.  Table mode keeps
-a flat ``n*n`` per-pair list here (dense, tiny) and expands it over
-the route table in ``router_flits``.  In computed mode the topology
-owns the counts: ``mesh.charge`` credits each message to its route,
-and ``mesh.router_flits`` expands them.  For a flat mesh the counts
-are per DOR route leg, two lists of ``N * width`` and ``N * height``
-entries, so no structure grows with the number of (src, dst) pairs a
-run touches (a 1024-node run touches ~96k of them).
+Per-router flit accounting lives in the mesh for both sends: the
+table send increments the mesh's flat per-pair list, the computed send
+lets ``mesh.charge`` credit the message's DOR route legs, and
+``router_flits`` asks the mesh to expand whichever store it keeps.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, \
-    Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Set
 
 from repro.network.message import DATA_TYPES, Message, MessageType, \
     N_MESSAGE_TYPES
-from repro.network.topology import ClusterMesh, Mesh
+from repro.network.topology import Mesh
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # Stats imports message's code tables: import only
@@ -59,22 +54,19 @@ if TYPE_CHECKING:  # Stats imports message's code tables: import only
 class Network:
     """Analytic-latency mesh interconnect."""
 
-    def __init__(self, sim: Simulator, mesh: Union[Mesh, ClusterMesh],
-                 stats: "Stats", config=None):
+    def __init__(self, sim: Simulator, mesh: Mesh, stats: "Stats"):
         self.sim = sim
         self.mesh = mesh
         self.stats = stats
-        # flit geometry comes from the mesh's NetworkConfig
-        self._control_flits = mesh.config.control_flits
-        self._data_flits = mesh.config.data_flits
-        # per-code flit count: one list index instead of a DATA_TYPES
+        # per-code flit count (flit geometry from the mesh's
+        # NetworkConfig): one list index instead of a DATA_TYPES
         # membership test per message
-        cf, df = self._control_flits, self._data_flits
+        cf = mesh.config.control_flits
+        df = mesh.config.data_flits
         self._msg_flits: List[int] = [df if t in DATA_TYPES else cf
                                       for t in MessageType]
         self._n = mesh.num_nodes
         # pre-bound hot references: one load each per send
-        self._schedule = sim.call_later  # cold paths / introspection
         self._msg_counts = stats._msg_counts
         # Flat dispatch: handler for (dst, type) at [dst * N + code].
         # Registered tables route each type straight to the owning
@@ -82,26 +74,20 @@ class Network:
         # (tests, harnesses) fan the one callable across all codes.
         self._handlers: List[Optional[Callable[[Message], None]]] = \
             [None] * (self._n * N_MESSAGE_TYPES)
-        self._endpoints: Dict[int, Callable[[Message], None]] = {}
+        self._endpoints: Set[int] = set()
         self._san = None  # Optional[ProtocolSanitizer]
         self.messages_sent = 0
-        # Mode selection: table sends index the mesh's flat per-pair
-        # lists; computed sends call mesh.charge.  Both charge the
-        # identical analytic quantities (pinned by test_topology), so
-        # the digest stream is mode-independent.
+        # Send selection: the table send indexes the mesh's flat
+        # per-pair lists; the computed send calls mesh.charge.  Both
+        # charge the same closed-form quantities, so the digest stream
+        # does not depend on which one runs.
         if mesh.has_tables:
             self._mesh_lat = mesh._lat
             self._mesh_trav = mesh._trav
-            # Per-(src, dst) flit counts; expanded to per-router
-            # traversals lazily by the router_flits property (hotspot
-            # analysis is post-run, so the hot path pays one list
-            # increment, not a route walk).
-            self._pair_flits = [0] * (self._n * self._n)
+            self._pair_flits = mesh._pair_flits
             self._fast_impl = self._send_fast
         else:
-            self._mesh_lat = self._mesh_trav = None
             self._charge = mesh.charge
-            self._pair_flits = None  # the mesh counts flits
             self._fast_impl = self._send_computed
         self.send = self._fast_impl
 
@@ -134,7 +120,7 @@ class Network:
         base = node * N_MESSAGE_TYPES
         for code, handler in enumerate(table):
             self._handlers[base + code] = handler
-        self._endpoints[node] = lambda msg, _t=tuple(table): _t[msg.mtype](msg)
+        self._endpoints.add(node)
 
     def _send_fast(self, msg: Message, extra_delay: int = 0) -> None:
         """Inject ``msg``; it is delivered after the DOR path latency.
@@ -209,31 +195,14 @@ class Network:
     # this class-level alias keeps Network.send introspectable.
     send = _send_fast
 
-    def _deliver(self, msg: Message) -> None:
-        self._endpoints[msg.dst](msg)
-
     # ------------------------------------------------------------------
     # hotspot analysis
     # ------------------------------------------------------------------
     @property
-    def router_flits(self):
-        """Per-router flit traversals (mesh order).
-
-        Materialized on demand from the counts the hot path
-        accumulates: table mode walks each DOR route once per *active
-        pair*, not once per message; computed mode asks the mesh.
-        """
-        pf = self._pair_flits
-        if pf is None:
-            return self.mesh.router_flits()
-        n = self._n
-        out = [0] * n
-        route = self.mesh.route
-        for idx, flits in enumerate(pf):
-            if flits:
-                for router in route(idx // n, idx % n):
-                    out[router] += flits
-        return out
+    def router_flits(self) -> List[int]:
+        """Per-router flit traversals (mesh order), expanded on demand
+        by the mesh from the counts the hot path accumulates."""
+        return self.mesh.router_flits()
 
     def hotspots(self, top: int = 5):
         """The ``top`` busiest routers as (node, flit-traversals)."""

@@ -8,7 +8,7 @@ paper experiments use, so scenario runs get process-pool fan-out,
 crashed-worker replacement and the content-addressed result store for
 free (re-running an interrupted scenario with the cache on recomputes
 only its missing cells).  Cells are ordered workload-major, then
-scheme, then seed; the executor returns results in input order, so a
+seed, then scheme; the executor returns results in input order, so a
 parallel run is bit-identical to a serial one.
 
 A :class:`ScenarioResult` holds one
@@ -47,11 +47,13 @@ Cell = Tuple[str, str, int]  # (workload label, scheme, seed)
 
 
 def scenario_cells(spec: ScenarioSpec) -> List[Cell]:
-    """The matrix coordinates, workload-major then scheme then seed."""
+    """The matrix coordinates, workload-major then seed then scheme:
+    the cells that share one workload build are adjacent, so
+    ``WorkloadSpec.build``'s one kept build serves all of them."""
     return [(wl.label, scheme, seed)
             for wl in spec.workloads
-            for scheme in spec.schemes
-            for seed in spec.seeds]
+            for seed in spec.seeds
+            for scheme in spec.schemes]
 
 
 def scenario_tasks(spec: ScenarioSpec,
@@ -65,13 +67,13 @@ def scenario_tasks(spec: ScenarioSpec,
     budget = max_cycles if max_cycles is not None else spec.max_cycles
     tasks: List[SweepTask] = []
     for wl in spec.workloads:
-        for scheme in spec.schemes:
-            for seed in spec.seeds:
-                label = (wl.label if len(spec.seeds) == 1
-                         else f"{wl.label}@s{seed}")
+        for seed in spec.seeds:
+            label = (wl.label if len(spec.seeds) == 1
+                     else f"{wl.label}@s{seed}")
+            wspec = wl.to_spec(spec.nodes, spec.scale, seed)
+            for scheme in spec.schemes:
                 tasks.append(SweepTask(
-                    label, scheme, spec.config(scheme, seed),
-                    wl.to_spec(spec.nodes, spec.scale, seed),
+                    label, scheme, spec.config(scheme, seed), wspec,
                     max_cycles=budget, audit=True, faults=spec.faults,
                 ))
     return tasks

@@ -43,7 +43,9 @@ class NetworkConfig:  # lint: disable=dataclass-slots -- pickled across sweep wo
 
     The traffic metric of Fig. 11 is router traversals by flits, so the
     model carries explicit control/data flit counts and counts one
-    traversal per flit per router visited (hops + 1).
+    traversal per flit per router visited (hops + 1).  The per-pair
+    hop, latency and traversal math lives in
+    :class:`repro.network.topology.Mesh`.
     """
 
     mesh_width: int = 4
@@ -55,72 +57,10 @@ class NetworkConfig:  # lint: disable=dataclass-slots -- pickled across sweep wo
     # First-order stand-in for VC/queueing contention inside Garnet:
     # every hop costs an extra ``load_factor`` cycles.
     load_factor: int = 0
-    # Topology selection for the scale-out path: "mesh" is the flat
-    # Table II DOR mesh; "hier" tiles the node grid into
-    # cluster_width x cluster_height sub-meshes joined by an express
-    # cluster-level mesh (see repro.network.topology.ClusterMesh).
-    topology: str = "mesh"
-    cluster_width: int = 0
-    cluster_height: int = 0
-    # Link latency of one express inter-cluster hop (each such hop
-    # also pays one router_latency pipeline).
-    cluster_link_latency: int = 8
-
-    def __post_init__(self) -> None:
-        if self.topology not in ("mesh", "hier"):
-            raise ValueError(f"unknown topology {self.topology!r}; "
-                             f"choices: mesh, hier")
-        if self.topology == "hier":
-            if self.cluster_width <= 0 or self.cluster_height <= 0:
-                raise ValueError("hier topology needs positive "
-                                 "cluster_width/cluster_height")
-            if (self.mesh_width % self.cluster_width
-                    or self.mesh_height % self.cluster_height):
-                raise ValueError(
-                    f"cluster {self.cluster_width}x{self.cluster_height} "
-                    f"does not tile mesh "
-                    f"{self.mesh_width}x{self.mesh_height}")
 
     @property
     def num_nodes(self) -> int:
         return self.mesh_width * self.mesh_height
-
-    def coords(self, node: int) -> Tuple[int, int]:
-        return node % self.mesh_width, node // self.mesh_width
-
-    def hops(self, src: int, dst: int) -> int:
-        """Dimension-order-routed hop count between two nodes."""
-        sx, sy = self.coords(src)
-        dx, dy = self.coords(dst)
-        return abs(sx - dx) + abs(sy - dy)
-
-    def latency(self, src: int, dst: int) -> int:
-        """End-to-end message latency in cycles.
-
-        A message traverses ``hops`` links and ``hops + 1`` routers
-        (including injection/ejection pipelines); a local delivery still
-        pays one router traversal.
-        """
-        h = self.hops(src, dst)
-        per_hop = self.link_latency + self.load_factor
-        return (h + 1) * self.router_latency + h * per_hop
-
-    def router_traversals(self, src: int, dst: int, flits: int) -> int:
-        """Flit-traversal count for the Fig. 11 traffic metric."""
-        return flits * (self.hops(src, dst) + 1)
-
-    def avg_latency(self) -> float:
-        """Average latency between distinct node pairs (uniform)."""
-        n = self.num_nodes
-        total = 0
-        pairs = 0
-        for s in range(n):
-            for d in range(n):
-                if s == d:
-                    continue
-                total += self.latency(s, d)
-                pairs += 1
-        return total / pairs if pairs else 0.0
 
 
 @dataclass(frozen=True)

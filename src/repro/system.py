@@ -28,7 +28,7 @@ from repro.htm.contention.base import ContentionManager
 from repro.htm.node import NodeController
 from repro.network.message import Message, MessageType
 from repro.network.network import Network
-from repro.network.topology import build_topology
+from repro.network.topology import Mesh
 from repro.sanitize import sanitize_enabled
 from repro.schemes import Scheme, get_scheme
 from repro.sim.config import SystemConfig
@@ -84,7 +84,7 @@ class System:
         self.sampler = sampler  # Optional[TimeSeriesSampler]
         if sampler is not None:
             sampler.attach(self.sim, self.stats)
-        self.mesh = build_topology(config.network)
+        self.mesh = Mesh(config.network)
         self.network = Network(self.sim, self.mesh, self.stats)
         self.rng = RngFactory(config.seed)
 

@@ -4,12 +4,14 @@ import dataclasses
 
 import pytest
 
+from repro.network.topology import Mesh
 from repro.sim.config import (
     CacheConfig,
     NetworkConfig,
     SystemConfig,
     small_config,
 )
+from tests.test_topology import reference_avg_latency, reference_latency
 
 
 def test_table2_defaults():
@@ -43,25 +45,30 @@ def test_home_node_interleaving():
 
 def test_mesh_hops_and_latency():
     n = NetworkConfig()
-    assert n.hops(0, 0) == 0
-    assert n.hops(0, 3) == 3  # same row
-    assert n.hops(0, 15) == 6  # corner to corner on 4x4
+    mesh = Mesh(n)
+    assert mesh.hops(0, 0) == 0
+    assert mesh.hops(0, 3) == 3  # same row
+    assert mesh.hops(0, 15) == 6  # corner to corner on 4x4
     # local delivery still pays one router traversal
-    assert n.latency(5, 5) == n.router_latency
-    assert n.latency(0, 1) == 2 * n.router_latency + n.link_latency
+    assert mesh.latency(5, 5) == n.router_latency
+    assert mesh.latency(0, 1) == 2 * n.router_latency + n.link_latency
+    for src, dst in ((0, 15), (7, 8), (12, 3)):
+        assert mesh.latency(src, dst) == reference_latency(n, src, dst)
 
 
 def test_router_traversals_metric():
-    n = NetworkConfig()
-    assert n.router_traversals(0, 0, flits=5) == 5
-    assert n.router_traversals(0, 1, flits=1) == 2
-    assert n.router_traversals(0, 15, flits=5) == 5 * 7
+    # per-flit traversals: one per router visited, hops + 1
+    mesh = Mesh(NetworkConfig())
+    assert mesh.pair_cost(0, 0)[1] == 1
+    assert mesh.pair_cost(0, 1)[1] == 2
+    assert mesh.pair_cost(0, 15)[1] == 7
 
 
 def test_avg_latency_positive_and_symmetric_bounds():
     n = NetworkConfig()
-    avg = n.avg_latency()
-    assert n.latency(0, 1) <= avg <= n.latency(0, 15)
+    avg = Mesh(n).avg_latency
+    assert avg == reference_avg_latency(n)
+    assert reference_latency(n, 0, 1) <= avg <= reference_latency(n, 0, 15)
 
 
 def test_mismatched_mesh_rejected():
@@ -139,3 +146,15 @@ def test_override_config_applies_and_rejects():
     with pytest.raises(ValueError, match="unknown puno config field"):
         override_config(cfg, {"puno": {"warp": 1}})
     assert override_config(cfg, {}) == cfg
+
+
+@pytest.mark.parametrize("name", ["topology", "cluster_width",
+                                  "cluster_height", "cluster_link_latency"])
+def test_override_naming_retired_topology_field_rejected(name):
+    """The flat DOR mesh is the only topology: a scenario override that
+    still names a field of the retired cluster-of-meshes option fails
+    as an unknown field instead of running the flat mesh silently."""
+    from repro.sim.config import override_config
+    assert len(dataclasses.fields(NetworkConfig)) == 7
+    with pytest.raises(ValueError, match="unknown network config field"):
+        override_config(SystemConfig(), {"network": {name: 1}})

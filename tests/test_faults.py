@@ -116,6 +116,23 @@ def test_node_stalls_complete_with_audits():
     assert system.fault_injector.stalls_injected > 0
 
 
+def test_delay_and_stalls_run_on_a_mesh_without_route_tables():
+    """Past ROUTE_TABLE_MAX_NODES the mesh has no latency table; the
+    injector's FIFO clamp and stall penalty read its latency anyway."""
+    from repro.sim.config import scaled_config
+    from repro.workloads.families import make_hotspot_workload
+    faults = FaultConfig(delay=0.05, stall_interval=2_000,
+                         stall_duration=200, seed=7)
+    system = System(scaled_config(256, seed=1),
+                    make_hotspot_workload(num_nodes=256, scale=0.05, seed=0),
+                    "baseline", faults=faults, watchdog=True)
+    assert not system.mesh.has_tables
+    system.run(max_cycles=10_000_000, audit=True)
+    inj = system.fault_injector
+    assert inj.delayed > 0 and inj.stalls_injected > 0
+    assert system.stats.tx_committed > 0
+
+
 # ---------------------------------------------------------------------
 # loss wedges the run into a structured stall
 # ---------------------------------------------------------------------

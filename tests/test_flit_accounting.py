@@ -1,13 +1,14 @@
-"""Per-router flit accounting: table mode, computed mode and a route-walk
-oracle must agree on every message stream.
+"""Per-router flit accounting: the table send, the computed send and a
+route-walk oracle must agree on every message stream.
 
-Table mode (``precompute="always"``) counts flits per (src, dst) pair
-and expands them over the route table.  Computed mode
-(``precompute="never"``) hands each message to ``mesh.charge``: a flat
-mesh counts flits per DOR route leg, a :class:`ClusterMesh` per pair.
-The oracle walks ``mesh.route`` once per message.  The 32x32 mesh runs
-computed mode against the oracle and the analytic latency only: its
-route table would hold a million route tuples.
+A mesh with tables counts flits per (src, dst) pair and expands them
+over each pair's route.  A mesh without them hands each message to
+``mesh.charge``, which counts flits per DOR route leg.  Both run on
+the same small geometries: the computed side is built with
+``ROUTE_TABLE_MAX_NODES`` patched to 0.  The oracle walks
+``mesh.route`` once per message.  The 32x32 mesh runs the computed
+send against the oracle and the reference latency only: its tables
+would hold a million entries each.
 """
 
 from hypothesis import given, settings
@@ -15,17 +16,15 @@ from hypothesis import strategies as st
 
 from repro.network.message import DATA_TYPES, Message, MessageType
 from repro.network.network import Network
-from repro.network.topology import ClusterMesh, Mesh, build_topology
+from repro.network.topology import Mesh
 from repro.sim.config import NetworkConfig
 from repro.sim.engine import Simulator
 from repro.sim.stats import Stats
+from tests.test_topology import reference_latency, table_free_mesh
 
 #: (width, height) shapes: a single row, a single column, non-square
 #: meshes in both orientations and a square one.
 SMALL_SHAPES = ((1, 1), (1, 7), (9, 1), (2, 5), (6, 3), (4, 4), (5, 8))
-
-#: (width, height, cluster_width, cluster_height) hierarchies.
-HIER_SHAPES = ((4, 4, 2, 2), (8, 4, 4, 2), (6, 2, 3, 1), (8, 8, 4, 4))
 
 
 def _network(mesh):
@@ -76,8 +75,8 @@ def streams(draw, num_nodes, max_size=60):
 
 
 def _check_modes_agree(config, stream):
-    table = build_topology(config, precompute="always")
-    computed = build_topology(config, precompute="never")
+    table = Mesh(config)
+    computed = table_free_mesh(config)
     assert table.has_tables and not computed.has_tables
     net_t, deliv_t = _drive(table, stream)
     net_c, deliv_c = _drive(computed, stream)
@@ -105,30 +104,16 @@ def test_mesh_modes_agree_with_route_walk(case):
     _check_modes_agree(config, stream)
 
 
-@st.composite
-def hier_cases(draw):
-    w, h, cw, ch = draw(st.sampled_from(HIER_SHAPES))
-    config = NetworkConfig(mesh_width=w, mesh_height=h, topology="hier",
-                           cluster_width=cw, cluster_height=ch)
-    return config, draw(streams(w * h))
-
-
-@settings(max_examples=40, deadline=None)
-@given(hier_cases())
-def test_cluster_mesh_modes_agree_with_route_walk(case):
-    config, stream = case
-    _check_modes_agree(config, stream)
-
-
 @settings(max_examples=15, deadline=None)
 @given(streams(1024, max_size=200))
 def test_32x32_computed_mode_matches_route_walk(stream):
     config = NetworkConfig(mesh_width=32, mesh_height=32)
-    mesh = Mesh(config, precompute="never")
+    mesh = Mesh(config)
+    assert not mesh.has_tables
     net, deliveries = _drive(mesh, stream)
     assert net.router_flits == _route_walk(mesh, stream)
     assert sum(net.router_flits) == net.stats.flit_router_traversals
-    expected = sorted((config.latency(src, dst) + extra, uid)
+    expected = sorted((reference_latency(config, src, dst) + extra, uid)
                       for uid, (src, dst, _, extra) in enumerate(stream))
     assert deliveries == expected
 
@@ -157,13 +142,3 @@ def test_computed_mode_footprint_does_not_grow_with_pairs():
     assert len(pairs) > 10_000 and len(deliveries) == 12_000
     assert (_container_sizes(net), _container_sizes(mesh)) == before
     assert sum(net.router_flits) == net.stats.flit_router_traversals
-
-
-def test_cluster_mesh_charge_matches_pair_cost():
-    cm = ClusterMesh(NetworkConfig(mesh_width=8, mesh_height=8,
-                                   topology="hier", cluster_width=4,
-                                   cluster_height=4), precompute="never")
-    for src, dst in ((0, 63), (5, 6), (63, 0), (9, 9)):
-        assert cm.charge(src, dst, 3) == cm.pair_cost(src, dst)
-    assert sum(cm.router_flits()) == 3 * sum(
-        cm.pair_cost(s, d)[1] for s, d in ((0, 63), (5, 6), (63, 0), (9, 9)))

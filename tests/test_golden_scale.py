@@ -55,13 +55,13 @@ def test_paper_1024_excludes_puno():
 def test_scale_meshes_use_computed_routing():
     """Both tiers sit past the route-table threshold — the point of
     the family is to exercise the O(N)-memory path."""
-    from repro.network.topology import ROUTE_TABLE_MAX_NODES, build_topology
+    from repro.network.topology import ROUTE_TABLE_MAX_NODES, Mesh
 
     for name in SCALE_SCENARIOS:
         spec = get_scenario(name)
         assert spec.nodes > ROUTE_TABLE_MAX_NODES
         cfg = spec.config(spec.schemes[0], seed=0)
-        assert not build_topology(cfg.network).has_tables
+        assert not Mesh(cfg.network).has_tables
 
 
 # ---------------------------------------------------------------------

@@ -21,6 +21,7 @@ from repro.sim.engine import Simulator
 from repro.sim.stats import Stats
 from repro.system import System
 from repro.workloads.stamp import make_stamp_workload
+from tests.test_topology import reference_latency
 
 
 def _fields(msg):
@@ -148,16 +149,19 @@ def test_unknown_handler_still_raises():
 def test_mesh_tables_match_analytic_formulas():
     cfg = NetworkConfig()
     mesh = Mesh(cfg)
+    assert mesh.has_tables
     n = cfg.num_nodes
     for src in range(n):
         for dst in range(n):
-            sx, sy = cfg.coords(src)
-            dx, dy = cfg.coords(dst)
+            sx, sy = mesh.coords(src)
+            dx, dy = mesh.coords(dst)
             hops = abs(sx - dx) + abs(sy - dy)
+            idx = src * n + dst
             assert mesh.hops(src, dst) == hops
-            assert mesh.latency(src, dst) == cfg.latency(src, dst)
-            assert (mesh.router_traversals(src, dst, 5)
-                    == (hops + 1) * 5)
+            assert mesh._lat[idx] == reference_latency(cfg, src, dst)
+            assert mesh._trav[idx] == hops + 1
+            assert mesh.pair_cost(src, dst) == (mesh._lat[idx],
+                                                mesh._trav[idx])
             route = mesh.route(src, dst)
             assert isinstance(route, list)
             assert route[0] == src and route[-1] == dst
@@ -215,8 +219,8 @@ def test_send_counts_str_keys_and_flits():
     stats = net.stats
     assert stats.messages_by_type == {"DATA": 1, "NACK": 1}
     assert stats.flits_injected == cfg.data_flits + cfg.control_flits
-    expected = (net.mesh.router_traversals(0, 5, cfg.data_flits)
-                + net.mesh.router_traversals(5, 0, cfg.control_flits))
+    expected = ((net.mesh.hops(0, 5) + 1) * cfg.data_flits
+                + (net.mesh.hops(5, 0) + 1) * cfg.control_flits)
     assert stats.flit_router_traversals == expected
     sim.run()
 
@@ -232,7 +236,11 @@ def test_router_flits_materializes_lazily():
     cfg = net.mesh.config
     net.send(Message(MessageType.GETS, 0x40, 0, 3))
     sim.run()
+    # the send bumped one per-pair count in the mesh, nothing per router
+    assert net.mesh._pair_flits[0 * cfg.num_nodes + 3] == cfg.control_flits
+    assert sum(net.mesh._pair_flits) == cfg.control_flits
     rf = net.router_flits
+    assert rf == net.mesh.router_flits()
     # every router on the 0 -> 3 DOR route saw the control flits
     for router in net.mesh.route(0, 3):
         assert rf[router] == cfg.control_flits

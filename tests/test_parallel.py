@@ -184,6 +184,26 @@ def test_paper_grid_builds_each_workload_once(tmp_path, monkeypatch):
     assert len(builds()) == len(spec.workloads) == 8
 
 
+def test_multi_seed_grid_builds_each_workload_once(monkeypatch):
+    """hotspot-32 sweeps two seeds under two schemes.  Its tasks run
+    seed before scheme, so the kept build serves both schemes of a
+    seed: 2 builds for the 4 cells, not 4."""
+    from repro.scenarios import get_scenario
+    seeds = []
+    generate = WorkloadSpec._generate
+
+    def counting(self):
+        seeds.append(self.seed)
+        return generate(self)
+
+    monkeypatch.setattr(WorkloadSpec, "_generate", counting)
+    tasks = scenario_tasks(get_scenario("hotspot-32"))
+    assert len(tasks) == 4
+    for task in tasks:  # the serial runner's order
+        task.spec.build()
+    assert seeds == [0, 1]
+
+
 def test_pool_workers_build_each_workload_at_most_once(tmp_path,
                                                        monkeypatch):
     """A worker takes cells in submission order, so on a 3 x 9

@@ -56,6 +56,8 @@ def test_valid_spec_has_no_problems():
     (dict(overrides={"engine": {"x": 1}}), "override section"),
     (dict(overrides={"puno": {"warp_factor": 9}}), "overrides rejected"),
     (dict(faults="drop=2.0"), "fault"),
+    (dict(overrides={"network": {"topology": "hier"}}),
+     "overrides rejected"),
 ])
 def test_invalid_specs_are_reported(kw, needle):
     problems = tiny_spec(**kw).validate()
@@ -169,8 +171,8 @@ def test_cells_and_tasks_align():
     tasks = scenario_tasks(spec)
     assert len(cells) == len(tasks) == spec.num_cells
     assert cells[0] == ("hotspot", "baseline", 0)
-    assert cells[1] == ("hotspot", "baseline", 1)
-    assert cells[2] == ("hotspot", "puno", 0)
+    assert cells[1] == ("hotspot", "puno", 0)
+    assert cells[2] == ("hotspot", "baseline", 1)
     # multi-seed rows carry the seed in the sweep label
     assert tasks[0].workload == "hotspot@s0"
     assert tasks[0].config.num_nodes == 32

@@ -1,9 +1,55 @@
-"""Tests for the 2D mesh and DOR routing."""
+"""Tests for the 2D mesh and DOR routing.
+
+The reference functions below restate the mesh timing model straight
+from its definition, pair by pair, independently of ``Mesh``'s closed
+forms and tables; other test modules use them as the oracle.
+"""
 
 import pytest
 
+from repro.network import topology
 from repro.network.topology import Mesh
 from repro.sim.config import NetworkConfig
+
+
+def reference_hops(config, src, dst):
+    """Dimension-order-routed hop count between two nodes."""
+    w = config.mesh_width
+    return abs(src % w - dst % w) + abs(src // w - dst // w)
+
+
+def reference_latency(config, src, dst):
+    """End-to-end message latency in cycles.
+
+    A message traverses ``hops`` links and ``hops + 1`` routers
+    (including injection/ejection pipelines); a local delivery still
+    pays one router traversal.
+    """
+    h = reference_hops(config, src, dst)
+    per_hop = config.link_latency + config.load_factor
+    return (h + 1) * config.router_latency + h * per_hop
+
+
+def reference_avg_latency(config):
+    """Average latency between distinct node pairs, by brute force."""
+    n = config.num_nodes
+    total = 0
+    pairs = 0
+    for s in range(n):
+        for d in range(n):
+            if s == d:
+                continue
+            total += reference_latency(config, s, d)
+            pairs += 1
+    return total / pairs if pairs else 0.0
+
+
+def table_free_mesh(config):
+    """A mesh of any size built without per-pair tables, as meshes past
+    ``ROUTE_TABLE_MAX_NODES`` are."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(topology, "ROUTE_TABLE_MAX_NODES", 0)
+        return Mesh(config)
 
 
 @pytest.fixture
@@ -62,7 +108,7 @@ def test_manhattan_triangle_inequality(mesh):
 
 
 def test_avg_latency_cached(mesh):
-    assert mesh.avg_latency == mesh.config.avg_latency()
+    assert mesh.avg_latency == reference_avg_latency(mesh.config)
 
 
 def test_rectangular_mesh():

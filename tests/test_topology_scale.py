@@ -1,54 +1,47 @@
-"""Scale-out topology contracts: computed DOR vs precomputed tables,
-closed-form average latency, the table-size guard, and the
-hierarchical cluster-of-meshes topology.
+"""Scale-out topology contracts: the computed send's costs vs the
+per-pair tables, the closed-form average latency and the size limit
+that picks between them.
 
-The O(N)-memory routing change is only safe because computed mode is
-*observationally identical* to table mode — same routes, same
-latencies, same traversal counts, same average — so the tests here
-drive both modes over full pair sweeps and require exact (not
-approximate) agreement.  Bit-identity of full runs is pinned
-separately by the golden suites; these tests localize a future
-divergence to the topology layer.
+The table-free large mesh is only safe because it is *observationally
+identical* to a mesh with tables — same routes, same latencies, same
+traversal counts, same average — so the tests here build both over
+the same geometries (moving ``ROUTE_TABLE_MAX_NODES`` instead of the
+mesh size) and require exact (not approximate) agreement.
+Bit-identity of full runs is pinned separately by the golden suites;
+these tests localize a future divergence to the topology layer.
 """
 
 import pytest
 
-from repro.network.topology import (
-    ROUTE_TABLE_HARD_CAP,
-    ROUTE_TABLE_MAX_NODES,
-    ClusterMesh,
-    Mesh,
-    build_topology,
-)
+from repro.network import topology
+from repro.network.topology import ROUTE_TABLE_MAX_NODES, Mesh
 from repro.sim.config import NetworkConfig
-
-
-def _hier_config(**kw):
-    defaults = dict(mesh_width=8, mesh_height=8, topology="hier",
-                    cluster_width=4, cluster_height=4)
-    defaults.update(kw)
-    return NetworkConfig(**defaults)
+from tests.test_topology import (
+    reference_avg_latency,
+    reference_latency,
+    table_free_mesh,
+)
 
 
 # ---------------------------------------------------------------------
-# computed mode == table mode
+# computed sends == table sends
 # ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("width,height", [(4, 4), (8, 8), (8, 2), (3, 5)])
 def test_computed_mode_matches_tables(width, height):
     cfg = NetworkConfig(mesh_width=width, mesh_height=height)
-    table = Mesh(cfg, precompute="always")
-    computed = Mesh(cfg, precompute="never")
+    table = Mesh(cfg)
+    computed = table_free_mesh(cfg)
     assert table.has_tables and not computed.has_tables
     n = cfg.num_nodes
     for src in range(n):
         for dst in range(n):
-            assert table.pair_cost(src, dst) == computed.pair_cost(src, dst)
+            idx = src * n + dst
+            # what each send charges: table entries vs mesh.charge
+            assert ((table._lat[idx], table._trav[idx])
+                    == computed.charge(src, dst, 0))
             assert table.route(src, dst) == computed.route(src, dst)
-            assert table.hops(src, dst) == computed.hops(src, dst)
-            assert table.latency(src, dst) == computed.latency(src, dst)
-            assert (table.router_traversals(src, dst, 5)
-                    == computed.router_traversals(src, dst, 5))
+    assert table.avg_latency == computed.avg_latency
 
 
 def test_pair_cost_matches_config_formulas():
@@ -57,18 +50,17 @@ def test_pair_cost_matches_config_formulas():
     assert not mesh.has_tables
     for src, dst in [(0, 255), (255, 0), (17, 17), (3, 240), (128, 129)]:
         lat, trav = mesh.pair_cost(src, dst)
-        assert lat == cfg.latency(src, dst)
-        assert trav == cfg.hops(src, dst) + 1
+        assert lat == reference_latency(cfg, src, dst)
+        assert trav == len(mesh.route(src, dst))
 
 
 @pytest.mark.parametrize("width,height", [(2, 2), (4, 4), (8, 2),
                                           (3, 5), (16, 16), (32, 32)])
 def test_closed_form_avg_latency_is_bit_identical(width, height):
     cfg = NetworkConfig(mesh_width=width, mesh_height=height)
-    mesh = Mesh(cfg, precompute="never")
     # == (not approx): PUNO's backoff consumes this float, so any ULP
     # drift would shift notification timing and break run digests.
-    assert mesh.avg_latency == cfg.avg_latency()
+    assert Mesh(cfg).avg_latency == reference_avg_latency(cfg)
 
 
 def test_single_node_avg_latency_is_zero():
@@ -77,7 +69,7 @@ def test_single_node_avg_latency_is_zero():
 
 
 # ---------------------------------------------------------------------
-# the precompute policy (satellite: explicit threshold + clear error)
+# the size limit
 # ---------------------------------------------------------------------
 
 def test_auto_threshold_selects_mode():
@@ -87,132 +79,14 @@ def test_auto_threshold_selects_mode():
     assert large.num_nodes > ROUTE_TABLE_MAX_NODES and not large.has_tables
 
 
-def test_forced_tables_past_hard_cap_raise():
-    cfg = NetworkConfig(mesh_width=64, mesh_height=64)  # 4096 nodes
-    assert cfg.num_nodes > ROUTE_TABLE_HARD_CAP
-    with pytest.raises(ValueError, match="refusing to precompute"):
-        Mesh(cfg, precompute="always")
-    # the auto fallback handles the same size without tables
-    assert not Mesh(cfg, precompute="auto").has_tables
-
-
-def test_bad_precompute_value_raises():
-    with pytest.raises(ValueError, match="auto/always/never"):
-        Mesh(NetworkConfig(), precompute="yes")
-    with pytest.raises(ValueError, match="auto/always/never"):
-        ClusterMesh(_hier_config(), precompute="yes")
-
-
-def test_forced_tables_work_above_auto_threshold():
+def test_forced_tables_work_above_auto_threshold(monkeypatch):
     cfg = NetworkConfig(mesh_width=16, mesh_height=16)  # 256 > 128
-    forced = Mesh(cfg, precompute="always")
     auto = Mesh(cfg)
+    monkeypatch.setattr(topology, "ROUTE_TABLE_MAX_NODES", 256)
+    forced = Mesh(cfg)
     assert forced.has_tables and not auto.has_tables
-    for src, dst in [(0, 255), (100, 200), (42, 42)]:
-        assert forced.pair_cost(src, dst) == auto.pair_cost(src, dst)
-
-
-# ---------------------------------------------------------------------
-# hierarchical cluster-of-meshes
-# ---------------------------------------------------------------------
-
-def test_build_topology_dispatch():
-    assert isinstance(build_topology(NetworkConfig()), Mesh)
-    assert isinstance(build_topology(_hier_config()), ClusterMesh)
-    with pytest.raises(ValueError, match="ClusterMesh requires"):
-        ClusterMesh(NetworkConfig())
-
-
-def test_hier_config_validation():
-    with pytest.raises(ValueError):
-        NetworkConfig(mesh_width=8, mesh_height=8, topology="hier",
-                      cluster_width=3, cluster_height=4)  # does not tile
-    with pytest.raises(ValueError):
-        NetworkConfig(topology="ring")
-
-
-def test_cluster_geometry():
-    cm = ClusterMesh(_hier_config())
-    assert (cm.clusters_x, cm.clusters_y) == (2, 2)
-    assert cm.cluster_of(0) == (0, 0)
-    assert cm.cluster_of(7) == (1, 0)  # x=7 -> cluster column 1
-    assert cm.cluster_of(63) == (1, 1)
-    assert cm.gateway(0, 0) == 0
-    assert cm.gateway(1, 0) == 4
-    assert cm.gateway(1, 1) == 4 * 8 + 4
-
-
-def test_cluster_intra_cluster_matches_flat_mesh():
-    cfg = _hier_config()
-    cm = ClusterMesh(cfg, precompute="never")
-    flat = Mesh(NetworkConfig(mesh_width=8, mesh_height=8),
-                precompute="never")
-    # both endpoints inside cluster (0,0): identical to flat DOR
-    for src in (0, 1, 9, 18, 27):
-        for dst in (0, 2, 10, 24, 27):
-            assert cm.pair_cost(src, dst) == flat.pair_cost(src, dst)
-            assert cm.route(src, dst) == flat.route(src, dst)
-
-
-def test_cluster_route_consistency():
-    """Route length, hops, latency and traversals must all describe the
-    same path decomposition for every pair."""
-    cm = ClusterMesh(_hier_config(), precompute="never")
-    n = cm.num_nodes
-    for src in range(0, n, 7):
-        for dst in range(0, n, 5):
-            path = cm.route(src, dst)
-            lat, trav = cm.pair_cost(src, dst)
-            assert path[0] == src and path[-1] == dst
-            assert len(path) == trav or (src == dst and len(path) == 1)
-            assert cm.hops(src, dst) == trav - 1
-            assert cm.latency(src, dst) == lat
-            assert cm.router_traversals(src, dst, 3) == trav * 3
-            assert len(set(path)) == len(path)  # no router revisited
-
-
-def test_cluster_cross_cluster_uses_gateways():
-    cm = ClusterMesh(_hier_config(), precompute="never")
-    # node 3 (cluster 0,0) -> node 7 (cluster 1,0): via gateways 0 and 4
-    path = cm.route(3, 7)
-    assert path[0] == 3 and path[-1] == 7
-    assert 0 in path and 4 in path
-    # express hop costs cluster_link_latency + rl instead of a full
-    # 4-hop local traverse, so the latency beats the flat mesh's
-    flat = Mesh(NetworkConfig(mesh_width=8, mesh_height=8))
-    far_src, far_dst = 0, 63
-    assert cm.latency(far_src, far_dst) < flat.latency(far_src, far_dst)
-
-
-def test_cluster_tables_match_computed():
-    cfg = _hier_config()
-    table = ClusterMesh(cfg, precompute="always")
-    computed = ClusterMesh(cfg, precompute="never")
-    assert table.has_tables and not computed.has_tables
     n = cfg.num_nodes
-    for src in range(n):
-        for dst in range(n):
-            assert table.pair_cost(src, dst) == computed.pair_cost(src, dst)
-            assert table.route(src, dst) == computed.route(src, dst)
-    assert table.avg_latency == computed.avg_latency
-
-
-def test_cluster_runs_full_system():
-    """A hierarchical topology drives a whole sanitized run (the
-    Network layer sees only the Mesh interface)."""
-    from repro.sim.config import SystemConfig, scaled_config
-    from repro.system import System
-    from repro.workloads.families import make_hotspot_workload
-
-    base = scaled_config(16, seed=1)
-    cfg = SystemConfig(
-        seed=1,
-        network=_hier_config(mesh_width=4, mesh_height=4,
-                             cluster_width=2, cluster_height=2),
-        htm=base.htm, cache=base.cache, puno=base.puno,
-    )
-    wl = make_hotspot_workload(num_nodes=16, scale=0.1, seed=0)
-    system = System(cfg, wl, "baseline", sanitize=True)
-    result = system.run()
-    assert result.stats.tx_committed > 0
-    assert system.network.messages_sent > 0
+    for src, dst in [(0, 255), (100, 200), (42, 42)]:
+        idx = src * n + dst
+        assert ((forced._lat[idx], forced._trav[idx])
+                == auto.charge(src, dst, 0))
