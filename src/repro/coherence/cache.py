@@ -17,13 +17,15 @@ A set whose ways are all write-pinned surfaces as a *capacity abort*.
 Lines carry an integer ``value`` so the test suite can verify atomicity
 end-to-end (committed increments must equal final memory contents).
 
-Sets are created lazily: every slot of ``_sets`` starts as the one
-shared, never-mutated :data:`_EMPTY_SET`, and ``install`` swaps in a
-private dict the first time it touches a set.  Reads and removals
-(``lookup``, ``invalidate``, ``downgrade``, ``pin``, ``resident``,
-``state_of``) need no test: on the shared empty dict they find nothing
-and change nothing.  At 1024 nodes x 128 sets most sets are never
-touched, so this keeps 8 MB of empty dicts out of the heap.
+Layout: one insertion-ordered ``{addr: CacheLine}`` map per L1 plus a
+``bytearray`` of per-set occupancy.  Every access is one dict probe;
+set membership (``addr % num_sets``) matters only when a set is full,
+and only then does ``install`` scan the map for that set's lines.  The
+scan sees them in the order they entered the set — the order a per-set
+dict would hold — so victim choice is exactly that of a per-set layout,
+and :meth:`L1Cache.lines` sorts stably by set index to list lines in
+per-set order.  At 1024 nodes x 128 sets most sets are never touched;
+this layout spends nothing on them.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.coherence.states import L1State
 from repro.sim.config import CacheConfig
+
+#: Per-set occupancy is kept in a ``bytearray``, one byte per set.
+MAX_WAYS = 255
 
 
 class CacheLine:
@@ -53,36 +58,30 @@ class CapacityError(Exception):
     """Raised when an install cannot find an unpinned victim."""
 
 
-#: The placeholder every untouched set shares.  Only ``install`` adds
-#: lines, and it replaces this dict before adding, so it stays empty.
-_EMPTY_SET: Dict[int, CacheLine] = {}
-
-
 class L1Cache:
     """One node's private L1."""
 
+    __slots__ = ("config", "_lines", "_fill", "_num_sets", "_ways",
+                 "_tick", "evictions")
+
     def __init__(self, config: CacheConfig):
+        if config.ways > MAX_WAYS:
+            raise ValueError(f"L1 associativity {config.ways} exceeds "
+                             f"{MAX_WAYS} ways (one occupancy byte per set)")
         self.config = config
-        # set index -> {addr: CacheLine}; dict preserves O(1) lookup.
-        # Untouched sets alias the shared _EMPTY_SET until install.
-        self._sets: List[Dict[int, CacheLine]] = \
-            [_EMPTY_SET] * config.num_sets
+        self._lines: Dict[int, CacheLine] = {}
+        self._fill = bytearray(config.num_sets)  # lines resident per set
         # num_sets chains two properties on a frozen dataclass — cache
-        # it, _set_for runs once per access
+        # it and the way count, install reads both
         self._num_sets = config.num_sets
+        self._ways = config.ways
         self._tick = 0
-        self.hits = 0
-        self.misses = 0
         self.evictions = 0
 
     # ------------------------------------------------------------------
-    def _set_for(self, addr: int) -> Dict[int, CacheLine]:
-        # Cold-path helper; hot methods inline the indexed lookup.
-        return self._sets[addr % self._num_sets]
-
     def lookup(self, addr: int, touch: bool = True) -> Optional[CacheLine]:
         """Return the resident line or None.  Updates LRU on touch."""
-        line = self._sets[addr % self._num_sets].get(addr)
+        line = self._lines.get(addr)
         if line is not None and touch:
             self._tick += 1
             line.lru = self._tick
@@ -99,33 +98,35 @@ class L1Cache:
         Raises :class:`CapacityError` when every way of the target set
         is pinned by the running transaction.
         """
-        idx = addr % self._num_sets
-        cset = self._sets[idx]
-        if cset is _EMPTY_SET:
-            # First touch of this set: at most one dict per set per run.
-            cset = self._sets[idx] = {}  # lint: disable=event-alloc -- one allocation per set per run, replacing the shared empty placeholder
         self._tick += 1
-        existing = cset.get(addr)
+        lines = self._lines
+        existing = lines.get(addr)
         if existing is not None:
             existing.state = state
             existing.value = value
             existing.lru = self._tick
             return existing, None
         evicted: Optional[CacheLine] = None
-        if len(cset) >= self.config.ways:
-            victim = self._pick_victim(cset)
+        idx = addr % self._num_sets
+        fill = self._fill
+        if fill[idx] < self._ways:
+            fill[idx] += 1
+        else:
+            victim = self._pick_victim(idx)
             if victim is None:
                 raise CapacityError(addr)
-            del cset[victim.addr]
+            del lines[victim.addr]
             self.evictions += 1
             evicted = victim
         line = CacheLine(addr, state, value, self._tick)
-        cset[addr] = line
+        lines[addr] = line
         return line, evicted
 
-    def _pick_victim(self, cset: Dict[int, CacheLine]) -> Optional[CacheLine]:
+    def _pick_victim(self, idx: int) -> Optional[CacheLine]:
+        n = self._num_sets
+        cset = [line for addr, line in self._lines.items() if addr % n == idx]
         victim: Optional[CacheLine] = None
-        for line in cset.values():
+        for line in cset:
             if line.pinned:
                 continue
             if victim is None or line.lru < victim.lru:
@@ -138,7 +139,7 @@ class L1Cache:
         # by the caller so the directory keeps the node a sharer.
         # Write-pinned (level 2) lines are never victims.
         for state in (L1State.S, L1State.E):
-            for line in cset.values():
+            for line in cset:
                 if line.pinned == 1 and line.state is state:
                     if victim is None or line.lru < victim.lru:
                         victim = line
@@ -148,11 +149,14 @@ class L1Cache:
 
     def invalidate(self, addr: int) -> Optional[CacheLine]:
         """Drop a line (invalidation).  Returns the line if present."""
-        return self._sets[addr % self._num_sets].pop(addr, None)
+        line = self._lines.pop(addr, None)
+        if line is not None:
+            self._fill[addr % self._num_sets] -= 1
+        return line
 
     def downgrade(self, addr: int) -> Optional[CacheLine]:
         """E/M -> S transition on a forwarded GETS."""
-        line = self._sets[addr % self._num_sets].get(addr)
+        line = self._lines.get(addr)
         if line is not None:
             line.state = L1State.S
         return line
@@ -162,27 +166,32 @@ class L1Cache:
 
         Pin strength only ever increases within a transaction.
         """
-        line = self._sets[addr % self._num_sets].get(addr)
+        line = self._lines.get(addr)
         if line is not None and level > line.pinned:
             line.pinned = level
 
     def unpin_all(self, addrs) -> None:
+        lines = self._lines
         for addr in addrs:
-            line = self._set_for(addr).get(addr)
+            line = lines.get(addr)
             if line is not None:
                 line.pinned = 0
 
     # ------------------------------------------------------------------
     def lines(self) -> Iterator[CacheLine]:
-        for cset in self._sets:
-            yield from cset.values()
+        """Resident lines in set order, each set's in the order they
+        entered it."""
+        n = self._num_sets
+        ordered: List[CacheLine] = sorted(self._lines.values(),
+                                          key=lambda line: line.addr % n)
+        return iter(ordered)
 
     def resident(self, addr: int) -> bool:
-        return addr in self._sets[addr % self._num_sets]
+        return addr in self._lines
 
     def state_of(self, addr: int) -> L1State:
-        line = self._sets[addr % self._num_sets].get(addr)
+        line = self._lines.get(addr)
         return line.state if line is not None else L1State.I
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return len(self._lines)

@@ -80,6 +80,9 @@ class CommitToken:
 class LazyNodeController(NodeController):
     """Node with lazy versioning and commit-time publication."""
 
+    __slots__ = ("_write_buffer", "commit_token", "_publishing",
+                 "_publish_queue")
+
     def __init__(self, *args, commit_token: Optional[CommitToken] = None,
                  **kwargs):
         super().__init__(*args, **kwargs)
@@ -300,6 +303,9 @@ class HybridNodeController(LazyNodeController):
     switched to lazy execution, where its stores stay private until a
     token-ordered commit.  ``lazy_threshold`` aborts flip the switch.
     """
+
+    __slots__ = ("lazy_threshold", "_abort_counts", "_lazy_attempt",
+                 "lazy_attempts", "eager_attempts")
 
     def __init__(self, *args, lazy_threshold: int = 3, **kwargs):
         super().__init__(*args, **kwargs)

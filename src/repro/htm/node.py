@@ -68,6 +68,26 @@ class Mshr:
 class NodeController:
     """Core + L1 + TX unit of one node."""
 
+    # More attributes than CPython's 30-key limit for key-sharing
+    # instance dicts: without slots each node carries a private ~1.6 KB
+    # dict and every ``self.x`` is a dict lookup.  Subclasses declare
+    # their own additions.
+    __slots__ = (
+        "sim", "node", "config", "network", "stats", "nstats",
+        "_ns_tx_started", "_ns_tx_attempts", "_ns_tx_committed",
+        "_ns_tx_aborted", "_ns_good_cycles", "_ns_discarded_cycles",
+        "_ns_backoff_cycles", "_ns_stall_cycles", "_ns_nacks_received",
+        "_ns_nacks_sent", "_abort_causes",
+        "cm", "program", "on_done", "txlb", "san", "fault_tolerant",
+        "_train_load", "_train_store", "_predict_excl",
+        "_hit_latency", "_begin_cost", "_commit_cost", "_num_nodes",
+        "l1", "mshr", "wb_buffer", "wb_waiters",
+        "tx", "_instance", "_instance_ts", "_instance_seq", "_attempt",
+        "_consecutive_aborts", "_op_idx", "_op_retries", "_item_idx",
+        "_capacity_aborts_row", "_prev_footprint", "_pending", "_req_seq",
+        "done", "committed_increments", "_attempt_increments", "handlers",
+    )
+
     def __init__(self, sim: Simulator, node: int, config: SystemConfig,
                  network: Network, stats: Stats, cm: ContentionManager,
                  program: Program,

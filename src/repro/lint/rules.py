@@ -221,7 +221,9 @@ SIM_PATH_FILES = ("sim/engine.py",)
 
 PICKLE_BOUNDARY_FILES = ("analysis/parallel.py", "sim/resultcache.py")
 
-HOT_PATH_PREFIXES = ("network/", "sim/", "coherence/")
+# workloads/base.py holds the per-op program records: a mesh builds
+# one per transactional op, so a new record must not regrow a dict.
+HOT_PATH_PREFIXES = ("network/", "sim/", "coherence/", "workloads/base.py")
 
 # Modules whose functions run once per message/event.  Explicit file
 # list, not a prefix: the snapshot/report boundary (sim/stats.py) and

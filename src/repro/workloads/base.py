@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import List, Sequence, Union
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxOp:
     """One transactional memory operation."""
 
@@ -27,7 +27,7 @@ class TxOp:
     pc: int = 0  # static instruction id (RMW predictor key)
 
 
-@dataclass
+@dataclass(slots=True)
 class TxInstance:
     """One dynamic instance of a static transaction."""
 
@@ -44,7 +44,7 @@ class TxInstance:
         return sum(1 for o in self.ops if o.is_write)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NonTxOp:
     """A non-transactional memory access between transactions."""
 
@@ -54,7 +54,7 @@ class NonTxOp:
     pc: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gap:
     """Pure compute (no memory traffic) between items."""
 
@@ -65,7 +65,7 @@ ProgramItem = Union[TxInstance, NonTxOp, Gap]
 Program = List[ProgramItem]
 
 
-@dataclass
+@dataclass(slots=True)
 class Workload:
     """A named bundle of per-node programs plus metadata."""
 

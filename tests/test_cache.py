@@ -1,12 +1,12 @@
 """Tests for the L1 cache model."""
 
+from collections import Counter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coherence import cache as cache_mod
 from repro.coherence.cache import CacheLine, CapacityError, L1Cache
 from repro.coherence.states import L1State
 from repro.sim.config import CacheConfig
@@ -150,12 +150,13 @@ def test_eviction_counter(tiny):
 
 
 # ---------------------------------------------------------------------
-# lazy sets vs the eager-dict cache they replaced
+# the flat line map vs the eager per-set dicts it replaced
 # ---------------------------------------------------------------------
 
 class ReferenceL1Cache:
     """The eager-dict L1 (one dict per set, built up front), kept
-    verbatim as the reference the lazy-set cache must match."""
+    verbatim as the reference the flat-map cache must match op for op,
+    evictions and ``lines()`` order included."""
 
     def __init__(self, config: CacheConfig):
         self.config = config
@@ -306,37 +307,45 @@ GEOMETRIES = st.sampled_from([(64, 1), (2 * 64, 1), (4 * 64, 2),
                               (8 * 64, 2), (6 * 64, 3), (32 * 64, 4)])
 
 
+def _set_occupancy(cache) -> Counter:
+    """Lines per set index, computed from ``lines()`` alone."""
+    return Counter(line.addr % cache.config.num_sets for line in cache.lines())
+
+
 @settings(max_examples=200, deadline=None)
-@given(GEOMETRIES, st.lists(CACHE_OPS, max_size=80),
-       st.lists(CACHE_OPS, max_size=80))
-def test_lazy_sets_match_eager_reference(geometry, ops_a, ops_b):
+@given(GEOMETRIES, st.lists(CACHE_OPS, max_size=80))
+def test_flat_map_matches_eager_reference(geometry, ops):
     size, ways = geometry
     config = CacheConfig(size_bytes=size, ways=ways)
-    caches = []
-    for ops in (ops_a, ops_b):
-        lazy, ref = L1Cache(config), ReferenceL1Cache(config)
-        for op in ops:
-            assert _apply(lazy, op) == _apply(ref, op), op
-        assert [_view(x) for x in lazy.lines()] == \
-            [_view(x) for x in ref.lines()]
-        assert lazy.evictions == ref.evictions
-        caches.append(lazy)
-    # the shared placeholder never gained a line, and no mutated set is
-    # shared between two caches
-    assert cache_mod._EMPTY_SET == {}
-    owned = [{id(cset) for cset in c._sets if cset is not cache_mod._EMPTY_SET}
-             for c in caches]
-    assert not owned[0] & owned[1]
+    flat, ref = L1Cache(config), ReferenceL1Cache(config)
+    for op in ops:
+        assert _apply(flat, op) == _apply(ref, op), op
+        assert max(_set_occupancy(flat).values(), default=0) <= ways
+    assert [_view(x) for x in flat.lines()] == \
+        [_view(x) for x in ref.lines()]
+    assert flat.evictions == ref.evictions and len(flat) == len(ref)
 
 
-def test_untouched_sets_share_the_empty_placeholder():
+def test_untouched_cache_holds_no_lines():
     cache = L1Cache(CacheConfig())
-    assert all(cset is cache_mod._EMPTY_SET for cset in cache._sets)
+    assert len(cache) == 0 and list(cache.lines()) == []
     assert cache.invalidate(7) is None and cache.downgrade(7) is None
     cache.pin(7, 2)
+    cache.unpin_all([7])
     assert not cache.resident(7) and cache.state_of(7) is L1State.I
+    assert len(cache) == 0 and list(cache.lines()) == []
     cache.install(7, L1State.S, 1)
-    touched = [i for i, cset in enumerate(cache._sets)
-               if cset is not cache_mod._EMPTY_SET]
-    assert touched == [7 % cache.config.num_sets]
-    assert cache_mod._EMPTY_SET == {}
+    assert [line.addr for line in cache.lines()] == [7]
+
+
+def test_ways_beyond_occupancy_byte_rejected():
+    """Per-set occupancy is one byte: a wider set is refused up front,
+    by an explicit raise that survives ``python -O``."""
+    with pytest.raises(ValueError, match="256 exceeds 255 ways"):
+        L1Cache(CacheConfig(size_bytes=256 * 64, ways=256))
+    cache = L1Cache(CacheConfig(size_bytes=255 * 64, ways=255))
+    for addr in range(255):
+        cache.install(addr, L1State.S, 0)
+    assert _set_occupancy(cache) == {0: 255}
+    _, evicted = cache.install(255, L1State.S, 0)
+    assert evicted is not None and evicted.addr == 0

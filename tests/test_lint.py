@@ -379,10 +379,19 @@ def test_sim_rng_fires_on_unseeded_scheme_rng():
 
 def test_hot_path_scope_resolution():
     for relpath in ("network/message.py", "sim/engine.py",
-                    "coherence/cache.py"):
+                    "coherence/cache.py", "workloads/base.py"):
         assert "dataclass-slots" in active_rules(relpath)
     for relpath in ("htm/node.py", "analysis/report.py", "workloads/stamp.py"):
         assert "dataclass-slots" not in active_rules(relpath)
+
+
+def test_dataclass_slots_covers_program_records():
+    """A new per-op record in workloads/base.py without slots is
+    flagged; the generators beside it are not hot-path."""
+    src = FIXTURES["dataclass-slots"]
+    hits = lint_source(src, "<fixture>", relpath="workloads/base.py")
+    assert [v.rule for v in hits] == ["dataclass-slots"]
+    assert lint_source(src, "<fixture>", relpath="workloads/stamp.py") == []
 
 
 # ---------------------------------------------------------------------
