@@ -18,13 +18,14 @@ UD pointer off the critical path after each service.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Tuple
+from typing import ClassVar, Dict, Optional, Tuple
 
 from repro.coherence.dirstore import DirEntry, DirEntryPool, DirStore, \
     EntriesView
 from repro.coherence.states import DirState
 from repro.core.bitset import bit_tuple
-from repro.network.message import Message, MessageType, make_put_ack
+from repro.network.message import Message, MessageType, make_data, \
+    make_fwd, make_put_ack
 from repro.network.network import Network
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Simulator
@@ -64,6 +65,16 @@ class ServiceRecord:
 class DirectoryController:
     """The home directory + L2 slice of one node."""
 
+    # Message dispatch by method name, resolved per instance at wiring
+    # time by ``System._make_endpoint`` (as ``NodeController.HANDLERS``).
+    HANDLERS: ClassVar[Dict[MessageType, str]] = {
+        MessageType.GETS: "_enqueue_or_service",
+        MessageType.GETX: "_enqueue_or_service",
+        MessageType.PUT: "_enqueue_or_service",
+        MessageType.UNBLOCK: "_handle_unblock",
+        MessageType.WB_DATA: "_handle_wb_data",
+    }
+
     def __init__(self, sim: Simulator, node: int, config: SystemConfig,
                  network: Network, stats: Stats, puno=None,
                  pool: Optional[DirEntryPool] = None, arbiter=None):
@@ -88,23 +99,15 @@ class DirectoryController:
         self._slots = self.store._slots
         self._live = self.store._live
         self._obtain = self.store.obtain
-        # Per-instance message dispatch (bound methods, built once).
-        self.handlers = {
-            MessageType.GETS: self._enqueue_or_service,
-            MessageType.GETX: self._enqueue_or_service,
-            MessageType.PUT: self._enqueue_or_service,
-            MessageType.UNBLOCK: self._handle_unblock,
-            MessageType.WB_DATA: self._handle_wb_data,
-        }
 
     # ------------------------------------------------------------------
     # message entry point
     # ------------------------------------------------------------------
     def receive(self, msg: Message) -> None:
-        handler = self.handlers.get(msg.mtype)
-        if handler is None:  # pragma: no cover - protocol bug guard
+        name = self.HANDLERS.get(msg.mtype)
+        if name is None:  # pragma: no cover - protocol bug guard
             raise ValueError(f"directory {self.node} got {msg}")
-        handler(msg)
+        getattr(self, name)(msg)
 
     def entry(self, addr: int) -> DirEntry:
         return self._obtain(addr)
@@ -164,12 +167,10 @@ class DirectoryController:
                     f"GETS from owner {msg.requester} addr {msg.addr}")
             rec = ServiceRecord(msg, "gets", self.sim.now, owner_path=True)
             self._block(entry, rec)
-            fwd = Message(
-                MessageType.FWD_GETS, msg.addr, self.node, entry.owner,
-                requester=msg.requester, req_id=msg.req_id, tx=msg.tx,
-                acks_expected=1, terminal=True,
-            )
-            self.network.send(fwd, extra_delay=self.config.directory_latency)
+            # positional: acks_expected, terminal
+            fwd = make_fwd(MessageType.FWD_GETS, msg, self.node,
+                           entry.owner, 1, True)
+            self.network.send(fwd, self.config.directory_latency)
 
     def _finish_simple_gets(self, msg: Message, entry: DirEntry) -> None:
         entry.sharers |= 1 << msg.requester
@@ -178,11 +179,8 @@ class DirectoryController:
         else:
             entry.tx_readers.pop(msg.requester, None)
         entry.state = DirState.S
-        resp = Message(
-            MessageType.DATA, msg.addr, self.node, msg.requester,
-            requester=msg.requester, req_id=msg.req_id,
-            value=entry.value, acks_expected=0,
-        )
+        resp = make_data(MessageType.DATA, msg.addr, self.node,
+                         msg.requester, msg.req_id, entry.value)
         self.network.send(resp)
         self._unblock(entry)
 
@@ -205,12 +203,10 @@ class DirectoryController:
             rec = ServiceRecord(msg, "getx", self.sim.now,
                                 is_txgetx=is_tx, owner_path=True)
             self._block(entry, rec)
-            fwd = Message(
-                MessageType.FWD_GETX, msg.addr, self.node, entry.owner,
-                requester=msg.requester, req_id=msg.req_id, tx=msg.tx,
-                acks_expected=1, terminal=True, committing=msg.committing,
-            )
-            self.network.send(fwd, extra_delay=self.config.directory_latency)
+            # positional: acks_expected, terminal, committing
+            fwd = make_fwd(MessageType.FWD_GETX, msg, self.node,
+                           entry.owner, 1, True, msg.committing)
+            self.network.send(fwd, self.config.directory_latency)
             return
 
         # state S
@@ -242,12 +238,10 @@ class DirectoryController:
                                 unicast=True, requester_was_sharer=was_sharer,
                                 targets=(unicast_to,))
             self._block(entry, rec)
-            fwd = Message(
-                MessageType.FWD_GETX, msg.addr, self.node, unicast_to,
-                requester=msg.requester, req_id=msg.req_id, tx=msg.tx,
-                acks_expected=1, terminal=True, u_bit=True,
-            )
-            self.network.send(fwd, extra_delay=extra)
+            # positional: acks_expected, terminal, committing, u_bit
+            fwd = make_fwd(MessageType.FWD_GETX, msg, self.node,
+                           unicast_to, 1, True, False, True)
+            self.network.send(fwd, extra)
             return
 
         if self.puno is not None and is_tx:
@@ -257,30 +251,23 @@ class DirectoryController:
         self._block(entry, rec)
         k = len(targets)
         for i, t in enumerate(targets):
-            fwd = Message(
-                MessageType.FWD_GETX, msg.addr, self.node, t,
-                requester=msg.requester, req_id=msg.req_id, tx=msg.tx,
-                acks_expected=k, committing=msg.committing,
-            )
+            fwd = make_fwd(MessageType.FWD_GETX, msg, self.node, t, k,
+                           False, msg.committing)
             # One injection port: the i-th invalidation leaves one
             # flit-time after the previous — the serialization that
             # makes multicasts occupy the entry longer than unicasts
             # (the Fig. 12 effect).
-            self.network.send(fwd, extra_delay=extra + i)
-        # Grant header to the requester: data unless it still holds S.
+            self.network.send(fwd, extra + i)
+        # Grant header to the requester: data unless it still holds S
+        # (positional: value, acks_expected).
         if was_sharer:
-            grant = Message(
-                MessageType.GRANT, msg.addr, self.node, msg.requester,
-                requester=msg.requester, req_id=msg.req_id, acks_expected=k,
-            )
-            self.network.send(grant, extra_delay=extra)
+            grant = make_data(MessageType.GRANT, msg.addr, self.node,
+                              msg.requester, msg.req_id, 0, k)
+            self.network.send(grant, extra)
         else:
-            grant = Message(
-                MessageType.DATA_EXCL, msg.addr, self.node, msg.requester,
-                requester=msg.requester, req_id=msg.req_id,
-                value=entry.value, acks_expected=k,
-            )
-            self.network.send(grant, extra_delay=extra + self.config.l2_latency)
+            grant = make_data(MessageType.DATA_EXCL, msg.addr, self.node,
+                              msg.requester, msg.req_id, entry.value, k)
+            self.network.send(grant, extra + self.config.l2_latency)
 
     def _finish_sole_getx(self, msg: Message, entry: DirEntry,
                           was_sharer: bool) -> None:
@@ -294,16 +281,11 @@ class DirectoryController:
         entry.state = DirState.M
         entry.owner = msg.requester
         if was_sharer:
-            resp = Message(
-                MessageType.GRANT, msg.addr, self.node, msg.requester,
-                requester=msg.requester, req_id=msg.req_id, acks_expected=0,
-            )
+            resp = make_data(MessageType.GRANT, msg.addr, self.node,
+                             msg.requester, msg.req_id)
         else:
-            resp = Message(
-                MessageType.DATA_EXCL, msg.addr, self.node, msg.requester,
-                requester=msg.requester, req_id=msg.req_id,
-                value=entry.value, acks_expected=0,
-            )
+            resp = make_data(MessageType.DATA_EXCL, msg.addr, self.node,
+                             msg.requester, msg.req_id, entry.value)
         self.network.send(resp)
         self._unblock(entry)
 
@@ -330,11 +312,8 @@ class DirectoryController:
         entry.tx_readers.clear()
         if msg.tx is not None:
             entry.tx_readers[msg.requester] = msg.tx.timestamp
-        resp = Message(
-            MessageType.DATA_EXCL, msg.addr, self.node, msg.requester,
-            requester=msg.requester, req_id=msg.req_id,
-            value=entry.value, acks_expected=0,
-        )
+        resp = make_data(MessageType.DATA_EXCL, msg.addr, self.node,
+                         msg.requester, msg.req_id, entry.value)
         self.network.send(resp)
         self._unblock(entry)
 
@@ -362,7 +341,7 @@ class DirectoryController:
                 entry.tx_readers.clear()
         # else: stale writeback (ownership already moved on) — drop it.
         ack = make_put_ack(msg.addr, self.node, msg.src, msg.req_id)
-        self.network.send(ack, extra_delay=self.config.directory_latency)
+        self.network.send(ack, self.config.directory_latency)
         # A non-sticky writeback settles the line to I with nothing
         # queued: retire the entry to the pool.  Skipped under the
         # sanitizer — its deferred line checks must still find the

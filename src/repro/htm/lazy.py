@@ -36,7 +36,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from repro.coherence.states import L1State
 from repro.htm.node import Mshr, NodeController
 from repro.htm.transaction import TxStatus
-from repro.network.message import Message, MessageType, TxTag
+from repro.network.message import MessageType, TxTag, make_request
 from repro.workloads.base import TxOp
 
 
@@ -192,10 +192,9 @@ class LazyNodeController(NodeController):
         tag = TxTag(self.node, tx.timestamp, tx.static_id, 0)
         self.mshr = Mshr(req_id, addr, ("publish", addr), True, True,
                          self.sim.now)
-        msg = Message(MessageType.GETX, addr, self.node,
-                      self.config.home_node(addr), requester=self.node,
-                      req_id=req_id, tx=tag, committing=True)
-        self.network.send(msg, extra_delay=self.config.cache.hit_latency)
+        msg = make_request(MessageType.GETX, addr, self.node,
+                           self.config.home_node(addr), req_id, tag, True)
+        self.network.send(msg, self.config.cache.hit_latency)
 
     def _apply_publish(self, addr: int, line) -> None:
         line.value += self._write_buffer[addr]
@@ -263,8 +262,10 @@ class LazyNodeController(NodeController):
             # a publication can only be nacked by a *non-transactional*
             # race loser or a stale forward; retry quickly
             self._op_retries += 1
-            self._pending = self.sim.schedule(
-                self.config.htm.nack_backoff, self._publish_retry, m.op[1])
+            sim = self.sim
+            self._pending = self._timer = sim.rearm(
+                self._timer, sim.now + self.config.htm.nack_backoff,
+                self._publish_retry, (m.op[1],))
             return
         super()._failed_request(m)
 

@@ -18,7 +18,7 @@ per-instance timestamp so the time-based policy is starvation free.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional
+from typing import Callable, ClassVar, Dict, List, Optional
 
 from repro.coherence.cache import CapacityError, L1Cache
 from repro.coherence.states import L1State
@@ -27,7 +27,8 @@ from repro.htm.conflict import Decision, check_fwd_gets, check_fwd_getx
 from repro.htm.contention.base import ContentionManager
 from repro.htm.transaction import Transaction, TxStatus
 from repro.network.message import (Message, MessageType, TxTag, make_ack,
-                                   make_nack, make_unblock)
+                                   make_data, make_nack, make_request,
+                                   make_unblock)
 from repro.network.network import Network
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Event, Simulator
@@ -84,9 +85,23 @@ class NodeController:
         "l1", "mshr", "wb_buffer", "wb_waiters",
         "tx", "_instance", "_instance_ts", "_instance_seq", "_attempt",
         "_consecutive_aborts", "_op_idx", "_op_retries", "_item_idx",
-        "_capacity_aborts_row", "_prev_footprint", "_pending", "_req_seq",
-        "done", "committed_increments", "_attempt_increments", "handlers",
+        "_capacity_aborts_row", "_prev_footprint", "_pending", "_timer",
+        "_req_seq", "done", "committed_increments", "_attempt_increments",
     )
+
+    # Message dispatch by method name: ``System._make_endpoint``
+    # resolves it against each instance once, at wiring time (so
+    # subclass overrides win), into the network's flat dispatch list.
+    HANDLERS: ClassVar[Dict[MessageType, str]] = {
+        MessageType.DATA: "_mshr_response",
+        MessageType.DATA_EXCL: "_mshr_response",
+        MessageType.GRANT: "_mshr_response",
+        MessageType.ACK: "_mshr_response",
+        MessageType.NACK: "_mshr_response",
+        MessageType.FWD_GETX: "_handle_fwd_getx",
+        MessageType.FWD_GETS: "_handle_fwd_gets",
+        MessageType.PUT_ACK: "_handle_put_ack",
+    }
 
     def __init__(self, sim: Simulator, node: int, config: SystemConfig,
                  network: Network, stats: Stats, cm: ContentionManager,
@@ -164,26 +179,17 @@ class NodeController:
         # by the last attempt *will* be read again: a unicast probe for
         # it is answered as a true conflict, not a misprediction.
         self._prev_footprint: frozenset = frozenset()
+        # ``_pending`` is the queued op timer (None while no timer is
+        # armed); ``_timer`` keeps the last handle, which
+        # ``Simulator.rearm`` reuses once its event has run.
         self._pending: Optional[Event] = None
+        self._timer = Event()
         self._req_seq = itertools.count()
         self.done = False
 
         # atomicity audit: increments applied by committed work only
         self.committed_increments = 0
         self._attempt_increments = 0
-
-        # Per-instance message dispatch: bound methods resolve subclass
-        # overrides once, here, instead of an elif chain per message.
-        self.handlers: Dict[MessageType, Callable[[Message], None]] = {
-            MessageType.DATA: self._mshr_response,
-            MessageType.DATA_EXCL: self._mshr_response,
-            MessageType.GRANT: self._mshr_response,
-            MessageType.ACK: self._mshr_response,
-            MessageType.NACK: self._mshr_response,
-            MessageType.FWD_GETX: self._handle_fwd_getx,
-            MessageType.FWD_GETS: self._handle_fwd_gets,
-            MessageType.PUT_ACK: self._handle_put_ack,
-        }
 
     # ==================================================================
     # program execution
@@ -204,7 +210,9 @@ class NodeController:
             self.sim.call_later(item.cycles, self._next_item)
         elif isinstance(item, NonTxOp):
             self._op_retries = 0
-            self._pending = self.sim.schedule(item.think, self._access_op, item)
+            sim = self.sim
+            self._pending = self._timer = sim.rearm(
+                self._timer, sim.now + item.think, self._access_op, (item,))
         elif isinstance(item, TxInstance):
             self._instance = item
             self._instance_ts = -1
@@ -245,7 +253,9 @@ class NodeController:
         self._op_idx = 0
         self._op_retries = 0
         self.cm.on_tx_begin(self.node)
-        self._pending = self.sim.schedule(self._begin_cost, self._run_op)
+        sim = self.sim
+        self._pending = self._timer = sim.rearm(
+            self._timer, sim.now + self._begin_cost, self._run_op, ())
 
     def _run_op(self) -> None:
         self._pending = None
@@ -259,13 +269,15 @@ class NodeController:
         if inst is None:
             raise AssertionError(
                 f"node {self.node}: transaction runs with no instance")
+        sim = self.sim
         if self._op_idx >= len(inst.ops):
-            self._pending = self.sim.schedule(self._commit_cost,
-                                              self._commit)
+            self._pending = self._timer = sim.rearm(
+                self._timer, sim.now + self._commit_cost, self._commit, ())
             return
         op = inst.ops[self._op_idx]
         self._op_retries = 0
-        self._pending = self.sim.schedule(op.think, self._access_op, op)
+        self._pending = self._timer = sim.rearm(
+            self._timer, sim.now + op.think, self._access_op, (op,))
 
     def _commit(self) -> None:
         self._pending = None
@@ -369,8 +381,10 @@ class NodeController:
         backoff = self.cm.restart_backoff(self.node, self._consecutive_aborts)
         self._ns_backoff_cycles[self.node] += backoff
         self.tx = None
-        self._pending = self.sim.schedule(recovery + backoff,
-                                          self._begin_attempt)
+        sim = self.sim
+        time = sim.now + recovery + backoff
+        self._pending = self._timer = sim.rearm(
+            self._timer, time, self._begin_attempt, ())
 
     # ==================================================================
     # memory access path
@@ -432,12 +446,15 @@ class NodeController:
             self.committed_increments += 1
 
     def _finish_op(self, op) -> None:
-        delay = self._hit_latency
+        sim = self.sim
+        time = sim.now + self._hit_latency
         if isinstance(op, TxOp):
             self._op_idx += 1
-            self._pending = self.sim.schedule(delay, self._run_op)
+            self._pending = self._timer = sim.rearm(
+                self._timer, time, self._run_op, ())
         else:
-            self._pending = self.sim.schedule(delay, self._next_item)
+            self._pending = self._timer = sim.rearm(
+                self._timer, time, self._next_item, ())
 
     # ------------------------------------------------------------------
     # request issue / retry
@@ -457,9 +474,9 @@ class NodeController:
         self.mshr = Mshr(req_id, addr, op, exclusive, tag is not None,
                          self.sim.now)
         mtype = MessageType.GETX if exclusive else MessageType.GETS
-        msg = Message(mtype, addr, self.node, addr % self._num_nodes,
-                      requester=self.node, req_id=req_id, tx=tag)
-        self.network.send(msg, extra_delay=self._hit_latency)
+        msg = make_request(mtype, addr, self.node, addr % self._num_nodes,
+                           req_id, tag)
+        self.network.send(msg, self._hit_latency)
 
     def _retry(self, op) -> None:
         self._pending = None
@@ -477,10 +494,10 @@ class NodeController:
     # incoming messages
     # ==================================================================
     def receive(self, msg: Message) -> None:
-        handler = self.handlers.get(msg.mtype)
-        if handler is None:  # pragma: no cover - protocol bug guard
+        name = self.HANDLERS.get(msg.mtype)
+        if name is None:  # pragma: no cover - protocol bug guard
             raise ValueError(f"node {self.node} got {msg}")
-        handler(msg)
+        getattr(self, name)(msg)
 
     # ------------------------------------------------------------------
     # requester side: response collection
@@ -546,10 +563,9 @@ class NodeController:
             mp_node = m.mp_node()
             unblock = make_unblock(
                 m.addr, self.node, m.addr % self._num_nodes, m.req_id,
-                success=success, survivors=tuple(n.src for n in m.nacks),
-                mp_bit=mp_node >= 0, mp_node=mp_node,
-            )
-            self.network.send(unblock, extra_delay=1)
+                success, tuple(n.src for n in m.nacks), mp_node >= 0,
+                mp_node)
+            self.network.send(unblock, 1)
 
         if success:
             self._finish_request(m)
@@ -637,7 +653,9 @@ class NodeController:
         self._ns_stall_cycles[self.node] += backoff
         if is_tx_op and tx is not None:
             tx.stall_cycles += backoff
-        self._pending = self.sim.schedule(backoff, self._retry, op)
+        sim = self.sim
+        self._pending = self._timer = sim.rearm(
+            self._timer, sim.now + backoff, self._retry, (op,))
 
     def _install(self, addr: int, state: L1State, value: int):
         try:
@@ -738,13 +756,12 @@ class NodeController:
                     self.stats.puno_mp_no_conflict += 1
                 else:
                     self.stats.puno_mp_younger += 1
-            resp = make_nack(
-                addr, self.node, msg.requester, msg.req_id,
-                terminal=True, u_bit=True, mp_bit=mp,
-                t_est=-1 if mp else self._notification(),
-            )
+            # positional: terminal, acks_expected, u_bit, t_est, mp_bit
+            resp = make_nack(addr, self.node, msg.requester, msg.req_id,
+                             True, 0, True,
+                             -1 if mp else self._notification(), mp)
             self._ns_nacks_sent[self.node] += 1
-            self.network.send(resp, extra_delay=1)
+            self.network.send(resp, 1)
             return
 
         dec = check_fwd_getx(tx, addr, msg.tx, committing=msg.committing)
@@ -752,13 +769,11 @@ class NodeController:
             self.san.check_conflict_decision(self, msg, dec, "getx")
         if dec is Decision.NACK:
             notify = msg.terminal  # owner path is a natural unicast
-            resp = make_nack(
-                addr, self.node, msg.requester, msg.req_id,
-                terminal=msg.terminal, acks_expected=msg.acks_expected,
-                t_est=self._notification() if notify else -1,
-            )
+            resp = make_nack(addr, self.node, msg.requester, msg.req_id,
+                             msg.terminal, msg.acks_expected, False,
+                             self._notification() if notify else -1)
             self._ns_nacks_sent[self.node] += 1
-            self.network.send(resp, extra_delay=1)
+            self.network.send(resp, 1)
             return
 
         aborted = False
@@ -777,19 +792,16 @@ class NodeController:
                 self.l1.invalidate(addr)
             else:
                 value = self._owner_value(addr)
-            resp = Message(
-                MessageType.DATA_EXCL, addr, self.node, msg.requester,
-                requester=msg.requester, req_id=msg.req_id,
-                value=value, terminal=True, aborted=aborted,
-            )
+            # positional: value, acks_expected, terminal, aborted
+            resp = make_data(MessageType.DATA_EXCL, addr, self.node,
+                             msg.requester, msg.req_id, value, 0, True,
+                             aborted)
         else:
             if line is not None:
                 self.l1.invalidate(addr)
-            resp = make_ack(
-                addr, self.node, msg.requester, msg.req_id,
-                acks_expected=msg.acks_expected, aborted=aborted,
-            )
-        self.network.send(resp, extra_delay=1)
+            resp = make_ack(addr, self.node, msg.requester, msg.req_id,
+                            msg.acks_expected, aborted)
+        self.network.send(resp, 1)
 
     def _handle_fwd_gets(self, msg: Message) -> None:
         addr = msg.addr
@@ -798,12 +810,10 @@ class NodeController:
         if self.san is not None:
             self.san.check_conflict_decision(self, msg, dec, "gets")
         if dec is Decision.NACK:
-            resp = make_nack(
-                addr, self.node, msg.requester, msg.req_id,
-                terminal=True, t_est=self._notification(),
-            )
+            resp = make_nack(addr, self.node, msg.requester, msg.req_id,
+                             True, 0, False, self._notification())
             self._ns_nacks_sent[self.node] += 1
-            self.network.send(resp, extra_delay=1)
+            self.network.send(resp, 1)
             return
         aborted = False
         if dec is Decision.ACK_ABORT:
@@ -819,13 +829,11 @@ class NodeController:
             value = self._owner_value(addr)
         # Downgrade: fresh value to the home first (so it lands before
         # the requester's UNBLOCK), then data to the requester.
+        # positional: requester, req_id, tx, value
         wb = Message(MessageType.WB_DATA, addr, self.node,
-                     self.config.home_node(addr), requester=msg.requester,
-                     req_id=msg.req_id, value=value)
-        self.network.send(wb, extra_delay=1)
-        resp = Message(
-            MessageType.DATA, addr, self.node, msg.requester,
-            requester=msg.requester, req_id=msg.req_id,
-            value=value, terminal=True, aborted=aborted,
-        )
-        self.network.send(resp, extra_delay=1)
+                     self.config.home_node(addr), msg.requester, msg.req_id,
+                     None, value)
+        self.network.send(wb, 1)
+        resp = make_data(MessageType.DATA, addr, self.node, msg.requester,
+                         msg.req_id, value, 0, True, aborted)
+        self.network.send(resp, 1)

@@ -20,12 +20,15 @@ hop, so the class is deliberately *not* a dataclass: it is a
 ``__slots__`` class (no per-instance ``__dict__``) with a hand-written
 ``__init__`` whose parameter order matches the original dataclass field
 order — every existing keyword call site still works, and hot paths may
-bind the six identity fields positionally.  The common no-payload
-response shapes additionally get flyweight factories (:func:`make_ack`,
-:func:`make_nack`, :func:`make_put_ack`, :func:`make_unblock`) that fix
-the redundant fields (a response's ``requester`` *is* its destination;
-an UNBLOCK's ``requester`` is its source) and construct fully
-positionally.
+bind the six identity fields positionally.  Every hot shape gets a
+flyweight factory that fixes the redundant fields (a request's and an
+UNBLOCK's ``requester`` is its source, a response's is its
+destination, a forward copies its request's identity) and constructs
+fully positionally: requests (:func:`make_request`), forwards
+(:func:`make_fwd`), data and grants (:func:`make_data`) and the
+no-payload responses (:func:`make_ack`, :func:`make_nack`,
+:func:`make_put_ack`, :func:`make_unblock`).  Hot call sites pass the
+factories' optional fields positionally too.
 
 :class:`MessageType` is an ``IntEnum`` with dense codes (0..12): a
 member *is* its array index, so hot paths accumulate stats with
@@ -213,6 +216,33 @@ class Message:
 # factories bake those identities in and call the constructor fully
 # positionally — the cheapest construction path for the shapes that
 # dominate message traffic.
+
+def make_request(mtype: MessageType, addr: int, src: int, dst: int,
+                 req_id: int, tx: Optional[TxTag] = None,
+                 committing: bool = False) -> Message:
+    """GETS/GETX from the requester at ``src`` to the home ``dst``."""
+    return Message(mtype, addr, src, dst, src, req_id, tx, 0, 0, False,
+                   False, False, committing)
+
+
+def make_fwd(mtype: MessageType, req: Message, src: int, dst: int,
+             acks_expected: int, terminal: bool = False,
+             committing: bool = False, u_bit: bool = False) -> Message:
+    """FWD_GETS/FWD_GETX of request ``req`` from its home ``src`` to the
+    owner or sharer ``dst``; the requester's identity and tag ride
+    along."""
+    return Message(mtype, req.addr, src, dst, req.requester, req.req_id,
+                   req.tx, 0, acks_expected, terminal, False, False,
+                   committing, True, (), u_bit)
+
+
+def make_data(mtype: MessageType, addr: int, src: int, dst: int,
+              req_id: int, value: int = 0, acks_expected: int = 0,
+              terminal: bool = False, aborted: bool = False) -> Message:
+    """DATA, DATA_EXCL or GRANT to the requester at ``dst``."""
+    return Message(mtype, addr, src, dst, dst, req_id, None, value,
+                   acks_expected, terminal, aborted)
+
 
 def make_ack(addr: int, src: int, dst: int, req_id: int,
              acks_expected: int = 0, aborted: bool = False) -> Message:

@@ -26,6 +26,14 @@ Hot-path notes
   without validation or ``*args`` packing, for the callers that create
   most events (message delivery, the PUNO tick); only this module
   knows the heap entry's layout.
+* Cancellable timers that re-arm one after another (a node's op
+  timers) go through :meth:`Simulator.rearm`: the same unchecked push
+  as ``enqueue``, but with a handle, and the handle of the caller's
+  previous timer is reused once that timer has run.  A spent handle
+  is referenced by no queued entry, so reusing it changes no event;
+  a cancelled or still-queued one is never reused.  Only the
+  watchdog and the fault injector still allocate a handle per
+  ``schedule``.
 * One drain loop serves every run without ``until``: full drains,
   ``max_events`` chunks (what :meth:`repro.system.System.run` uses) and
   :meth:`Simulator.step`.  It pops first, skips cancelled entries,
@@ -71,7 +79,8 @@ class Event:
     The heap stores ``(time, seq, event, fn, args)`` tuples and the run
     loop dispatches from the tuple, so the handle carries only the
     ``cancelled`` flag and the simulator backref that cancellation
-    accounting needs.
+    accounting needs.  A handle built without a simulator counts as
+    spent: :meth:`Simulator.rearm` takes it as a caller's first handle.
     """
 
     __slots__ = ("cancelled", "sim")
@@ -170,6 +179,29 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(self._heap, (time, seq, None, fn, args))
+
+    def rearm(self, ev: Event, time: int, fn: Callable[..., Any],
+              args: Tuple[Any, ...]) -> Event:
+        """Queue ``fn(*args)`` at absolute cycle ``time``, unchecked,
+        and return its cancellation handle.
+
+        ``ev`` is the caller's previous handle.  It is reused when its
+        event has run (``sim`` dropped, never cancelled): no queued
+        entry refers to it any more.  A cancelled or still-queued
+        handle gets a fresh :class:`Event`, exactly what
+        :meth:`schedule` would return.  The caller must keep no other
+        reference to ``ev`` that it may cancel later: a reused handle
+        cancels the new event.  ``time`` must not lie before
+        :attr:`now`.
+        """
+        if ev.sim is None and not ev.cancelled:
+            ev.sim = self
+        else:
+            ev = Event(self)
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time, seq, ev, fn, args))
+        return ev
 
     def schedule_at(self, time: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute cycle ``time`` (>= now)."""

@@ -177,15 +177,21 @@ class System:
     @staticmethod
     def _make_endpoint(directory: DirectoryController,
                        node: NodeController):
-        # The directory's and node's dispatch tables must be disjoint
-        # and together cover every MessageType; merged into a dense list in
-        # code order, the network delivers straight to the owning
-        # controller's bound handler — no membership test, no closure
-        # hop, no per-delivery dict lookup.  Building the list is the
-        # completeness check; the name lists are built only to report a
-        # failure, so a 1024-node build does not walk the enum per node.
-        # Explicit raises, not asserts, so the checks survive -O.
-        merged = {**directory.handlers, **node.handlers}
+        # The directory's and node's class-level dispatch tables (type
+        # -> method name) must be disjoint and together cover every
+        # MessageType; resolved against the two instances into a dense
+        # list in code order, the network delivers straight to the
+        # owning controller's bound handler — no membership test, no
+        # closure hop, no per-delivery dict lookup.  Building the list
+        # is the completeness check; the name lists are built only to
+        # report a failure, so a 1024-node build does not walk the enum
+        # per node.  Explicit raises, not asserts, so the checks
+        # survive -O.
+        dir_names, node_names = directory.HANDLERS, node.HANDLERS
+        merged = {t: getattr(directory, name)
+                  for t, name in dir_names.items()}
+        merged.update({t: getattr(node, name)
+                       for t, name in node_names.items()})
         try:
             table = [merged[t] for t in _MESSAGE_TYPES]
         except KeyError:
@@ -193,9 +199,9 @@ class System:
             raise ValueError(
                 f"endpoint dispatch incomplete: no handler for "
                 f"{', '.join(missing)}") from None
-        if directory.handlers.keys() & node.handlers.keys():
+        if dir_names.keys() & node_names.keys():
             shadowed = [t.name for t in _MESSAGE_TYPES
-                        if t in directory.handlers and t in node.handlers]
+                        if t in dir_names and t in node_names]
             raise ValueError(
                 f"endpoint dispatch ambiguous: directory and node both "
                 f"handle {', '.join(shadowed)}")

@@ -1,31 +1,43 @@
 """Equivalence properties of the event engine's drain paths.
 
-A random program of ``schedule``, ``call_later``, ``enqueue`` and
-``cancel`` —
+A random program of ``schedule``, ``call_later``, ``enqueue``,
+``rearm`` and ``cancel`` —
 including handlers that schedule and cancel while the drain runs — must
 execute identically whether it is drained by one unbounded ``run()``,
 by ``run(max_events=k)`` chunks of random size, by ``step()``, or by
-``run(until=...)`` horizons.  The PUNO re-arm through ``enqueue`` is
-pinned against a reference tick that re-arms through ``call_later``.
+``run(until=...)`` horizons.  The same programs with every ``rearm``
+replaced by ``schedule`` are the reference for handle reuse, and the
+PUNO re-arm through ``enqueue`` is pinned against a reference tick
+that re-arms through ``call_later``.
 """
 
-from hypothesis import given, settings
+import heapq
+
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.puno import DirectoryPUNO
 from repro.sim.config import PUNOConfig
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.stats import Stats
 
 # Spawned events per program: keeps each example small while handlers
 # react to each other several generations deep.
 SPAWN_LIMIT = 120
+# Re-armed timer slots, each holding its latest handle the way a node
+# holds its op timer: ("rearm", (slot, delay)) re-arms a slot and
+# ("cancel_slot", slot) cancels whatever handle the slot holds.
+SLOTS = 3
 
 ACTION = st.one_of(
     st.tuples(st.just("schedule"), st.integers(0, 12)),
     st.tuples(st.just("call_later"), st.integers(0, 12)),
     st.tuples(st.just("enqueue"), st.integers(0, 12)),
     st.tuples(st.just("cancel"), st.integers(0, 1 << 16)),
+    st.tuples(st.just("rearm"), st.tuples(st.integers(0, SLOTS - 1),
+                                          st.integers(0, 12))),
+    st.tuples(st.just("cancel_slot"), st.integers(0, SLOTS - 1)),
 )
 SETUP = st.lists(ACTION, max_size=30)
 REACTIONS = st.lists(st.lists(ACTION, max_size=3), max_size=SPAWN_LIMIT)
@@ -36,13 +48,16 @@ def _live_in_heap(sim: Simulator) -> int:
                if item[2] is None or not item[2].cancelled)
 
 
-def _build(setup, reactions):
+def _build(setup, reactions, reference=False):
     """A simulator loaded with the program, and the log its events
     append ``(tag, now)`` to.  Event ``tag`` runs ``reactions[tag]``;
-    cancels pick a handle by index, executed ones included (a no-op)."""
+    cancels pick a handle by index, executed ones included (a no-op).
+    ``reference`` arms the slots through ``schedule`` (a fresh handle
+    per timer) instead of ``rearm``."""
     sim = Simulator()
     log = []
     handles = []
+    slots = [Event() for _ in range(SLOTS)]
     spawned = [0]
 
     def apply(action):
@@ -51,11 +66,21 @@ def _build(setup, reactions):
             if handles:
                 handles[arg % len(handles)].cancel()
             return
+        if kind == "cancel_slot":
+            slots[arg].cancel()
+            return
         if spawned[0] >= SPAWN_LIMIT:
             return
         tag = spawned[0]
         spawned[0] += 1
-        if kind == "schedule":
+        if kind == "rearm":
+            slot, delay = arg
+            if reference:
+                slots[slot] = sim.schedule(delay, fire, tag)
+            else:
+                slots[slot] = sim.rearm(slots[slot], sim.now + delay, fire,
+                                        (tag,))
+        elif kind == "schedule":
             handles.append(sim.schedule(arg, fire, tag))
         elif kind == "enqueue":
             sim.enqueue(sim.now + arg, fire, (tag,))
@@ -181,3 +206,75 @@ def test_puno_rearm_matches_call_later_tick():
     assert {seen * period == now for _, now, seen in on_tick} == {True,
                                                                    False}
     assert events == len(log) + ticks + 1  # + the final no-op tick
+
+
+# ---------------------------------------------------------------------
+# rearm: reusing spent handles executes what fresh handles would
+# ---------------------------------------------------------------------
+
+# A timer that ran, then a cancel of the spent handle, then a re-arm:
+# reusing the cancelled handle would skip the new timer.
+CANCEL_SPENT = ([("rearm", (0, 1))], [[("cancel_slot", 0),
+                                       ("rearm", (0, 2))]])
+# Two re-arms of one slot while the first is still queued, then a
+# cancel: sharing the queued handle would cancel both timers.
+CANCEL_QUEUED = ([("rearm", (0, 5)), ("rearm", (0, 3)),
+                  ("cancel_slot", 0)], [])
+
+
+@settings(max_examples=150, deadline=None)
+@given(SETUP, REACTIONS)
+@example(*CANCEL_SPENT)
+@example(*CANCEL_QUEUED)
+def test_rearm_matches_schedule_reference(setup, reactions):
+    ref, ref_log = _build(setup, reactions, reference=True)
+    sim, log = _build(setup, reactions)
+    assert sim.live_events == ref.live_events
+    while True:
+        ran, ref_ran = sim.step(), ref.step()
+        assert ran == ref_ran
+        assert sim.live_events == ref.live_events == _live_in_heap(sim)
+        assert log == ref_log and sim.now == ref.now
+        if not ran:
+            break
+    assert sim.idle() and ref.idle()
+    assert sim.events_processed == ref.events_processed == len(ref_log)
+
+
+def _mutant_rearm(reuse):
+    """``Simulator.rearm`` with its reuse test replaced by ``reuse``."""
+    def rearm(self, ev, time, fn, args):
+        if reuse(ev):
+            ev.sim = self
+        else:
+            ev = Event(self)
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time, seq, ev, fn, args))
+        return ev
+    return rearm
+
+
+# each drops one half of the has-run-and-not-cancelled test
+_rearm_reusing_cancelled = _mutant_rearm(lambda ev: ev.sim is None)
+_rearm_reusing_queued = _mutant_rearm(lambda ev: not ev.cancelled)
+
+
+@pytest.mark.parametrize("mutant", [_rearm_reusing_cancelled,
+                                    _rearm_reusing_queued])
+def test_rearm_property_catches_unsafe_reuse(monkeypatch, mutant):
+    monkeypatch.setattr(Simulator, "rearm", mutant)
+    with pytest.raises(AssertionError):
+        test_rearm_matches_schedule_reference()
+
+
+def test_rearm_reuses_only_spent_handles():
+    sim = Simulator()
+    first = sim.rearm(Event(), 1, lambda: None, ())
+    assert sim.rearm(first, 2, lambda: None, ()) is not first  # queued
+    sim.run()
+    assert sim.rearm(first, 3, lambda: None, ()) is first  # spent
+    first.cancel()
+    assert sim.rearm(first, 4, lambda: None, ()) is not first  # cancelled
+    sim.run()
+    assert sim.idle() and sim.events_processed == 3

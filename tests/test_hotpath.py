@@ -1,6 +1,7 @@
 """Hot-path regression tests: flyweight factories, dispatch tables,
-precomputed mesh tables, sanitizer-selected send path, and the
-bit-identical-behaviour guarantee the whole optimisation PR rests on."""
+allocation-free op timers, precomputed mesh tables, sanitizer-selected
+send path, and the bit-identical-behaviour guarantee the whole
+optimisation PR rests on."""
 
 import json
 
@@ -9,15 +10,19 @@ import pytest
 from repro.network.message import (
     Message,
     MessageType,
+    TxTag,
     make_ack,
+    make_data,
+    make_fwd,
     make_nack,
     make_put_ack,
+    make_request,
     make_unblock,
 )
 from repro.network.network import Network
 from repro.network.topology import Mesh
 from repro.sim.config import NetworkConfig, SystemConfig
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.stats import Stats
 from repro.system import System
 from repro.workloads.stamp import make_stamp_workload
@@ -64,8 +69,52 @@ def test_make_unblock_matches_keyword_construction():
     assert _fields(fast) == _fields(slow)
 
 
+def test_make_request_matches_keyword_construction():
+    tag = TxTag(3, 120, 7, 40)
+    fast = make_request(MessageType.GETX, 0x40, 3, 4, 11, tag, True)
+    slow = Message(MessageType.GETX, 0x40, 3, 4, requester=3, req_id=11,
+                   tx=tag, committing=True)
+    assert _fields(fast) == _fields(slow)
+
+
+def test_make_fwd_matches_keyword_construction():
+    tag = TxTag(2, 99, 1, 0)
+    req = make_request(MessageType.GETX, 0x80, 2, 5, 17, tag, True)
+    # owner path, PUNO unicast, multicast: every FWD shape the
+    # directory sends
+    fast = make_fwd(MessageType.FWD_GETX, req, 5, 6, 1, True, True)
+    slow = Message(MessageType.FWD_GETX, 0x80, 5, 6, requester=2,
+                   req_id=17, tx=tag, acks_expected=1, terminal=True,
+                   committing=True)
+    assert _fields(fast) == _fields(slow)
+    fast = make_fwd(MessageType.FWD_GETX, req, 5, 6, 1, True, False, True)
+    slow = Message(MessageType.FWD_GETX, 0x80, 5, 6, requester=2,
+                   req_id=17, tx=tag, acks_expected=1, terminal=True,
+                   u_bit=True)
+    assert _fields(fast) == _fields(slow)
+    fast = make_fwd(MessageType.FWD_GETS, req, 5, 9, 3)
+    slow = Message(MessageType.FWD_GETS, 0x80, 5, 9, requester=2,
+                   req_id=17, tx=tag, acks_expected=3)
+    assert _fields(fast) == _fields(slow)
+
+
+def test_make_data_matches_keyword_construction():
+    for mtype in (MessageType.DATA, MessageType.DATA_EXCL,
+                  MessageType.GRANT):
+        fast = make_data(mtype, 0xC0, 1, 6, 4, 77, 2, True, True)
+        slow = Message(mtype, 0xC0, 1, 6, requester=6, req_id=4, value=77,
+                       acks_expected=2, terminal=True, aborted=True)
+        assert _fields(fast) == _fields(slow)
+
+
 def test_factory_defaults_match_keyword_defaults():
+    req = Message(MessageType.GETS, 0x40, 7, 3, requester=7, req_id=11)
     pairs = [
+        (make_request(MessageType.GETS, 0x40, 7, 3, 11), req),
+        (make_fwd(MessageType.FWD_GETS, req, 3, 5, 0),
+         Message(MessageType.FWD_GETS, 0x40, 3, 5, requester=7, req_id=11)),
+        (make_data(MessageType.DATA, 0x40, 3, 7, 11),
+         Message(MessageType.DATA, 0x40, 3, 7, requester=7, req_id=11)),
         (make_ack(0x40, 3, 7, 11),
          Message(MessageType.ACK, 0x40, 3, 7, requester=7, req_id=11)),
         (make_nack(0x40, 3, 7, 11),
@@ -121,11 +170,36 @@ def test_dispatch_tables_cover_every_message_type():
     system = _tiny_system()
     node = system.nodes[0]
     directory = system.directories[0]
-    assert not set(node.handlers) & set(directory.handlers)  # disjoint
-    assert set(node.handlers) | set(directory.handlers) == set(MessageType)
-    for table in (node.handlers, directory.handlers):
-        for handler in table.values():
-            assert callable(handler)
+    node_names, dir_names = node.HANDLERS, directory.HANDLERS
+    assert not set(node_names) & set(dir_names)  # disjoint
+    assert set(node_names) | set(dir_names) == set(MessageType)
+    for owner, table in ((node, node_names), (directory, dir_names)):
+        for name in table.values():
+            assert callable(getattr(owner, name))
+    # the class tables are the only dispatch state a controller keeps
+    assert not hasattr(node, "handlers")
+    assert not hasattr(directory, "handlers")
+
+
+def test_op_timers_allocate_no_event_per_op(monkeypatch):
+    """Node op timers re-arm one handle per node instead of allocating
+    an ``Event`` per ``schedule``.  Counts constructions over a
+    paper-scale cell, so a new ``schedule`` on the op path fails here
+    whatever the host's speed."""
+    built = [0]
+    init = Event.__init__
+
+    def counting_init(self, sim=None):
+        built[0] += 1
+        init(self, sim)
+
+    wl = make_stamp_workload("intruder", num_nodes=16, scale=1.0, seed=0)
+    system = System(SystemConfig(seed=1), wl, "baseline")
+    monkeypatch.setattr(Event, "__init__", counting_init)
+    system.run()
+    events = system.sim.events_processed
+    assert events > 50_000
+    assert built[0] < events // 100, (built[0], events)
 
 
 def test_unknown_handler_still_raises():

@@ -54,7 +54,8 @@ def _build(**kwargs) -> System:
 # handler tables: caught at build time by System._make_endpoint
 # ---------------------------------------------------------------------
 
-PUT_ACK_LINE = "            MessageType.PUT_ACK: self._handle_put_ack,\n"
+HANDLER_TABLE = "    HANDLERS: ClassVar[Dict[MessageType, str]] = {"
+PUT_ACK_LINE = '        MessageType.PUT_ACK: "_handle_put_ack",\n'
 
 
 def test_missing_handler_registration_is_caught(monkeypatch):
@@ -69,9 +70,8 @@ def test_double_registration_is_caught(monkeypatch):
     # the directory also maps PUT_ACK to an existing handler: the merge
     # would silently shadow one of the two
     import repro.system as system_mod
-    mutated = _mutate(
-        "coherence/directory.py", "self.handlers = {",
-        "\n            MessageType.PUT_ACK: self._enqueue_or_service,")
+    mutated = _mutate("coherence/directory.py", HANDLER_TABLE,
+                      '\n        MessageType.PUT_ACK: "_enqueue_or_service",')
     mod = _load("coherence/directory.py", mutated, monkeypatch)
     monkeypatch.setattr(system_mod, "DirectoryController",
                         mod.DirectoryController)

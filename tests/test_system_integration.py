@@ -237,9 +237,9 @@ def test_missing_endpoint_handler_rejected():
     from repro.network.message import MessageType
 
     class PartialNode(NodeController):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            del self.handlers[MessageType.FWD_GETX]
+        __slots__ = ()
+        HANDLERS = {t: name for t, name in NodeController.HANDLERS.items()
+                    if t is not MessageType.FWD_GETX}
 
     wl = Workload("t", [[Gap(1)] for _ in range(4)])
     with pytest.raises(ValueError, match="no handler for FWD_GETX"):
@@ -255,9 +255,8 @@ def test_double_endpoint_registration_rejected(monkeypatch):
     from repro.network.message import MessageType
 
     class GreedyDirectory(DirectoryController):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.handlers[MessageType.PUT_ACK] = self._enqueue_or_service
+        HANDLERS = {**DirectoryController.HANDLERS,
+                    MessageType.PUT_ACK: "_enqueue_or_service"}
 
     monkeypatch.setattr(system_mod, "DirectoryController", GreedyDirectory)
     wl = Workload("t", [[Gap(1)] for _ in range(4)])
