@@ -396,10 +396,12 @@ def bench_mesh_scaling(repeats: int) -> dict:
 
 def bench_puno_tick(n: int, repeats: int) -> dict:
     """Rollover ticks per second of one ``DirectoryPUNO`` alone on a
-    ``Simulator``, at each size in ``PUNO_TICK_SIZES``: the tick (decay
-    the P-Buffer, count it, reschedule) is the only event, so the rate
-    is the per-tick cost the 256-node PUNO cells pay on most of their
-    events.  Every entry holds a priority before the first tick."""
+    ``Simulator``, at each size in ``PUNO_TICK_SIZES``: the tick is the
+    only event, so the rate is the per-tick cost the 256-node PUNO
+    cells pay on most of their events.  The P-Buffer is the engine's
+    native periodic counter, so a tick is the drain loop's own work
+    (pop, count, re-arm) with no callback.  Every entry holds a
+    priority before the first tick."""
     from repro.core.puno import DirectoryPUNO
     from repro.sim.config import PUNOConfig
     from repro.sim.engine import Simulator

@@ -10,7 +10,11 @@ reports three views future perf work actually needs:
   directly (identified from the pstats caller graph as being called by
   the engine's drain loops, ``Simulator._drain``/``_drain_until``),
   with call counts and the cumulative time charged under it — this is
-  the event-mix view, "which callbacks cost what";
+  the event-mix view, "which callbacks cost what".  Engine-native
+  periodic counters (the PUNO rollover timeout) fire without a
+  callback, so cProfile never sees them: they get one row per counter
+  class, its event count read from the counters, and no time of their
+  own (it is the drain loop's);
 * **per-message-type** counts from ``stats.messages_by_type``, so the
   callback costs can be read against the traffic mix that produced
   them.
@@ -86,9 +90,10 @@ class ProfileReport:
             f"  {'cum s':>8} {'events':>9}  callback",
         ]
         for row in self.callbacks:
-            lines.append(
-                f"  {row['cumtime']:>8.3f} {row['events']:>9}  "
-                f"{row['callback']}")
+            cum = row["cumtime"]
+            cum = "-" if cum is None else f"{cum:.3f}"
+            lines.append(f"  {cum:>8} {row['events']:>9}  "
+                         f"{row['callback']}")
         lines += ["", "messages by type:"]
         for name, count in sorted(self.messages_by_type.items(),
                                   key=lambda kv: -kv[1]):
@@ -155,13 +160,23 @@ def profile_run(workload, config, scheme: str, top: int = 15,
         callbacks.append({"callback": _label(key), "events": events,
                           "cumtime": round(cum, 4)})
     callbacks.sort(key=lambda r: -r["cumtime"])
+    callbacks = callbacks[:top]
+
+    # --- engine-native counters: firings that call no function ------
+    firings: Dict[str, int] = {}
+    for counter in system.sim.counters:
+        cls = type(counter)
+        label = f"{cls.__module__}.{cls.__qualname__} (engine-native counter)"
+        firings[label] = firings.get(label, 0) + counter.count
+    callbacks += [{"callback": label, "events": n, "cumtime": None}
+                  for label, n in sorted(firings.items())]
 
     by_type = {str(k): int(v)
                for k, v in result.stats.messages_by_type.items()}
     return ProfileReport(
         workload=workload.name, scheme=scheme,
         events=system.sim.events_processed, wall_seconds=wall,
-        top_cumulative=top_rows, callbacks=callbacks[:top],
+        top_cumulative=top_rows, callbacks=callbacks,
         messages_by_type=by_type)
 
 

@@ -23,6 +23,11 @@ as Fig. 5 does and stores ``decays + v``; an invalidation stores
 ``decays``, a zero counter.  The usability test ``validity > threshold`` becomes
 ``_expiry > threshold + decays``, which is exact because the threshold
 is never negative, so a clamped-to-zero counter never passes it.
+
+The buffer is its own rollover counter, as in the hardware: it is a
+:class:`~repro.sim.engine.PeriodicCounter` whose ``count`` is
+``decays``, so once the directory's PUNO unit arms it, the engine
+bumps it every timeout period with no callback.
 """
 
 from __future__ import annotations
@@ -30,12 +35,18 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.sim.config import PUNOConfig
+from repro.sim.engine import PeriodicCounter
 
 
-class PBuffer:
-    """Fixed-size {node -> (priority, validity)} table."""
+class PBuffer(PeriodicCounter):
+    """Fixed-size {node -> (priority, validity)} table, aged by its own
+    rollover count (``count``, read as :attr:`decays`)."""
+
+    __slots__ = ("config", "num_nodes", "_priority", "_expiry", "_length",
+                 "_touched", "updates", "invalidations")
 
     def __init__(self, num_nodes: int, config: PUNOConfig):
+        super().__init__()
         if num_nodes > config.pbuffer_entries:
             raise ValueError(
                 f"P-Buffer has {config.pbuffer_entries} entries for "
@@ -58,7 +69,11 @@ class PBuffer:
         self._touched: List[int] = [0] * num_nodes
         self.updates = 0
         self.invalidations = 0
-        self.decays = 0
+
+    @property
+    def decays(self) -> int:
+        """Rollover timeouts so far (the counter's ``count``)."""
+        return self.count
 
     # ------------------------------------------------------------------
     def update(self, node: int, timestamp: int,
@@ -74,22 +89,22 @@ class PBuffer:
         self._priority[node] = timestamp
         self._length[node] = length_hint
         self._touched[node] = now
-        v = self._expiry[node] - self.decays
+        v = self._expiry[node] - self.count
         v = v + 1 if v > 0 else 2
-        self._expiry[node] = self.decays + min(v, self.config.validity_max)
+        self._expiry[node] = self.count + min(v, self.config.validity_max)
         self.updates += 1
         return prev
 
     def invalidate(self, node: int) -> None:
         """Misprediction feedback: drop the stale priority."""
-        self._expiry[node] = self.decays
+        self._expiry[node] = self.count
         self._priority[node] = None
         self._length[node] = 0
         self.invalidations += 1
 
     def decay(self) -> None:
         """Rollover timeout: age every non-zero validity counter."""
-        self.decays += 1
+        self.count += 1
 
     # ------------------------------------------------------------------
     def usable(self, node: int, now: Optional[int] = None) -> bool:
@@ -104,7 +119,7 @@ class PBuffer:
         """
         ts = self._priority[node]
         if (ts is None or self._expiry[node]
-                <= self.config.validity_threshold + self.decays):
+                <= self.config.validity_threshold + self.count):
             return False
         if now is not None and self.config.lifetime_factor > 0:
             # A recently refreshed entry is live regardless of age: a
@@ -121,7 +136,7 @@ class PBuffer:
         return self._priority[node]
 
     def validity(self, node: int) -> int:
-        return max(0, self._expiry[node] - self.decays)
+        return max(0, self._expiry[node] - self.count)
 
     def key(self, node: int) -> Optional[Tuple[int, int]]:
         """Total-order priority key (timestamp, node); smaller = older."""

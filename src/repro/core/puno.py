@@ -1,9 +1,10 @@
 """Directory-side PUNO unit (Section III-B/C/E).
 
-One unit per directory (home node).  It owns the P-Buffer and the
-rollover-timeout machinery, maintains each entry's UD pointer after
-services, decides when a transactional GETX can be unicast, and applies
-misprediction feedback relayed on UNBLOCK messages.
+One unit per directory (home node).  It owns the P-Buffer, which is
+also the rollover counter the engine ticks, maintains each entry's UD
+pointer after services, decides when a transactional GETX can be
+unicast, and applies misprediction feedback relayed on UNBLOCK
+messages.
 
 The rollover counter's timeout period adapts to transaction behaviour:
 every transactional request carries the requester's current
@@ -38,13 +39,12 @@ class DirectoryPUNO:
         self.stats = stats
         self.pbuffer = PBuffer(num_nodes, config)
         self._avg_tx_len: float = float(config.min_timeout)
-        # rollover period, recomputed only where _avg_tx_len changes
-        self._period = self._timeout_period()
-        self._active = True
-        # bound once: the tick re-arms itself on most events of a
-        # large PUNO run
-        self._tick = self._on_timeout
-        sim.call_later(self._period, self._tick)
+        # The P-Buffer is the rollover counter: the engine bumps its
+        # decay count every period (recomputed only where _avg_tx_len
+        # changes), with no callback — see the rollover section below.
+        self.pbuffer.period = self._timeout_period()
+        stats.add_rollover_counter(self.pbuffer)
+        sim.arm(self.pbuffer)
 
     # ------------------------------------------------------------------
     # critical-path latency the directory charges for prediction
@@ -70,10 +70,10 @@ class DirectoryPUNO:
         # are begin cycles, so a change brackets an instance lifetime).
         if tag.length_hint > 0:
             self._avg_tx_len = (self._avg_tx_len + tag.length_hint) / 2.0
-            self._period = self._timeout_period()
+            self.pbuffer.period = self._timeout_period()
         elif prev is not None and tag.timestamp > prev:
             self._avg_tx_len = (self._avg_tx_len + (tag.timestamp - prev)) / 2.0
-            self._period = self._timeout_period()
+            self.pbuffer.period = self._timeout_period()
 
     # ------------------------------------------------------------------
     # unicast destination prediction
@@ -161,6 +161,13 @@ class DirectoryPUNO:
     # ------------------------------------------------------------------
     # rollover timeout
     # ------------------------------------------------------------------
+    # The timeout is the P-Buffer itself, armed on the engine as a
+    # PeriodicCounter: each tick is still one engine event, because
+    # puno_timeouts is digested and the tick's heap sequence number
+    # orders it within its cycle, so ticks are neither elided nor
+    # batched.  The drain loop does the whole tick (the decay is the
+    # O(1) count bump, the re-arm a heap push), so no Python frame runs
+    # per tick; this unit only sets the period and stops the counter.
     def _timeout_period(self) -> int:
         c = self.config
         if not c.adaptive_timeout:
@@ -168,19 +175,10 @@ class DirectoryPUNO:
         period = int(self._avg_tx_len * c.timeout_scale)
         return max(c.min_timeout, min(period, c.max_timeout))
 
-    def _on_timeout(self) -> None:
-        # One engine event per tick: puno_timeouts is digested and the
-        # tick's heap sequence number orders it within its cycle, so
-        # ticks are neither elided nor batched.  The decay itself is
-        # PBuffer.decay() inlined (an O(1) epoch bump), and the re-arm
-        # is an unchecked Simulator.enqueue, as in Network._send_fast.
-        if not self._active:
-            return
-        self.pbuffer.decays += 1
-        self.stats.puno_timeouts += 1
-        sim = self.sim
-        sim.enqueue(sim.now + self._period, self._tick, ())
-
     def stop(self) -> None:
-        """Stop rescheduling timeouts so the event heap can drain."""
-        self._active = False
+        """Stop rescheduling timeouts so the event heap can drain.  The
+        tick count is final from here (the last, inert firing does not
+        count), so it moves into the stats."""
+        if self.pbuffer.active:
+            self.pbuffer.active = False
+            self.stats.retire_rollover_counter(self.pbuffer)

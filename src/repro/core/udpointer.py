@@ -46,7 +46,7 @@ def recompute_ud(sharers: Union[int, Iterable[int]], pbuffer: PBuffer,
     expiry = pbuffer._expiry
     cfg = pbuffer.config
     # validity > threshold  <=>  expiry > threshold + decays (see pbuffer)
-    live_after = cfg.validity_threshold + pbuffer.decays
+    live_after = cfg.validity_threshold + pbuffer.count
     lifetime_factor = cfg.lifetime_factor
     age_gate = now is not None and lifetime_factor > 0
     if age_gate:

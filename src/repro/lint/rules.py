@@ -193,9 +193,10 @@ RATIONALES: Dict[str, str] = {
         "Hot paths accumulate into dense int-indexed arrays "
         "(_msg_counts, _dir_req_counts, _puno_decline_counts, _ns_*); "
         "the str-keyed views (messages_by_type, dir_requests, "
-        "puno_declines, nodes) are folded on read. A folded view "
-        "touched in an event-path function allocates a Counter and "
-        "hashes strings per event; a str subscript on a dense array is "
+        "puno_declines, nodes) and puno_timeouts, a sum over the PUNO "
+        "units' rollover counters, are folded on read. A folded view "
+        "touched in an event-path function allocates a Counter, hashes "
+        "strings or walks every unit per event; a str subscript on a dense array is "
         "a type confusion that reads zero forever; a _fold_* call "
         "outside the sim/stats.py boundary functions moves folding "
         "into code that runs per event. __init__ may bind a view once "
@@ -263,9 +264,10 @@ _WALLCLOCK_TIME_FNS = frozenset({"time", "monotonic", "monotonic_ns",
 _WALLCLOCK_DT_FNS = frozenset({"now", "utcnow", "today"})
 
 # snapshot-contract: the fold-on-read views over the SoA accumulators
-# (touching one per event allocates and hashes a full Counter) ...
+# (touching one per event allocates and hashes a full Counter, or sums
+# every PUNO unit's rollover counter) ...
 FOLDED_VIEWS = frozenset({"messages_by_type", "dir_requests",
-                          "puno_declines", "nodes"})
+                          "puno_declines", "nodes", "puno_timeouts"})
 # ... the dense int-indexed accumulators behind them (never str-keyed;
 # the per-node arrays share the ``_ns_`` prefix) ...
 SOA_FIELDS = frozenset({"_msg_counts", "_dir_req_counts",

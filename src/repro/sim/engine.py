@@ -24,8 +24,12 @@ Hot-path notes
   simulator, nothing the heap or the loop reads otherwise.
   :meth:`Simulator.enqueue` is ``call_later`` at an absolute time
   without validation or ``*args`` packing, for the callers that create
-  most events (message delivery, the PUNO tick); only this module
-  knows the heap entry's layout.
+  most events (message delivery); only this module knows the heap
+  entry's layout.
+* A :class:`PeriodicCounter` (the PUNO rollover timeout) fires with no
+  callback: the drain loop bumps and re-arms it under the key a
+  self-re-arming callback would push, on the loop's rare
+  cancelled-handle branch, so other events pay no extra test for it.
 * Cancellable timers that re-arm one after another (a node's op
   timers) go through :meth:`Simulator.rearm`: the same unchecked push
   as ``enqueue``, but with a handle, and the handle of the caller's
@@ -42,8 +46,8 @@ Hot-path notes
   ``events_processed``, written back once per call.  Events stay in the
   heap until the instant they execute, so cancellation, live-event
   accounting and exception unwinding keep their obvious semantics.
-  ``run(until=...)`` keeps a separate peek-first loop; only tests
-  use it.
+  ``run(until=...)`` keeps a separate peek-first loop that hands
+  each live event to the drain loop; only tests use it.
 * The number of *live* (queued, not cancelled) events is derived, not
   counted: ``len(heap) - cancelled_in_heap``.  :meth:`Simulator.idle`
   and :attr:`Simulator.live_events` stay O(1) while ``schedule``, the
@@ -51,8 +55,8 @@ Hot-path notes
 * Cancelled events normally stay in the heap until they surface at the
   top, but once they exceed half the heap (and a small absolute floor)
   the heap is compacted in place — long runs with heavy
-  cancel-and-reschedule traffic (node timeouts, PUNO timers) no longer
-  drag a tail of dead entries through every sift.
+  cancel-and-reschedule traffic (node timeouts) no longer drag a tail
+  of dead entries through every sift.  Compaction keeps counters.
 * ``schedule``/``call_later`` validation (negative-delay check, int
   coercion) follows ``__debug__``: it runs by default and under pytest,
   and ``python -O`` drops it.  Every internal caller passes
@@ -107,18 +111,47 @@ class Event:
         return f"<Event{flag}>"
 
 
+class PeriodicCounter:
+    """A counter the engine itself bumps every ``period`` cycles.
+
+    Armed once with :meth:`Simulator.arm`, each firing is one engine
+    event (counted in ``events_processed``, followed by ``post_event``)
+    that runs no callback: while ``active``, the drain loop adds one to
+    ``count`` and re-arms the counter at ``now + period`` with a fresh
+    sequence number, reading ``period`` as it stands then.  Once
+    ``active`` is cleared the counter fires once more as an inert event
+    and leaves the heap.
+
+    Its heap entry is ``(time, seq, counter, None, None)``.
+    ``cancelled`` is a class attribute that always reads True, so the
+    drain loop reaches the counter on its cancelled-handle branch,
+    where the ``None`` callback tells it from a cancelled
+    :class:`Event`: message and op-timer events take no extra test.
+    It is never cancelled and never counts as cancelled.
+    """
+
+    __slots__ = ("period", "active", "count")
+
+    cancelled = True
+
+    def __init__(self, period: int = 1):
+        self.period = period
+        self.active = True
+        self.count = 0
+
+
 class Simulator:
     """Binary-heap event loop with an integer cycle clock."""
 
     __slots__ = ("now", "_heap", "_seq", "_running", "events_processed",
-                 "_cancelled_in_heap", "post_event")
+                 "_cancelled_in_heap", "post_event", "counters")
 
     def __init__(self) -> None:
         self.now: int = 0
-        # entries are (time, seq, Event-or-None, fn, args); seq
-        # uniqueness means tuple comparison never reaches element 2
-        self._heap: List[Tuple[int, int, Optional[Event],
-                               Callable[..., Any], Tuple[Any, ...]]] = []
+        # entries are (time, seq, Event-or-None, fn, args), or (time,
+        # seq, counter, None, None); seq uniqueness means tuple
+        # comparison never reaches element 2
+        self._heap: List[Tuple[int, int, Any, Any, Any]] = []
         self._seq: int = 0
         self._running = False
         self.events_processed: int = 0
@@ -129,6 +162,8 @@ class Simulator:
         # boundary).  Installed by the protocol sanitizer; None (the
         # default) costs one local None-check per event in the hot loop.
         self.post_event: Optional[Callable[[], None]] = None
+        # every PeriodicCounter armed on this engine, for reports
+        self.counters: List[PeriodicCounter] = []
 
     # ------------------------------------------------------------------
     # scheduling
@@ -173,8 +208,8 @@ class Simulator:
         """Queue ``fn(*args)`` at absolute cycle ``time``, unchecked.
 
         :meth:`call_later` without its validation or argument packing,
-        for the callers that create most events (message delivery, the
-        PUNO rollover tick).  ``time`` must not lie before :attr:`now`.
+        for the callers that create most events (message delivery).
+        ``time`` must not lie before :attr:`now`.
         """
         seq = self._seq
         self._seq = seq + 1
@@ -203,6 +238,16 @@ class Simulator:
         heapq.heappush(self._heap, (time, seq, ev, fn, args))
         return ev
 
+    def arm(self, counter: PeriodicCounter) -> None:
+        """Start ``counter``: its first firing is ``counter.period``
+        cycles from now, then one every period while it is active
+        (see :class:`PeriodicCounter`)."""
+        self.counters.append(counter)
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap,
+                       (self.now + counter.period, seq, counter, None, None))
+
     def schedule_at(self, time: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute cycle ``time`` (>= now)."""
         if time < self.now:
@@ -223,10 +268,12 @@ class Simulator:
         """Compact the heap in place, dropping cancelled entries.
 
         Mutates the existing list (slice assignment) so aliases held by
-        a running :meth:`run` loop stay valid.
+        a running :meth:`run` loop stay valid.  A counter's entry (no
+        callback) is kept, although its ``cancelled`` reads True.
         """
         self._heap[:] = [item for item in self._heap
-                         if item[2] is None or not item[2].cancelled]
+                         if item[2] is None or not item[2].cancelled
+                         or item[3] is None]
         heapq.heapify(self._heap)
         self._cancelled_in_heap = 0
 
@@ -269,6 +316,7 @@ class Simulator:
         live events or an empty heap."""
         heap = self._heap  # identity-stable: _purge compacts in place
         pop = heapq.heappop
+        push = heapq.heappush
         post = self.post_event
         now = self.now
         processed = self.events_processed
@@ -277,7 +325,22 @@ class Simulator:
                 t, _, ev, fn, args = pop(heap)
                 if ev is not None:
                     if ev.cancelled:
-                        self._cancelled_in_heap -= 1
+                        if fn is not None:
+                            self._cancelled_in_heap -= 1
+                            continue
+                        # a PeriodicCounter fires: count, re-arm, no
+                        # callback
+                        if t != now:
+                            self.now = now = t
+                        budget -= 1
+                        processed += 1
+                        if ev.active:
+                            ev.count += 1
+                            seq = self._seq
+                            self._seq = seq + 1
+                            push(heap, (t + ev.period, seq, ev, None, None))
+                        if post is not None:
+                            post()
                         continue
                     ev.sim = None  # executed: cancel() is a no-op
                 if t != now:
@@ -292,14 +355,14 @@ class Simulator:
 
     def _drain_until(self, until: int, budget: int) -> None:
         """Peek-first loop for ``run(until=...)``: stops before the
-        first live event past ``until``, then moves the clock there."""
+        first live event past ``until``, then moves the clock there.
+        Each live event runs through :meth:`_drain` with a budget of
+        one, so both loops execute an event the same way."""
         heap = self._heap
-        pop = heapq.heappop
-        post = self.post_event
         while heap:
-            t, _, ev, fn, args = heap[0]
-            if ev is not None and ev.cancelled:
-                pop(heap)
+            t, _, ev, fn, _ = heap[0]
+            if ev is not None and ev.cancelled and fn is not None:
+                heapq.heappop(heap)
                 self._cancelled_in_heap -= 1
                 continue
             if t > until:
@@ -308,15 +371,8 @@ class Simulator:
                 # live work pending at/before the limit: the clock
                 # must not jump past it
                 return
-            pop(heap)
-            if ev is not None:
-                ev.sim = None
-            self.now = t
             budget -= 1
-            self.events_processed += 1
-            fn(*args)
-            if post is not None:
-                post()
+            self._drain(1)
         self.now = until
 
     def step(self) -> bool:

@@ -21,6 +21,7 @@ from collections import Counter
 from typing import Dict, List, Optional
 
 from repro.network.message import MSG_TYPE_NAMES, N_MESSAGE_TYPES
+from repro.sim.engine import PeriodicCounter
 
 # Dense codes for predict_unicast decline reasons: the PUNO unit
 # classifies every declined prediction, so the accumulator follows the
@@ -209,7 +210,11 @@ class Stats:
         self.puno_notified_backoff_cycles: int = 0
         self.puno_pbuffer_updates: int = 0
         self.puno_pbuffer_invalidations: int = 0
-        self.puno_timeouts: int = 0
+        # rollover ticks: the units' P-Buffers count them as engine
+        # counters, folded on read (puno_timeouts); a pickle folds them
+        # into the plain int
+        self._rollover_counters: List[PeriodicCounter] = []
+        self._puno_timeouts: int = 0
         # why predict_unicast declined, indexed by the dense
         # DECLINE_* codes; str-keyed view via the puno_declines property
         self._puno_decline_counts: List[int] = [0] * N_DECLINE_REASONS
@@ -266,6 +271,25 @@ class Stats:
         :attr:`messages_by_type`); fold of ``_dir_req_counts``."""
         return self._fold_type_counts(self._dir_req_counts)
 
+    def add_rollover_counter(self, counter: PeriodicCounter) -> None:
+        """Count ``counter``'s firings in :attr:`puno_timeouts`."""
+        self._rollover_counters.append(counter)
+
+    def retire_rollover_counter(self, counter: PeriodicCounter) -> None:
+        """Fold a stopped counter's final count into the plain int and
+        let go of it, so a finished run's stats keep no P-Buffer
+        alive."""
+        self._rollover_counters.remove(counter)
+        self._puno_timeouts += counter.count
+
+    @property
+    def puno_timeouts(self) -> int:
+        """PUNO rollover timeouts so far: a fold over the units'
+        rollover counters (their P-Buffers), exact at any point of a
+        run."""
+        return self._puno_timeouts + sum(
+            c.count for c in self._rollover_counters)
+
     @property
     def puno_declines(self) -> Counter:
         """Prediction-decline counts keyed by reason name (str);
@@ -314,9 +338,13 @@ class Stats:
     # ------------------------------------------------------------------
     def __getstate__(self) -> Dict[str, object]:
         """Drop the cached node views: they are self-referential and
-        trivially rebuilt from the ``_ns_*`` arrays on first access."""
+        trivially rebuilt from the ``_ns_*`` arrays on first access.
+        Fold the rollover counters into a plain count, so the pickle
+        carries no P-Buffer."""
         state = dict(self.__dict__)
         state["_node_views"] = None
+        state["_puno_timeouts"] = self.puno_timeouts
+        state["_rollover_counters"] = []
         return state
 
     def __setstate__(self, state: Dict[str, object]) -> None:
@@ -341,6 +369,9 @@ class Stats:
                 state[soa] = counts
         legacy_nodes = state.pop("nodes", None)
         state.setdefault("_node_views", None)
+        if "puno_timeouts" in state:
+            state["_puno_timeouts"] = state.pop("puno_timeouts")
+            state["_rollover_counters"] = []
         self.__dict__.update(state)
         if legacy_nodes is not None and "_ns_tx_started" not in state:
             n = len(legacy_nodes)
@@ -420,6 +451,7 @@ class Stats:
         out["dir_requests"] = dict(self.dir_requests)
         out["puno_declines"] = dict(self.puno_declines)
         out["nodes"] = self._fold_node_stats()
+        out["puno_timeouts"] = self.puno_timeouts
         for name, value in vars(self).items():
             if name == "tracer" or name.startswith("_"):
                 continue

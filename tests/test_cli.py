@@ -142,6 +142,32 @@ def test_profile_json_report(tmp_path, capsys):
     assert json.loads(report_file.read_text()) == data
 
 
+def test_profile_counts_native_counter_firings():
+    """A tick-heavy PUNO cell (64-node Zipf): the rollover ticks run no
+    callback, so the census reads them from the counters as a row of
+    their own, and the rows still account for the events."""
+    from repro.analysis.profiler import profile_run
+    from repro.scenarios.spec import scaled_config
+    from repro.system import System
+    from repro.workloads.families import make_family_workload
+
+    def cell():
+        wl = make_family_workload("zipf", num_nodes=64, scale=0.05, seed=0)
+        return wl, scaled_config(64, seed=0).with_puno()
+
+    data = profile_run(*cell(), "puno").to_dict()
+    wl, cfg = cell()
+    plain = System(cfg, wl, "puno").run().stats
+    rows = data["event_callbacks"]
+    native = [r for r in rows if "engine-native counter" in r["callback"]]
+    assert [r["callback"] for r in native] == [
+        "repro.core.pbuffer.PBuffer (engine-native counter)"]
+    assert native[0]["events"] == plain.puno_timeouts
+    assert native[0]["events"] > data["events"] // 2  # tick-heavy
+    total = sum(r["events"] for r in rows)
+    assert 0.9 * data["events"] <= total <= data["events"]
+
+
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["bogus"])

@@ -1,25 +1,30 @@
 """Equivalence properties of the event engine's drain paths.
 
 A random program of ``schedule``, ``call_later``, ``enqueue``,
-``rearm`` and ``cancel`` —
+``rearm``, ``cancel`` and engine-native periodic counters (armed,
+re-timed and stopped mid-run, with explicit heap compactions) —
 including handlers that schedule and cancel while the drain runs — must
 execute identically whether it is drained by one unbounded ``run()``,
 by ``run(max_events=k)`` chunks of random size, by ``step()``, or by
-``run(until=...)`` horizons.  The same programs with every ``rearm``
-replaced by ``schedule`` are the reference for handle reuse, and the
-PUNO re-arm through ``enqueue`` is pinned against a reference tick
-that re-arms through ``call_later``.
+``run(until=...)`` horizons.  The reference is the same program built
+from plain primitives: every ``rearm`` replaced by ``schedule`` and
+every counter by a callback that re-arms itself through
+``call_later``.  The PUNO rollover counter is pinned against the same
+reference tick.
 """
 
 import heapq
+import inspect
+import textwrap
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.puno import DirectoryPUNO
+from repro.sim import engine
 from repro.sim.config import PUNOConfig
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Event, PeriodicCounter, Simulator
 from repro.sim.stats import Stats
 
 # Spawned events per program: keeps each example small while handlers
@@ -29,6 +34,11 @@ SPAWN_LIMIT = 120
 # holds its op timer: ("rearm", (slot, delay)) re-arms a slot and
 # ("cancel_slot", slot) cancels whatever handle the slot holds.
 SLOTS = 3
+# Periodic counters per program; ("counter", period) arms one,
+# ("period", (i, p)) re-times counter i, ("stop", i) stops it.  Once no
+# spawned event is left to run, every counter stops, so each program
+# drains.
+MAX_COUNTERS = 3
 
 ACTION = st.one_of(
     st.tuples(st.just("schedule"), st.integers(0, 12)),
@@ -38,26 +48,51 @@ ACTION = st.one_of(
     st.tuples(st.just("rearm"), st.tuples(st.integers(0, SLOTS - 1),
                                           st.integers(0, 12))),
     st.tuples(st.just("cancel_slot"), st.integers(0, SLOTS - 1)),
+    st.tuples(st.just("counter"), st.integers(1, 12)),
+    st.tuples(st.just("period"), st.tuples(st.integers(0, 1 << 16),
+                                           st.integers(1, 12))),
+    st.tuples(st.just("stop"), st.integers(0, 1 << 16)),
+    st.tuples(st.just("purge"), st.just(0)),
 )
 SETUP = st.lists(ACTION, max_size=30)
 REACTIONS = st.lists(st.lists(ACTION, max_size=3), max_size=SPAWN_LIMIT)
 
 
+def _is_live(item) -> bool:
+    """A queued entry that will execute: no handle, a live handle, or a
+    counter (whose ``cancelled`` always reads True)."""
+    ev = item[2]
+    return (ev is None or not ev.cancelled
+            or isinstance(ev, PeriodicCounter))
+
+
 def _live_in_heap(sim: Simulator) -> int:
-    return sum(1 for item in sim._heap
-               if item[2] is None or not item[2].cancelled)
+    return sum(1 for item in sim._heap if _is_live(item))
+
+
+def _reference_tick(sim: Simulator, counter: PeriodicCounter):
+    """What the drain loop does for a native counter, as a callback
+    that re-arms itself through ``call_later``."""
+    def tick():
+        if counter.active:
+            counter.count += 1
+            sim.call_later(counter.period, tick)
+    return tick
 
 
 def _build(setup, reactions, reference=False):
-    """A simulator loaded with the program, and the log its events
-    append ``(tag, now)`` to.  Event ``tag`` runs ``reactions[tag]``;
-    cancels pick a handle by index, executed ones included (a no-op).
-    ``reference`` arms the slots through ``schedule`` (a fresh handle
-    per timer) instead of ``rearm``."""
+    """A simulator loaded with the program, the log its events append
+    ``(tag, now, counts)`` to, and its counters.  Event ``tag`` runs
+    ``reactions[tag]``; cancels pick a handle by index, executed ones
+    included (a no-op).  ``reference`` builds the program from plain
+    primitives: slots armed through ``schedule`` (a fresh handle per
+    timer) instead of ``rearm``, and counters ticked by
+    :func:`_reference_tick` instead of the engine."""
     sim = Simulator()
     log = []
     handles = []
     slots = [Event() for _ in range(SLOTS)]
+    counters = []
     spawned = [0]
 
     def apply(action):
@@ -68,6 +103,26 @@ def _build(setup, reactions, reference=False):
             return
         if kind == "cancel_slot":
             slots[arg].cancel()
+            return
+        if kind == "purge":
+            sim._purge()
+            return
+        if kind == "period":
+            if counters:
+                counters[arg[0] % len(counters)].period = arg[1]
+            return
+        if kind == "stop":
+            if counters:
+                counters[arg % len(counters)].active = False
+            return
+        if kind == "counter":
+            if len(counters) < MAX_COUNTERS:
+                counter = PeriodicCounter(arg)
+                counters.append(counter)
+                if reference:
+                    sim.call_later(arg, _reference_tick(sim, counter))
+                else:
+                    sim.arm(counter)
             return
         if spawned[0] >= SPAWN_LIMIT:
             return
@@ -87,56 +142,72 @@ def _build(setup, reactions, reference=False):
         else:
             sim.call_later(arg, fire, tag)
 
+    def stop_counters_when_done():
+        if not any(item[3] is fire and _is_live(item) for item in sim._heap):
+            for counter in counters:
+                counter.active = False
+
     def fire(tag):
-        log.append((tag, sim.now))
+        log.append((tag, sim.now, tuple(c.count for c in counters)))
         if tag < len(reactions):
             for action in reactions[tag]:
                 apply(action)
+        stop_counters_when_done()
 
     for action in setup:
         apply(action)
-    return sim, log
+    stop_counters_when_done()
+    return sim, log, counters
+
+
+def _state(sim, log, counters):
+    """Everything two equivalent engines must agree on at any point."""
+    return (list(log), sim.now, sim.events_processed, sim._seq,
+            sim.live_events, [c.count for c in counters])
 
 
 @settings(max_examples=150, deadline=None)
 @given(SETUP, REACTIONS, st.lists(st.integers(1, 9), min_size=1,
                                   max_size=8))
 def test_drain_paths_agree(setup, reactions, chunks):
-    ref, ref_log = _build(setup, reactions)
-    ref.run()
-    assert ref.idle() and ref.live_events == 0
+    ref = _build(setup, reactions, reference=True)
+    ref[0].run()
+    assert ref[0].idle() and ref[0].live_events == 0
 
-    chunked, chunked_log = _build(setup, reactions)
+    whole = _build(setup, reactions)
+    whole[0].run()
+
+    chunked = _build(setup, reactions)
+    sim = chunked[0]
     i = 0
-    while not chunked.idle():
+    while not sim.idle():
         k = chunks[i % len(chunks)]
         i += 1
-        before = chunked.events_processed
-        chunked.run(max_events=k)
-        done = chunked.events_processed - before
-        assert chunked.live_events == _live_in_heap(chunked)
+        before = sim.events_processed
+        sim.run(max_events=k)
+        done = sim.events_processed - before
+        assert sim.live_events == _live_in_heap(sim)
         # a chunk stops short of its budget only on an empty heap
-        assert done == k or chunked.live_events == 0
+        assert done == k or sim.live_events == 0
 
-    stepped, stepped_log = _build(setup, reactions)
-    while stepped.step():
-        assert stepped.live_events == _live_in_heap(stepped)
-    assert stepped.idle()
+    stepped = _build(setup, reactions)
+    while stepped[0].step():
+        assert stepped[0].live_events == _live_in_heap(stepped[0])
+    assert stepped[0].idle()
 
-    for sim, log in ((chunked, chunked_log), (stepped, stepped_log)):
-        assert log == ref_log
-        assert sim.events_processed == ref.events_processed == len(ref_log)
-        assert sim.now == ref.now
+    for run in (whole, chunked, stepped):
+        assert _state(*run) == _state(*ref)
 
 
 @settings(max_examples=100, deadline=None)
 @given(SETUP, REACTIONS, st.lists(st.integers(1, 7), min_size=1,
                                   max_size=8))
 def test_until_horizons_agree(setup, reactions, strides):
-    ref, ref_log = _build(setup, reactions)
-    ref.run()
+    ref = _build(setup, reactions, reference=True)
+    ref[0].run()
 
-    sim, log = _build(setup, reactions)
+    run = _build(setup, reactions)
+    sim = run[0]
     i = 0
     while not sim.idle():
         sim.run(until=sim.now)  # the current cycle's followers only
@@ -145,24 +216,26 @@ def test_until_horizons_agree(setup, reactions, strides):
         assert sim.run(until=horizon) == horizon
         assert sim.live_events == _live_in_heap(sim)
         assert all(item[0] > horizon for item in sim._heap
-                   if item[2] is None or not item[2].cancelled)
-    assert log == ref_log
-    assert sim.events_processed == ref.events_processed
+                   if _is_live(item))
+    state, ref_state = _state(*run), _state(*ref)
+    # the last horizon leaves the clock past the last event
+    assert state[0] == ref_state[0] and state[2:] == ref_state[2:]
 
 
 # ---------------------------------------------------------------------
-# PUNO: the enqueue re-arm keeps call_later's seq order
+# PUNO: the native rollover counter keeps call_later's seq order
 # ---------------------------------------------------------------------
 
 class _CallLaterPUNO(DirectoryPUNO):
-    """Reference tick: the re-arm through call_later."""
+    """Reference tick: the P-Buffer's rollover counter driven by
+    :func:`_reference_tick` instead of the engine; the armed counter's
+    heap entry is swapped for the callback's, under the same key."""
 
-    def _on_timeout(self) -> None:
-        if not self._active:
-            return
-        self.pbuffer.decays += 1
-        self.stats.puno_timeouts += 1
-        self.sim.call_later(self._period, self._on_timeout)
+    def __init__(self, sim, *args):
+        super().__init__(sim, *args)
+        (time, seq, _, _, _), = sim._heap
+        sim._heap[0] = (time, seq, None,
+                        _reference_tick(sim, self.pbuffer), ())
 
 
 def _puno_trace(unit_cls):
@@ -172,7 +245,7 @@ def _puno_trace(unit_cls):
     sim = Simulator()
     stats = Stats(4)
     unit = unit_cls(sim, 4, PUNOConfig(enabled=True), stats)
-    period = unit._period
+    period = unit.pbuffer.period
     log = []
 
     def probe(label):
@@ -222,23 +295,35 @@ CANCEL_QUEUED = ([("rearm", (0, 5)), ("rearm", (0, 3)),
                   ("cancel_slot", 0)], [])
 
 
+# A counter ticking while a spawned event is pending: a re-arm that
+# does not take a fresh seq shows in the sequence counter.
+COUNTER_TICKS = ([("counter", 2), ("call_later", 5)], [])
+# A compaction while a counter is queued: dropping its entry (its
+# ``cancelled`` reads True) loses the counter's events.
+PURGE_COUNTER = ([("counter", 5), ("purge", 0)], [])
+
+
 @settings(max_examples=150, deadline=None)
 @given(SETUP, REACTIONS)
 @example(*CANCEL_SPENT)
 @example(*CANCEL_QUEUED)
+@example(*COUNTER_TICKS)
+@example(*PURGE_COUNTER)
 def test_rearm_matches_schedule_reference(setup, reactions):
-    ref, ref_log = _build(setup, reactions, reference=True)
-    sim, log = _build(setup, reactions)
-    assert sim.live_events == ref.live_events
+    """Stepped side by side, the program and its plain-primitive
+    reference agree after every event."""
+    ref = _build(setup, reactions, reference=True)
+    run = _build(setup, reactions)
+    sim = run[0]
+    assert _state(*run) == _state(*ref)
     while True:
-        ran, ref_ran = sim.step(), ref.step()
+        ran, ref_ran = sim.step(), ref[0].step()
         assert ran == ref_ran
-        assert sim.live_events == ref.live_events == _live_in_heap(sim)
-        assert log == ref_log and sim.now == ref.now
+        assert sim.live_events == _live_in_heap(sim)
+        assert _state(*run) == _state(*ref)
         if not ran:
             break
-    assert sim.idle() and ref.idle()
-    assert sim.events_processed == ref.events_processed == len(ref_log)
+    assert sim.idle() and ref[0].idle()
 
 
 def _mutant_rearm(reuse):
@@ -266,6 +351,55 @@ def test_rearm_property_catches_unsafe_reuse(monkeypatch, mutant):
     monkeypatch.setattr(Simulator, "rearm", mutant)
     with pytest.raises(AssertionError):
         test_rearm_matches_schedule_reference()
+
+
+def _engine_mutant(method, old, new):
+    """``Simulator.<method>`` with ``old`` in its source replaced by
+    ``new``."""
+    src = textwrap.dedent(inspect.getsource(getattr(Simulator, method)))
+    assert src.count(old) == 1
+    namespace = dict(vars(engine))
+    exec(src.replace(old, new), namespace)
+    return namespace[method]
+
+
+# the drain loop re-arms a counter under the seq it already used
+_drain_skipping_seq_bump = _engine_mutant("_drain", "self._seq = seq + 1",
+                                          "pass")
+
+
+def _purge_dropping_counters(self):
+    """``Simulator._purge`` that drops whatever reads as cancelled."""
+    self._heap[:] = [item for item in self._heap
+                     if item[2] is None or not item[2].cancelled]
+    heapq.heapify(self._heap)
+    self._cancelled_in_heap = 0
+
+
+@pytest.mark.parametrize("method, mutant", [
+    ("_drain", _drain_skipping_seq_bump),
+    ("_purge", _purge_dropping_counters)], ids=["seq_bump", "purge"])
+def test_counter_property_catches_engine_mutants(monkeypatch, method,
+                                                 mutant):
+    monkeypatch.setattr(Simulator, method, mutant)
+    with pytest.raises(AssertionError):
+        test_rearm_matches_schedule_reference()
+
+
+def test_counter_fires_as_events_and_stops_inert():
+    sim = Simulator()
+    counter = PeriodicCounter(3)
+    sim.arm(counter)
+    assert sim.counters == [counter] and sim.live_events == 1
+    sim.run(until=7)
+    assert counter.count == 2 and sim.events_processed == 2
+    counter.period = 5
+    sim.run(until=9)
+    assert counter.count == 3  # at 9, re-armed for 14
+    counter.active = False
+    sim.run()
+    assert counter.count == 3 and sim.events_processed == 4
+    assert sim.now == 14 and sim.idle()
 
 
 def test_rearm_reuses_only_spent_handles():

@@ -121,6 +121,16 @@ def test_folded_view_access_in_event_path_is_caught():
     assert any("messages_by_type" in v.message for v in hits)
 
 
+def test_rollover_fold_in_event_path_is_caught():
+    """``stats.puno_timeouts`` sums every PUNO unit's rollover counter:
+    reading it per request is flagged."""
+    mutated = _mutate("core/puno.py",
+                      "    def observe_request(self, msg: Message) -> None:\n",
+                      "        _ = self.stats.puno_timeouts\n")
+    hits = _lint("core/puno.py", mutated, "snapshot-contract")
+    assert any("puno_timeouts" in v.message for v in hits)
+
+
 def test_str_subscript_on_soa_field_is_caught():
     hits = _node_hits('self.stats._msg_counts["PUT_ACK"] = 1')
     assert any("_msg_counts" in v.message for v in hits)

@@ -155,6 +155,20 @@ def test_stop_ends_timeout_rescheduling(unit):
     assert sim.idle()
 
 
+def test_stop_moves_the_final_tick_count_into_stats(unit):
+    """A stopped unit's count is final: the stats keep it as a plain
+    int and drop the P-Buffer, so a finished run's result does not
+    hold every directory's buffer alive."""
+    sim, puno, stats = unit
+    sim.run(until=3 * puno.pbuffer.period)
+    puno.stop()
+    puno.stop()  # idempotent
+    assert stats.puno_timeouts == 3
+    assert stats._rollover_counters == []
+    sim.run()
+    assert stats.puno_timeouts == puno.pbuffer.decays == 3
+
+
 @pytest.mark.parametrize("adaptive", [True, False])
 def test_cached_period_tracks_timeout_period(adaptive):
     """The rollover tick reschedules with a cached period; it must equal
@@ -164,7 +178,7 @@ def test_cached_period_tracks_timeout_period(adaptive):
     puno = DirectoryPUNO(sim, 4, PUNOConfig(enabled=True,
                                             adaptive_timeout=adaptive),
                          Stats(4))
-    assert puno._period == puno._timeout_period()
+    assert puno.pbuffer.period == puno._timeout_period()
     requests = [_getx(1, ts=10, length_hint=5000),
                 _getx(2, ts=20),              # first sight: no delta
                 _getx(2, ts=900),             # priority-change delta
@@ -174,21 +188,21 @@ def test_cached_period_tracks_timeout_period(adaptive):
                 _getx(1, ts=50, length_hint=1)]
     for msg in requests:
         puno.observe_request(msg)
-        assert puno._period == puno._timeout_period()
+        assert puno.pbuffer.period == puno._timeout_period()
     if not adaptive:
-        assert puno._period == puno.config.fixed_timeout
+        assert puno.pbuffer.period == puno.config.fixed_timeout
 
 
 def test_tick_reschedules_at_cached_period(unit):
     """Each tick fires one period after the last, at the period in force
     when that tick ran."""
     sim, puno, stats = unit
-    first = puno._period
+    first = puno.pbuffer.period
     sim.run(until=first)
     assert stats.puno_timeouts == 1 and puno.pbuffer.decays == 1
     for _ in range(4):
         puno.observe_request(_getx(1, ts=10, length_hint=100_000))
-    second = puno._period
+    second = puno.pbuffer.period
     assert second > first
     sim.run(until=2 * first - 1)
     assert stats.puno_timeouts == 1
