@@ -8,7 +8,7 @@
 * :mod:`repro.analysis.parallel` — process-pool sweep execution over
   picklable task descriptors,
 * :mod:`repro.analysis.experiments` — one entry point per paper table
-  and figure (the benchmarks call these).
+  and figure (``repro experiment`` calls these).
 """
 
 from repro.analysis.metrics import (

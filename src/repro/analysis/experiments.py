@@ -2,13 +2,14 @@
 
 Each ``fig_*``/``table_*`` function runs the required simulations and
 returns an :class:`ExperimentResult` holding the raw data plus the
-rendered rows/series the paper reports.  The benchmark harness in
-``benchmarks/`` is a thin wrapper around these, so the same code can be
-driven from pytest-benchmark, the examples, or a notebook.
+rendered rows/series the paper reports, for ``repro experiment``, the
+examples, or a notebook.  The paper's claims about these tables and
+figures are checked by :mod:`repro.analysis.claims` over the same
+cells.
 
 Scale notes: ``scale`` multiplies per-node transaction counts in every
-workload; the shipped benchmarks use a reduced but shape-preserving
-scale so the whole suite regenerates in minutes.
+workload; ``repro experiment`` defaults to a reduced but
+shape-preserving 0.4, at which the claims table runs in seconds.
 """
 
 from __future__ import annotations
@@ -176,7 +177,6 @@ def fig3(scale: float = 1.0, seed: int = 0,
 
 def _comparison(metric: str, title: str, scale: float, seed: int,
                 sweep_result: Optional[SweepResult] = None,
-                larger_is_better: bool = False,
                 jobs: int = 1) -> ExperimentResult:
     if sweep_result is None:
         sweep_result = _paper_sweep(scale, seed, jobs)
@@ -236,8 +236,7 @@ def fig14(scale: float = 1.0, seed: int = 0,
           jobs: int = 1) -> ExperimentResult:
     """Fig. 14: normalized G/D ratio (larger is better)."""
     return _comparison("gd_ratio", "Fig. 14 — normalized G/D ratio",
-                       scale, seed, sweep_result, larger_is_better=True,
-                       jobs=jobs)
+                       scale, seed, sweep_result, jobs=jobs)
 
 
 def full_evaluation(scale: float = 1.0, seed: int = 0,

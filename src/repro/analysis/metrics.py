@@ -35,7 +35,7 @@ def high_contention_average(per_workload: Mapping[str, float],
     return sum(vals) / len(vals) if vals else 0.0
 
 
-# Metric extractors used by sweeps and benches; each maps Stats -> value.
+# Metric extractors used by sweeps and claims; each maps Stats -> value.
 METRICS: Dict[str, Callable[[Stats], float]] = {
     "aborts": lambda s: s.tx_aborted,
     "commits": lambda s: s.tx_committed,

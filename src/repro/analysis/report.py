@@ -1,7 +1,7 @@
 """Plain-text rendering of tables and bar-chart-like series.
 
 Everything the paper shows as a bar chart is rendered as an aligned
-ASCII table plus an optional unicode bar column, so benches can print
+ASCII table plus an optional unicode bar column, so experiments print
 the same rows/series the paper reports without a plotting stack.
 """
 

@@ -2,8 +2,8 @@
 
 :class:`SweepResult` indexes a finished grid ``[workload][scheme]`` and
 materializes :class:`~repro.analysis.metrics.MetricTable` objects for
-any metric — the post-processing behind Figs. 10-14 and the ablation
-benches.  Grids themselves run through
+any metric — the post-processing behind Figs. 10-14 and their
+claims.  Grids themselves run through
 :func:`repro.scenarios.run_scenario`; ``ScenarioResult.sweep_result()``
 builds one of these.
 """

@@ -5,7 +5,10 @@ Commands:
 * ``describe`` — print the simulated machine configuration (Table II).
 * ``run`` — simulate one workload under one scheme and print stats.
 * ``compare`` — run one workload under several schemes, normalized.
-* ``experiment`` — regenerate one paper table/figure by name.
+* ``experiment`` — regenerate one paper table/figure by name;
+  ``experiment claims`` checks the paper's claims table
+  (``repro.analysis.claims``) and exits 0 when every claim holds,
+  1 when one fails, 2 when a cell stalls or errors.
 * ``workloads`` — list the available workloads and their parameters.
 * ``area`` — print the PUNO area/power estimate (Table III).
 * ``lint`` — run the simulator-specific static analysis suite.
@@ -41,6 +44,7 @@ import json
 import sys
 from typing import Dict, List, Optional
 
+from repro.analysis import claims as claims_mod
 from repro.analysis import experiments as experiments_mod
 from repro.analysis.report import render_table
 from repro.core.hw_model import estimate_overhead
@@ -69,6 +73,7 @@ EXPERIMENTS = {
                                              jobs=a.jobs),
     "fig14": lambda a: experiments_mod.fig14(a.scale, a.seed,
                                              jobs=a.jobs),
+    "claims": lambda a: claims_mod.check(a.scale, a.seed, jobs=a.jobs),
 }
 
 
@@ -248,7 +253,7 @@ def cmd_experiment(args) -> int:
     _apply_sanitize_flag(args)
     result = fn(args)
     print(result.text)
-    return 0
+    return result.data.get("exit_code", 0)
 
 
 def cmd_chaos(args) -> int:

@@ -3,7 +3,7 @@
 The paper positions proactive contention management — ATS [29] and the
 Bloom-filter schedulers [30] — as orthogonal and complementary to PUNO.
 This module implements an ATS-like scheduler so that claim can be
-tested (see ``benchmarks/bench_ext_ats.py``):
+tested (the ``Ext. ATS`` rows of :mod:`repro.analysis.claims`):
 
 * each node keeps a *contention intensity* CI, an exponential moving
   average of its transaction outcomes (1 for an abort, 0 for a

@@ -111,7 +111,7 @@ def cm_ats(config, stats, rng, avg_c2c=0):
 
 def cm_ats_puno(config, stats, rng, avg_c2c=0):
     # the paper argues proactive scheduling is complementary to PUNO;
-    # this composition lets benches test that claim.  Both layers share
+    # this composition lets the claims table test it.  Both layers share
     # one stream, exactly like the pre-plug-in wiring.
     inner = PUNOBackoff(config, stats, rng, avg_c2c=avg_c2c)
     return ATSScheduler(config, stats, rng, inner=inner)

@@ -9,7 +9,7 @@ exactly that into a key (:func:`repro.analysis.parallel.task_key`) and
 stores a pickled :class:`CellRecord` under it here: the cell's
 :class:`~repro.sim.stats.Stats`, fault-injector summary and end clock.  A
 hit skips the simulation and the workload build entirely, which makes
-repeated sweeps — the bench suite, ``repro experiment``, notebook
+repeated sweeps — the claims table, ``repro experiment``, notebook
 iteration — near-instant, and makes re-running an interrupted sweep
 its resume: only the missing cells simulate.
 

@@ -31,6 +31,12 @@ def _no_kept_workload():
     forget_last_build()
 
 
+@pytest.fixture(scope="session")
+def claims_store(tmp_path_factory):
+    """A result store shared by the tests that run the claims table."""
+    return tmp_path_factory.mktemp("claims-store")
+
+
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator()

@@ -87,6 +87,22 @@ def test_experiment_table3(capsys):
     assert "0.41%" in capsys.readouterr().out
 
 
+def test_experiment_claims_exits_0_then_1_with_a_failing_row(
+        claims_store, monkeypatch, capsys):
+    from repro.analysis import claims
+    _guard_cache_env(monkeypatch)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(claims_store))
+    assert main(["experiment", "claims"]) == 0
+    out = capsys.readouterr().out
+    assert "claims at scale 0.4, seed 0: 38/38 hold over 47 cells" in out
+    wrong = claims.Claim("Table II", claims.Agg("nodes"), "==", 32)
+    monkeypatch.setattr(claims, "CLAIMS", claims.CLAIMS + (wrong,))
+    assert main(["experiment", "claims"]) == 1
+    [line] = [ln for ln in capsys.readouterr().out.splitlines()
+              if "nodes == 32" in ln]
+    assert "FAILS" in line
+
+
 def test_area_custom_sizes(capsys):
     assert main(["area", "--txlb", "64"]) == 0
     out = capsys.readouterr().out
