@@ -5,56 +5,36 @@
   aborting under the baseline HTM;
 * Fig. 3 — how many transactions one false-aborting request kills.
 
+Both figures read the baseline cells of the paper grid, so they share
+the result store with ``repro experiment`` and the claims table.
+
 Run:  python examples/false_aborting_study.py [scale]
 """
 
 import sys
 
-from repro import SystemConfig, make_stamp_workload, run_workload
-from repro.analysis.falseabort import breakdown, victim_distribution
-from repro.analysis.report import render_series, render_table
-from repro.workloads.stamp import HIGH_CONTENTION, STAMP_WORKLOADS
+from repro.analysis.experiments import fig2, fig3
+from repro.analysis.report import render_table
 
 
 def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.6
-    config = SystemConfig()
 
-    stats = {}
-    for name in STAMP_WORKLOADS:
-        wl = make_stamp_workload(name, scale=scale)
-        stats[name] = run_workload(config, wl, cm="baseline").stats
-
-    # Fig. 2: false-aborting fraction of transactional GETX
-    series = {n: 100 * s.false_aborting_fraction()
-              for n, s in stats.items()}
-    series["average"] = sum(series.values()) / len(series)
-    print(render_series(series, unit="%", floatfmt=".1f",
-                        title="Fraction of transactional GETX that "
-                              "incur false aborting (Fig. 2)"))
+    f2 = fig2(scale)
+    print(f2.text)
 
     # request breakdown (granted / nacked / false-aborting)
-    rows = []
-    for n, s in stats.items():
-        b = breakdown(s)
-        rows.append({"workload": n,
-                     "granted %": round(100 * b["granted"], 1),
-                     "nacked (clean) %": round(100 * b["nacked_clean"], 1),
-                     "false aborting %": round(
-                         100 * b["false_aborting"], 1)})
+    rows = [{"workload": n,
+             "granted %": round(100 * b["granted"], 1),
+             "nacked (clean) %": round(100 * b["nacked_clean"], 1),
+             "false aborting %": round(100 * b["false_aborting"], 1)}
+            for n, b in f2.data["breakdown"].items()]
     print()
     print(render_table(rows, title="Transactional GETX breakdown",
                        floatfmt=".1f"))
 
-    # Fig. 3: victims per false-aborting request, high contention only
     print()
-    print("Victims per false-aborting request (Fig. 3):")
-    for n in HIGH_CONTENTION:
-        dist = victim_distribution(stats[n])
-        nonzero = {k: round(100 * v, 1) for k, v in dist.items() if v > 0}
-        print(f"  {n:10s} {nonzero}  "
-              f"(mean {stats[n].false_abort_victims.mean():.2f}, "
-              f"max {stats[n].false_abort_victims.max()})")
+    print(fig3(scale).text)
 
 
 if __name__ == "__main__":

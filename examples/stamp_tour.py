@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run all eight STAMP analogues under the four schemes of the paper's
 evaluation (baseline / random backoff / RMW-Pred / PUNO) and print the
-normalized comparison — a miniature of Figs. 10, 11 and 13.
+normalized comparisons of Figs. 10-14.
 
 The grid fans out over worker processes (``jobs``; default all cores)
 and goes through the on-disk result cache, so a second run at the same
@@ -14,9 +14,7 @@ Run:  python examples/stamp_tour.py [scale] [jobs]
 import os
 import sys
 
-from repro.analysis.experiments import SCHEME_ORDER, paper_spec
-from repro.analysis.report import render_grouped
-from repro.scenarios import run_scenario
+from repro.analysis.experiments import full_evaluation
 
 
 def main() -> None:
@@ -25,18 +23,9 @@ def main() -> None:
             else int(os.environ.get("REPRO_JOBS", "0")))  # 0 = all cores
     print(f"Running 8 workloads x 4 schemes at scale {scale} "
           f"(jobs={jobs or 'auto'}) ...")
-    result = run_scenario(paper_spec(scale), jobs=jobs,
-                          verbose=True).sweep_result()
-
-    for metric, title in [
-        ("aborts", "normalized transaction aborts (Fig. 10)"),
-        ("traffic", "normalized network traffic (Fig. 11)"),
-        ("exec", "normalized execution time (Fig. 13)"),
-        ("gd_ratio", "normalized G/D ratio (Fig. 14, higher is better)"),
-    ]:
-        table = result.normalized(metric)
+    for result in full_evaluation(scale, jobs=jobs).values():
         print()
-        print(render_grouped(table.values, SCHEME_ORDER, title=title))
+        print(result.text)
 
 
 if __name__ == "__main__":

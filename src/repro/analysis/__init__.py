@@ -1,21 +1,21 @@
 """Post-processing, reporting and experiment harnesses.
 
 * :mod:`repro.analysis.metrics` — derived metrics (normalization,
-  G/D ratio aggregation, high-contention averages),
+  G/D ratio aggregation),
 * :mod:`repro.analysis.falseabort` — the Fig. 2/3 classification,
 * :mod:`repro.analysis.report` — ASCII table/series rendering,
-* :mod:`repro.analysis.sweep` — the Stats grid of one sweep,
 * :mod:`repro.analysis.parallel` — process-pool sweep execution over
   picklable task descriptors,
-* :mod:`repro.analysis.experiments` — one entry point per paper table
-  and figure (``repro experiment`` calls these).
+* :mod:`repro.analysis.experiments` — the cells each paper table and
+  figure shows, and one entry point per table and figure rendered
+  from them (``repro experiment`` calls these),
+* :mod:`repro.analysis.claims` — the paper's claims judged over the
+  same cells.
 """
 
 from repro.analysis.metrics import (
     normalized,
     geomean,
-    high_contention_average,
-    MetricTable,
 )
 from repro.analysis.falseabort import (
     false_abort_rate,
@@ -30,7 +30,6 @@ from repro.analysis.parallel import (
 )
 from repro.analysis.chaos import ChaosOutcome, ChaosReport
 from repro.analysis.report import render_table, render_series
-from repro.analysis.sweep import SweepResult
 
 __all__ = [
     "SweepExecutionError",
@@ -42,12 +41,9 @@ __all__ = [
     "ChaosReport",
     "normalized",
     "geomean",
-    "high_contention_average",
-    "MetricTable",
     "false_abort_rate",
     "victim_distribution",
     "render_table",
     "render_series",
-    "SweepResult",
     "experiments",
 ]

@@ -6,85 +6,37 @@ claims for a table or figure: "PUNO cuts high-contention aborts" is
 a metric read from one scheme's cells over a workload group and folded
 by an aggregate; the bound is a constant, a ``(target, tolerance)``
 pair or another :class:`Agg`.  A scheme is a registered one or a
-:data:`VARIANTS` name (a registered scheme with ``puno`` overrides, as
-the ablations need).  A row's ``figure`` also names the EXPERIMENTS.md
-summary row it backs: the one whose Result starts with it.
+:data:`~repro.analysis.experiments.VARIANTS` name (a registered
+scheme with ``puno`` overrides, as the ablations need).  A row's
+``figure`` also names the EXPERIMENTS.md summary row it backs: the
+one whose Result starts with it.
 
-:func:`run_cells` simulates the distinct cells of every figure the
-rows belong to (:data:`FIGURES`), each a one-cell
-:func:`~repro.analysis.experiments.paper_spec` scenario on the Table
-II machine, in one ``scenario_tasks`` -> ``run_tasks_resilient`` call,
-so ``--jobs``, the result store and ``--sanitize`` apply as to any
-grid.  :func:`judge` reads plain ``Stats``, so tests can judge doctored
-ones.  :func:`check` does both: exit 0 when every claim holds, 1 when
-one fails, 2 when a cell stalls or raises.
+:func:`check` simulates the distinct cells of every figure the rows
+belong to (:data:`~repro.analysis.experiments.FIGURES`, the cells the
+``repro experiment`` tables render from) with
+:func:`~repro.analysis.experiments.run_cells`, so ``--jobs``, the
+result store and ``--sanitize`` apply as to any grid.  :func:`judge`
+reads plain ``Stats``, so tests can judge doctored ones.  :func:`check`
+judges what it ran: exit 0 when every claim holds, 1 when one fails,
+2 when a cell stalls or raises.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, \
-    Sequence, Tuple, Union
+    Tuple, Union
 
-from repro.analysis.experiments import SCHEME_ORDER, ExperimentResult, \
-    paper_spec
+from repro.analysis.experiments import GROUPS, Cell, ExperimentResult, \
+    cells, run_cells
 from repro.analysis.falseabort import victim_distribution
 from repro.analysis.metrics import METRICS, geomean, normalized
-from repro.analysis.parallel import SweepExecutionError, TaskResult, \
-    run_tasks_resilient
+from repro.analysis.parallel import SweepExecutionError
 from repro.analysis.report import render_table
 from repro.core.hw_model import estimate_overhead
-from repro.scenarios.runner import scenario_tasks
 from repro.sim.config import SystemConfig
 from repro.sim.stats import Stats
-from repro.workloads.stamp import HIGH_CONTENTION, STAMP_WORKLOADS
-
-#: One simulated cell: (STAMP workload, scheme or variant).
-Cell = Tuple[str, str]
-
-#: Workload groups a claim can aggregate over; any other group name is
-#: one workload.
-GROUPS: Dict[str, Tuple[str, ...]] = {
-    "all": tuple(STAMP_WORKLOADS),
-    "HC": tuple(HIGH_CONTENTION),
-    "low": ("genome", "kmeans", "ssca2"),  # Table I's; vacation is medium
-    "non-HC": tuple(w for w in STAMP_WORKLOADS if w not in HIGH_CONTENTION),
-}
-
-#: Variant name -> (registered scheme, ``puno`` config overrides).
-VARIANTS: Dict[str, Tuple[str, Dict[str, object]]] = {
-    "unicast-only": ("puno", {"notification_enabled": False}),
-    "notification-only": ("puno", {"unicast_enabled": False}),
-    "threshold=2": ("puno", {"validity_threshold": 2}),
-    "fixed-timeout": ("puno", {"adaptive_timeout": False}),
-    "no-decay": ("puno", {"timeout_scale": 1e6}),
-    "txlb=2": ("puno", {"txlb_entries": 2}),
-    "cap=64": ("puno", {"notification_cap": 64}),
-    "uncapped": ("puno", {"notification_cap": 0}),
-    "epoch-filter-off": ("puno", {"reader_epoch_filter": False}),
-}
-
-#: The cells each table or figure shows, as (group, schemes), all run
-#: whether or not a claim reads them.  A default-config variant (full
-#: PUNO, threshold 1, a 32-entry TxLB with cap 256, ...) is ``puno``.
-FIGURES: Dict[str, Tuple[str, Tuple[str, ...]]] = {
-    "Table I": ("all", ("baseline",)),
-    "Table II": ("", ()),
-    "Table III": ("", ()),
-    "Fig. 2": ("all", ("baseline",)),
-    "Fig. 3": ("HC", ("baseline",)),
-    **{fig: ("all", tuple(SCHEME_ORDER))
-       for fig in ("Fig. 10", "Fig. 11", "Fig. 12", "Fig. 13", "Fig. 14")},
-    "A1": ("bayes", ("baseline", "unicast-only", "notification-only",
-                     "puno")),
-    "A2": ("bayes", ("puno", "threshold=2", "fixed-timeout", "no-decay")),
-    "A3": ("bayes", ("puno", "txlb=2", "cap=64", "uncapped")),
-    "A4/A5": ("HC", ("puno", "epoch-filter-off")),
-    "Ext. ATS": ("labyrinth", ("baseline", "puno", "ats", "ats+puno")),
-    "Ext. lazy": ("bayes", ("baseline", "puno", "lazy")),
-}
-
 
 def _victim_mass_error(s: Stats) -> float:
     """How far Fig. 3's distribution is from summing to 1 (0 when it
@@ -283,37 +235,6 @@ CLAIMS: Tuple[Claim, ...] = (
 )
 
 
-def cells(rows: Iterable[Claim]) -> List[Cell]:
-    """The distinct cells of every figure the rows belong to,
-    workload-major so cells sharing a workload build run together."""
-    out: Dict[Cell, None] = {}
-    for claim in rows:
-        group, schemes = FIGURES[claim.figure]
-        for scheme in schemes:
-            for w in GROUPS.get(group, (group,)):
-                out[(w, scheme)] = None
-    return sorted(out, key=lambda c: GROUPS["all"].index(c[0]))
-
-
-def cell_spec(cell: Cell, scale: float, seed: int):
-    """One cell as a one-cell paper-grid scenario; a variant adds its
-    ``puno`` overrides to the Table II envelope's."""
-    workload, name = cell
-    scheme, puno = VARIANTS.get(name, (name, {}))
-    spec = paper_spec(scale, seed, (scheme,), [workload])
-    if puno:
-        spec = replace(spec, overrides={**spec.overrides, "puno": puno})
-    return spec
-
-
-def run_cells(cell_list: Sequence[Cell], scale: float, seed: int,
-              jobs: int = 1) -> Dict[Cell, TaskResult]:
-    """Simulate every cell in one resilient-executor call."""
-    tasks = [scenario_tasks(cell_spec(c, scale, seed))[0]
-             for c in cell_list]
-    return dict(zip(cell_list, run_tasks_resilient(tasks, jobs)))
-
-
 @dataclass(frozen=True)
 class Verdict:
     claim: Claim
@@ -357,7 +278,8 @@ def check(scale: float = 0.4, seed: int = 0,
     that raises or stalls leaves every row unjudged (a stalled cell's
     counters stop at the stall), with ``data["exit_code"]`` 2."""
     try:
-        results = run_cells(cells(CLAIMS), scale, seed, jobs)
+        results = run_cells(cells(c.figure for c in CLAIMS), scale, seed,
+                            jobs)
     except SweepExecutionError as exc:
         return ExperimentResult("claims", {"exit_code": 2},
                                 f"claims not judged: {exc}")

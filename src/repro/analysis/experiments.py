@@ -1,11 +1,14 @@
-"""One entry point per paper table/figure.
+"""One entry point per paper table/figure, and the cells they show.
 
-Each ``fig_*``/``table_*`` function runs the required simulations and
-returns an :class:`ExperimentResult` holding the raw data plus the
-rendered rows/series the paper reports, for ``repro experiment``, the
-examples, or a notebook.  The paper's claims about these tables and
-figures are checked by :mod:`repro.analysis.claims` over the same
-cells.
+:data:`FIGURES` says which cells each table or figure shows; it is the
+only such definition.  Each ``fig*``/``table*`` function simulates its
+figure's cells through :func:`run_cells` and returns an
+:class:`ExperimentResult` holding the raw data plus the rendered
+rows/series the paper reports, for ``repro experiment``, the examples,
+or a notebook.  The paper's claims about these tables and figures are
+checked by :mod:`repro.analysis.claims` over the same cells, so a
+figure rendered against the store of a claims run at the same scale
+and seed simulates nothing.
 
 Scale notes: ``scale`` multiplies per-node transaction counts in every
 workload; ``repro experiment`` defaults to a reduced but
@@ -15,17 +18,19 @@ shape-preserving 0.4, at which the claims table runs in seconds.
 from __future__ import annotations
 
 import math
-
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, \
+    Tuple
 
 from repro.analysis.falseabort import breakdown, victim_distribution
-from repro.analysis.metrics import MetricTable, high_contention_average
+from repro.analysis.metrics import METRICS, normalized
+from repro.analysis.parallel import TaskResult, run_tasks_resilient
 from repro.analysis.report import render_grouped, render_series, render_table
-from repro.analysis.sweep import SweepResult
 from repro.core.hw_model import estimate_overhead
-from repro.scenarios import ScenarioSpec, WorkloadDef, run_scenario
+from repro.scenarios import ScenarioSpec, WorkloadDef
+from repro.scenarios.runner import scenario_tasks
 from repro.sim.config import SystemConfig
+from repro.sim.stats import Stats
 from repro.workloads.stamp import HIGH_CONTENTION, STAMP_WORKLOADS
 
 SCHEME_ORDER = ["baseline", "backoff", "rmw", "puno"]
@@ -62,19 +67,104 @@ def paper_spec(scale: float = 1.0, seed: int = 0,
     )
 
 
-def _paper_sweep(scale: float, seed: int, jobs: int = 1,
-                 verbose: bool = False) -> SweepResult:
-    return run_scenario(paper_spec(scale, seed), jobs=jobs,
-                        verbose=verbose).sweep_result()
+# =====================================================================
+# Cells
+# =====================================================================
+
+#: One simulated cell: (STAMP workload, scheme or variant).
+Cell = Tuple[str, str]
+
+#: Workload groups a figure or claim can cover; any other group name is
+#: one workload.
+GROUPS: Dict[str, Tuple[str, ...]] = {
+    "all": tuple(STAMP_WORKLOADS),
+    "HC": tuple(HIGH_CONTENTION),
+    "low": ("genome", "kmeans", "ssca2"),  # Table I's; vacation is medium
+    "non-HC": tuple(w for w in STAMP_WORKLOADS if w not in HIGH_CONTENTION),
+}
+
+#: Variant name -> (registered scheme, ``puno`` config overrides).
+VARIANTS: Dict[str, Tuple[str, Dict[str, object]]] = {
+    "unicast-only": ("puno", {"notification_enabled": False}),
+    "notification-only": ("puno", {"unicast_enabled": False}),
+    "threshold=2": ("puno", {"validity_threshold": 2}),
+    "fixed-timeout": ("puno", {"adaptive_timeout": False}),
+    "no-decay": ("puno", {"timeout_scale": 1e6}),
+    "txlb=2": ("puno", {"txlb_entries": 2}),
+    "cap=64": ("puno", {"notification_cap": 64}),
+    "uncapped": ("puno", {"notification_cap": 0}),
+    "epoch-filter-off": ("puno", {"reader_epoch_filter": False}),
+}
+
+#: The cells each table or figure shows, as (group, schemes), all run
+#: whether or not a claim reads them.  A default-config variant (full
+#: PUNO, threshold 1, a 32-entry TxLB with cap 256, ...) is ``puno``.
+FIGURES: Dict[str, Tuple[str, Tuple[str, ...]]] = {
+    "Table I": ("all", ("baseline",)),
+    "Table II": ("", ()),
+    "Table III": ("", ()),
+    "Fig. 2": ("all", ("baseline",)),
+    "Fig. 3": ("HC", ("baseline",)),
+    **{fig: ("all", tuple(SCHEME_ORDER))
+       for fig in ("Fig. 10", "Fig. 11", "Fig. 12", "Fig. 13", "Fig. 14")},
+    "A1": ("bayes", ("baseline", "unicast-only", "notification-only",
+                     "puno")),
+    "A2": ("bayes", ("puno", "threshold=2", "fixed-timeout", "no-decay")),
+    "A3": ("bayes", ("puno", "txlb=2", "cap=64", "uncapped")),
+    "A4/A5": ("HC", ("puno", "epoch-filter-off")),
+    "Ext. ATS": ("labyrinth", ("baseline", "puno", "ats", "ats+puno")),
+    "Ext. lazy": ("bayes", ("baseline", "puno", "lazy")),
+}
 
 
-def _baseline_stats(scale: float, seed: int,
-                    names: Optional[List[str]] = None,
-                    jobs: int = 1):
-    spec = paper_spec(scale, seed, ("baseline",), names)
-    result = run_scenario(spec, jobs=jobs)
-    return {wl.label: result.stats(wl.label, "baseline", seed)
-            for wl in spec.workloads}
+def cells(figures: Iterable[str]) -> List[Cell]:
+    """The distinct cells of the named :data:`FIGURES`, workload-major
+    so cells sharing a workload build run together."""
+    out: Dict[Cell, None] = {}
+    for figure in figures:
+        group, schemes = FIGURES[figure]
+        for scheme in schemes:
+            for w in GROUPS.get(group, (group,)):
+                out[(w, scheme)] = None
+    return sorted(out, key=lambda c: GROUPS["all"].index(c[0]))
+
+
+def cell_spec(cell: Cell, scale: float, seed: int) -> ScenarioSpec:
+    """One cell as a one-cell paper-grid scenario; a variant adds its
+    ``puno`` overrides to the Table II envelope's."""
+    workload, name = cell
+    scheme, puno = VARIANTS.get(name, (name, {}))
+    spec = paper_spec(scale, seed, (scheme,), [workload])
+    if puno:
+        spec = replace(spec, overrides={**spec.overrides, "puno": puno})
+    return spec
+
+
+def run_cells(cell_list: Sequence[Cell], scale: float, seed: int,
+              jobs: int = 1) -> Dict[Cell, TaskResult]:
+    """Simulate every cell in one ``scenario_tasks`` ->
+    ``run_tasks_resilient`` call, so ``--jobs``, the result store and
+    ``--sanitize`` apply as to any grid."""
+    tasks = [scenario_tasks(cell_spec(c, scale, seed))[0]
+             for c in cell_list]
+    return dict(zip(cell_list, run_tasks_resilient(tasks, jobs)))
+
+
+def figure_stats(figures: Iterable[str], scale: float, seed: int,
+                 jobs: int = 1) -> Dict[Cell, Stats]:
+    """The Stats of every cell the named figures show."""
+    results = run_cells(cells(figures), scale, seed, jobs)
+    return {c: r.stats for c, r in results.items()}
+
+
+def _mean(values: List[float]) -> float:
+    return sum(values) / len(values)
+
+
+def _finite_mean(values: List[float]) -> float:
+    """The mean of the finite values (0.0 when there are none)."""
+    finite = [v for v in values if math.isfinite(v)]
+    return _mean(finite) if finite else 0.0
 
 
 # =====================================================================
@@ -85,9 +175,9 @@ def table1(scale: float = 1.0, seed: int = 0,
            jobs: int = 1) -> ExperimentResult:
     """Table I: benchmark inputs + measured baseline abort %."""
     rows = []
-    stats = _baseline_stats(scale, seed, jobs=jobs)
+    stats = figure_stats(["Table I"], scale, seed, jobs)
     for name, meta in STAMP_WORKLOADS.items():
-        s = stats[name]
+        s = stats[(name, "baseline")]
         rows.append({
             "benchmark": name,
             "paper input": meta.paper_input,
@@ -138,10 +228,12 @@ def table3() -> ExperimentResult:
 def fig2(scale: float = 1.0, seed: int = 0,
          jobs: int = 1) -> ExperimentResult:
     """Fig. 2: % of transactional GETX that trigger false aborts."""
-    stats = _baseline_stats(scale, seed, jobs=jobs)
-    series = {n: 100 * s.false_aborting_fraction() for n, s in stats.items()}
+    stats = figure_stats(["Fig. 2"], scale, seed, jobs)
+    baseline = {w: stats[(w, "baseline")] for w in GROUPS["all"]}
+    series = {n: 100 * s.false_aborting_fraction()
+              for n, s in baseline.items()}
     series["average"] = sum(series.values()) / len(series)
-    brk = {n: breakdown(s) for n, s in stats.items()}
+    brk = {n: breakdown(s) for n, s in baseline.items()}
     text = render_series(series,
                          title="Fig. 2 — transactional GETX incurring "
                                "false aborting (%)",
@@ -151,13 +243,12 @@ def fig2(scale: float = 1.0, seed: int = 0,
 
 
 def fig3(scale: float = 1.0, seed: int = 0,
-         names: Optional[List[str]] = None,
          jobs: int = 1) -> ExperimentResult:
     """Fig. 3: distribution of #unnecessarily-aborted transactions per
     false-aborting request (high-contention workloads)."""
-    names = names or list(HIGH_CONTENTION)
-    stats = _baseline_stats(scale, seed, names, jobs=jobs)
-    dists = {n: victim_distribution(s) for n, s in stats.items()}
+    stats = figure_stats(["Fig. 3"], scale, seed, jobs)
+    dists = {n: victim_distribution(stats[(n, "baseline")])
+             for n in GROUPS["HC"]}
     rows = []
     buckets = sorted({k for d in dists.values() for k in d})
     for n, d in dists.items():
@@ -175,127 +266,124 @@ def fig3(scale: float = 1.0, seed: int = 0,
 # Evaluation figures (4-scheme comparisons)
 # =====================================================================
 
-def _comparison(metric: str, title: str, scale: float, seed: int,
-                sweep_result: Optional[SweepResult] = None,
-                jobs: int = 1) -> ExperimentResult:
-    if sweep_result is None:
-        sweep_result = _paper_sweep(scale, seed, jobs)
-    table = sweep_result.normalized(metric)
-    hc_avg = {
-        s: high_contention_average(table.column(s), HIGH_CONTENTION)
-        for s in SCHEME_ORDER
-    }
-    all_avg = table.average_row()
-    view = dict(table.values)
-    view["HC-average"] = hc_avg
-    view["average"] = all_avg
-    text = render_grouped(view, SCHEME_ORDER, title=title)
+#: Figs. 10-14: figure -> (``repro experiment`` name, metric, caption).
+COMPARISONS: Dict[str, Tuple[str, str, str]] = {
+    "Fig. 10": ("fig10", "aborts", "normalized transaction aborts"),
+    "Fig. 11": ("fig11", "traffic", "normalized network traffic"),
+    "Fig. 12": ("fig12", "dir_blocking", "normalized directory blocking"),
+    "Fig. 13": ("fig13", "exec", "normalized execution time"),
+    "Fig. 14": ("fig14", "gd_ratio", "normalized G/D ratio"),
+}
+
+
+@dataclass(frozen=True)
+class SweepResult:
+    """Figs. 10-14's Stats as ``stats[workload][scheme]``: the shape
+    the end-to-end benchmark harness reads from ``data["sweep"]``.
+    ``data["stats"]`` holds the same Stats keyed by cell."""
+
+    stats: Dict[str, Dict[str, Stats]]
+
+
+def _normalized(figure: str, stats: Mapping[Cell, Stats]
+                ) -> Dict[str, Dict[str, float]]:
+    """``figure``'s metric per workload and scheme, over the
+    workload's baseline cell.  A missing cell raises naming it: a
+    crashed or skipped cell never yields a partial table."""
+    missing = [f"{w}/{s}" for w, s in cells([figure]) if (w, s) not in stats]
+    if missing:
+        raise ValueError(f"{figure}: no Stats for cell(s) "
+                         f"{', '.join(missing)}; refusing to render a "
+                         f"partial table")
+    fn = METRICS[COMPARISONS[figure][1]]
+    return {w: {s: normalized(fn(stats[(w, s)]), fn(stats[(w, "baseline")]))
+                for s in SCHEME_ORDER}
+            for w in GROUPS["all"]}
+
+
+def comparison(figure: str, stats: Mapping[Cell, Stats]
+               ) -> ExperimentResult:
+    """Render one of Figs. 10-14 from its cells' Stats; the averages
+    are the claims table's ``mean <metric> x`` over ``HC`` and
+    ``all``."""
+    key, _, caption = COMPARISONS[figure]
+    table = _normalized(figure, stats)
+    hc_avg = {s: _mean([table[w][s] for w in GROUPS["HC"]])
+              for s in SCHEME_ORDER}
+    all_avg = {s: _mean([table[w][s] for w in GROUPS["all"]])
+               for s in SCHEME_ORDER}
+    view = {**table, "HC-average": hc_avg, "average": all_avg}
+    sweep = SweepResult({w: {s: stats[(w, s)] for s in SCHEME_ORDER}
+                         for w in GROUPS["all"]})
     return ExperimentResult(
-        metric,
-        {"normalized": table.values, "hc_average": hc_avg,
-         "average": all_avg, "sweep": sweep_result},
-        text,
+        key,
+        {"normalized": table, "hc_average": hc_avg, "average": all_avg,
+         "stats": stats, "sweep": sweep},
+        render_grouped(view, SCHEME_ORDER, title=f"{figure} — {caption}"),
     )
 
 
 def fig10(scale: float = 1.0, seed: int = 0,
-          sweep_result: Optional[SweepResult] = None,
           jobs: int = 1) -> ExperimentResult:
     """Fig. 10: normalized transaction aborts."""
-    return _comparison("aborts", "Fig. 10 — normalized transaction aborts",
-                       scale, seed, sweep_result, jobs=jobs)
+    return comparison("Fig. 10", figure_stats(["Fig. 10"], scale, seed, jobs))
 
 
 def fig11(scale: float = 1.0, seed: int = 0,
-          sweep_result: Optional[SweepResult] = None,
           jobs: int = 1) -> ExperimentResult:
     """Fig. 11: normalized on-chip network traffic (router traversals)."""
-    return _comparison("traffic", "Fig. 11 — normalized network traffic",
-                       scale, seed, sweep_result, jobs=jobs)
+    return comparison("Fig. 11", figure_stats(["Fig. 11"], scale, seed, jobs))
 
 
 def fig12(scale: float = 1.0, seed: int = 0,
-          sweep_result: Optional[SweepResult] = None,
           jobs: int = 1) -> ExperimentResult:
     """Fig. 12: normalized directory blocked cycles on tx GETX."""
-    return _comparison("dir_blocking",
-                       "Fig. 12 — normalized directory blocking",
-                       scale, seed, sweep_result, jobs=jobs)
+    return comparison("Fig. 12", figure_stats(["Fig. 12"], scale, seed, jobs))
 
 
 def fig13(scale: float = 1.0, seed: int = 0,
-          sweep_result: Optional[SweepResult] = None,
           jobs: int = 1) -> ExperimentResult:
     """Fig. 13: normalized execution time."""
-    return _comparison("exec", "Fig. 13 — normalized execution time",
-                       scale, seed, sweep_result, jobs=jobs)
+    return comparison("Fig. 13", figure_stats(["Fig. 13"], scale, seed, jobs))
 
 
 def fig14(scale: float = 1.0, seed: int = 0,
-          sweep_result: Optional[SweepResult] = None,
           jobs: int = 1) -> ExperimentResult:
     """Fig. 14: normalized G/D ratio (larger is better)."""
-    return _comparison("gd_ratio", "Fig. 14 — normalized G/D ratio",
-                       scale, seed, sweep_result, jobs=jobs)
+    return comparison("Fig. 14", figure_stats(["Fig. 14"], scale, seed, jobs))
 
 
 def full_evaluation(scale: float = 1.0, seed: int = 0,
-                    verbose: bool = False,
                     jobs: int = 1) -> Dict[str, ExperimentResult]:
-    """Run the whole evaluation section with one shared sweep."""
-    result = _paper_sweep(scale, seed, jobs, verbose)
-    return {
-        "fig10": fig10(sweep_result=result),
-        "fig11": fig11(sweep_result=result),
-        "fig12": fig12(sweep_result=result),
-        "fig13": fig13(sweep_result=result),
-        "fig14": fig14(sweep_result=result),
-    }
+    """Figs. 10-14 from one run of the cells they share."""
+    stats = figure_stats(COMPARISONS, scale, seed, jobs)
+    return {key: comparison(figure, stats)
+            for figure, (key, _, _) in COMPARISONS.items()}
 
 
 def seed_averaged_evaluation(scale: float = 1.0, seeds: int = 3,
-                             verbose: bool = False, jobs: int = 1
-                             ) -> Dict[str, ExperimentResult]:
+                             jobs: int = 1) -> Dict[str, ExperimentResult]:
     """Figs. 10-14 with per-workload normalized ratios averaged over
-    ``seeds`` independently generated workload instances.
+    ``seeds`` independently generated workload instances (seeds
+    ``0..seeds-1``, each the claims cells of that seed).
 
     The smaller high-contention workloads are timing-sensitive (one
     reordered conflict can flip an abort count by ~10%); averaging
     seeds recovers statistically stable ratios without growing any
     single run.
     """
-    per_metric: Dict[str, List] = {m: [] for m in
-                                   ("aborts", "traffic", "dir_blocking",
-                                    "exec", "gd_ratio")}
-    for s in range(seeds):
-        result = _paper_sweep(scale, s, jobs, verbose)
-        for metric, acc in per_metric.items():
-            acc.append(result.normalized(metric))
-    titles = {
-        "aborts": ("fig10", "Fig. 10 — normalized transaction aborts"),
-        "traffic": ("fig11", "Fig. 11 — normalized network traffic"),
-        "dir_blocking": ("fig12", "Fig. 12 — normalized directory "
-                                  "blocking"),
-        "exec": ("fig13", "Fig. 13 — normalized execution time"),
-        "gd_ratio": ("fig14", "Fig. 14 — normalized G/D ratio"),
-    }
+    runs = [figure_stats(COMPARISONS, scale, s, jobs) for s in range(seeds)]
     out: Dict[str, ExperimentResult] = {}
-    for metric, tables in per_metric.items():
-        avg = MetricTable(metric=f"{metric} (mean of {seeds} seeds)")
-        for wl in tables[0].workloads:
-            for scheme in tables[0].schemes():
-                vals = [t.get(wl, scheme) for t in tables]
-                finite = [v for v in vals if math.isfinite(v)]
-                avg.set(wl, scheme,
-                        sum(finite) / len(finite) if finite else 0.0)
-        key, title = titles[metric]
-        hc_avg = {s: high_contention_average(avg.column(s),
-                                             HIGH_CONTENTION)
+    for figure, (key, _, caption) in COMPARISONS.items():
+        tables = [_normalized(figure, stats) for stats in runs]
+        avg = {w: {s: _finite_mean([t[w][s] for t in tables])
+                   for s in SCHEME_ORDER}
+               for w in GROUPS["all"]}
+        hc_avg = {s: _mean([avg[w][s] for w in GROUPS["HC"]])
                   for s in SCHEME_ORDER}
-        view = dict(avg.values)
-        view["HC-average"] = hc_avg
-        text = render_grouped(view, SCHEME_ORDER,
-                              title=f"{title} (mean of {seeds} seeds)")
+        text = render_grouped(
+            {**avg, "HC-average": hc_avg}, SCHEME_ORDER,
+            title=f"{figure} — {caption} (mean of {seeds} seeds)")
         out[key] = ExperimentResult(
-            key, {"normalized": avg.values, "hc_average": hc_avg}, text)
+            key, {"normalized": avg, "hc_average": hc_avg}, text)
     return out

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional
+from typing import Callable, Dict, Iterable
 
 from repro.sim.stats import Stats
 
@@ -28,14 +27,7 @@ def geomean(values: Iterable[float]) -> float:
     return math.exp(sum(math.log(v) for v in vals) / len(vals))
 
 
-def high_contention_average(per_workload: Mapping[str, float],
-                            high: Iterable[str]) -> float:
-    """Arithmetic mean over the paper's high-contention group."""
-    vals = [per_workload[w] for w in high if w in per_workload]
-    return sum(vals) / len(vals) if vals else 0.0
-
-
-# Metric extractors used by sweeps and claims; each maps Stats -> value.
+# Metric extractors used by the figures and claims; each maps Stats -> value.
 METRICS: Dict[str, Callable[[Stats], float]] = {
     "aborts": lambda s: s.tx_aborted,
     "commits": lambda s: s.tx_committed,
@@ -46,53 +38,3 @@ METRICS: Dict[str, Callable[[Stats], float]] = {
     "gd_ratio": lambda s: s.gd_ratio(),
     "false_aborting": lambda s: s.false_aborting_fraction(),
 }
-
-
-@dataclass
-class MetricTable:
-    """workload x scheme -> metric value, with normalization helpers."""
-
-    metric: str
-    values: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-    def set(self, workload: str, scheme: str, value: float) -> None:
-        self.values.setdefault(workload, {})[scheme] = value
-
-    def get(self, workload: str, scheme: str) -> float:
-        return self.values[workload][scheme]
-
-    @property
-    def workloads(self) -> List[str]:
-        return list(self.values)
-
-    def schemes(self) -> List[str]:
-        seen: List[str] = []
-        for row in self.values.values():
-            for s in row:
-                if s not in seen:
-                    seen.append(s)
-        return seen
-
-    def normalized_to(self, baseline_scheme: str) -> "MetricTable":
-        out = MetricTable(metric=f"{self.metric} (normalized)")
-        for wl, row in self.values.items():
-            base = row.get(baseline_scheme, 0.0)
-            for scheme, v in row.items():
-                out.set(wl, scheme, normalized(v, base))
-        return out
-
-    def column(self, scheme: str) -> Dict[str, float]:
-        return {wl: row[scheme] for wl, row in self.values.items()
-                if scheme in row}
-
-    def average_row(self, workloads: Optional[Iterable[str]] = None
-                    ) -> Dict[str, float]:
-        """Arithmetic per-scheme mean over (a subset of) workloads."""
-        wls = list(workloads) if workloads is not None else self.workloads
-        out: Dict[str, float] = {}
-        for scheme in self.schemes():
-            vals = [self.values[w][scheme] for w in wls
-                    if w in self.values and scheme in self.values[w]]
-            if vals:
-                out[scheme] = sum(vals) / len(vals)
-        return out

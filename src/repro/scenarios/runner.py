@@ -37,7 +37,6 @@ from repro.analysis.parallel import (
     run_tasks_resilient,
 )
 from repro.analysis.report import render_table
-from repro.analysis.sweep import SweepResult
 from repro.scenarios.spec import ScenarioSpec
 from repro.sim.resultcache import CacheLike
 from repro.sim.stats import Stats
@@ -61,8 +60,8 @@ def scenario_tasks(spec: ScenarioSpec,
     """The grid as resilient-executor task descriptors.
 
     The task's row label carries the seed (``label@s<seed>``) when the
-    scenario sweeps more than one, so multi-seed grids stay
-    rectangular in :class:`~repro.analysis.sweep.SweepResult` terms.
+    scenario sweeps more than one, so each row of a multi-seed grid
+    names one workload instance.
     """
     budget = max_cycles if max_cycles is not None else spec.max_cycles
     tasks: List[SweepTask] = []
@@ -109,14 +108,6 @@ class ScenarioResult:
         """Canonical per-cell digests, keyed ``workload/scheme/seed``."""
         return {f"{c[0]}/{c[1]}/s{c[2]}": r.stats.snapshot_digest()
                 for c, r in zip(self.cells, self.results)}
-
-    def sweep_result(self) -> SweepResult:
-        """The grid as a SweepResult (for MetricTable post-processing)."""
-        out = SweepResult()
-        for (wl, scheme, seed), r in zip(self.cells, self.results):
-            label = wl if len(self.spec.seeds) == 1 else f"{wl}@s{seed}"
-            out.add(label, scheme, r.stats)
-        return out
 
     # ------------------------------------------------------------------
     def render_text(self) -> str:

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.parallel import WorkloadSpec
+from repro.schemes import get_scheme, scheme_names
 from repro.sim.config import (
     OVERRIDE_SECTIONS,
     SystemConfig,
@@ -34,12 +35,6 @@ from repro.sim.config import (
     override_config,
     scaled_config,
 )
-
-#: Scheme name -> needs a PUNO-enabled configuration.  A live view of
-#: the scheme plug-in registry (repro.schemes), so scenario validation
-#: and per-cell config construction automatically track every
-#: registered scheme — built-ins and downstream plug-ins alike.
-from repro.schemes import NEEDS_PUNO as KNOWN_SCHEMES
 
 
 @dataclass(frozen=True)
@@ -144,9 +139,9 @@ class ScenarioSpec:
         if not self.schemes:
             problems.append("scenario has no schemes")
         for scheme in self.schemes:
-            if scheme not in KNOWN_SCHEMES:
+            if scheme not in scheme_names():
                 problems.append(f"unknown scheme {scheme!r}; choices: "
-                                f"{sorted(KNOWN_SCHEMES)}")
+                                f"{list(scheme_names())}")
         if self.scale <= 0:
             problems.append(f"scale must be positive, got {self.scale}")
         if not self.seeds:
@@ -177,7 +172,7 @@ class ScenarioSpec:
         cfg = scaled_config(self.nodes, seed=seed)
         if self.overrides:
             cfg = override_config(cfg, self.overrides)
-        if KNOWN_SCHEMES[scheme] and not cfg.puno.enabled:
+        if get_scheme(scheme).needs_puno and not cfg.puno.enabled:
             cfg = cfg.with_puno()
         return cfg
 

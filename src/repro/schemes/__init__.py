@@ -10,7 +10,6 @@ for its scheme table.
 
 from repro.schemes.base import DirArbiter, Scheme
 from repro.schemes.registry import (
-    NEEDS_PUNO,
     get_scheme,
     list_schemes,
     register_scheme,
@@ -25,7 +24,6 @@ from repro.schemes.phase_priority import PhasePriorityArbiter
 __all__ = [
     "AdaptiveRequeue",
     "DirArbiter",
-    "NEEDS_PUNO",
     "PhasePriorityArbiter",
     "Scheme",
     "get_scheme",

@@ -17,8 +17,7 @@ in their own modules and self-register on import; the package
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.htm.contention import (
     ATSScheduler,
@@ -60,28 +59,6 @@ def list_schemes() -> List[Scheme]:
 
 def scheme_names() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
-
-
-class _NeedsPunoView(Mapping):
-    """Live ``name -> needs_puno`` view of the registry.
-
-    Exported to :mod:`repro.scenarios.spec` under the historical
-    ``KNOWN_SCHEMES`` name, so scenario validation and per-cell config
-    construction track registrations (including test-local ones)
-    instead of a frozen snapshot.
-    """
-
-    def __getitem__(self, name: str) -> bool:
-        return get_scheme(name).needs_puno
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(sorted(_REGISTRY))
-
-    def __len__(self) -> int:
-        return len(_REGISTRY)
-
-
-NEEDS_PUNO = _NeedsPunoView()
 
 
 # =====================================================================

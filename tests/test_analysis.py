@@ -7,13 +7,7 @@ import pytest
 
 from repro.analysis.falseabort import breakdown, false_abort_rate, \
     victim_distribution
-from repro.analysis.metrics import (
-    METRICS,
-    MetricTable,
-    geomean,
-    high_contention_average,
-    normalized,
-)
+from repro.analysis.metrics import METRICS, geomean, normalized
 from repro.analysis.report import render_grouped, render_series, render_table
 from repro.analysis.experiments import paper_spec
 from repro.scenarios import ScenarioSpec, WorkloadDef, run_scenario
@@ -31,28 +25,6 @@ def test_geomean():
     assert geomean([1, 4]) == pytest.approx(2.0)
     assert geomean([]) == 0.0
     assert geomean([0, 2]) == 2.0  # zeros skipped
-
-
-def test_high_contention_average():
-    vals = {"a": 1.0, "b": 3.0, "c": 100.0}
-    assert high_contention_average(vals, ["a", "b"]) == 2.0
-    assert high_contention_average(vals, ["missing"]) == 0.0
-
-
-def test_metric_table_roundtrip():
-    t = MetricTable("aborts")
-    t.set("w1", "base", 10)
-    t.set("w1", "puno", 5)
-    t.set("w2", "base", 4)
-    t.set("w2", "puno", 8)
-    n = t.normalized_to("base")
-    assert n.get("w1", "puno") == 0.5
-    assert n.get("w2", "puno") == 2.0
-    assert n.get("w1", "base") == 1.0
-    avg = n.average_row()
-    assert avg["puno"] == pytest.approx(1.25)
-    assert t.schemes() == ["base", "puno"]
-    assert t.column("puno") == {"w1": 5, "w2": 8}
 
 
 def test_metrics_registry_extracts():
@@ -119,12 +91,11 @@ def test_scheme_sweep_end_to_end():
     spec = ScenarioSpec(name="synth-4", nodes=4, workloads=(synth,),
                         schemes=("baseline", "puno"),
                         max_cycles=5_000_000)
-    result = run_scenario(spec, cache=False).sweep_result()
-    t = result.table("aborts")
-    assert set(t.workloads) == {"synth"}
-    n = result.normalized("exec")
-    assert n.get("synth", "baseline") == 1.0
-    assert n.get("synth", "puno") > 0
+    result = run_scenario(spec, cache=False)
+    assert result.cells == [("synth", "baseline", 0), ("synth", "puno", 0)]
+    base, puno = (result.stats("synth", s) for s in spec.schemes)
+    assert base.tx_committed > 0 and puno.tx_committed > 0
+    assert normalized(METRICS["exec"](puno), METRICS["exec"](base)) > 0
 
 
 def test_paper_spec_shape():

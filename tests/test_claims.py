@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import claims
-from repro.analysis.claims import CLAIMS, FIGURES, GROUPS, VARIANTS
+from repro.analysis import claims, experiments
+from repro.analysis.claims import CLAIMS
+from repro.analysis.experiments import FIGURES, GROUPS, VARIANTS
 from repro.analysis.parallel import SweepExecutionError, TaskResult
 from repro.schemes import scheme_names
 from repro.sim.stats import Stats
@@ -26,7 +27,8 @@ def stats(claims_store):
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv("REPRO_NO_CACHE", raising=False)
         mp.setenv("REPRO_CACHE_DIR", str(claims_store))
-        results = claims.run_cells(claims.cells(CLAIMS), SCALE, SEED)
+        results = claims.run_cells(claims.cells(c.figure for c in CLAIMS),
+                                   SCALE, SEED)
     assert not [c for c, r in results.items() if r.stall is not None]
     return {c: r.stats for c, r in results.items()}
 
@@ -48,7 +50,7 @@ def test_every_claim_holds_over_the_47_cells_of_its_figures(stats):
 
 def test_every_row_reads_only_its_figures_cells():
     for claim in CLAIMS:
-        assert set(claim.cells()) <= set(claims.cells([claim])), str(claim)
+        assert set(claim.cells()) <= set(claims.cells([claim.figure])), str(claim)
     assert {s for s, _ in VARIANTS.values()} <= set(scheme_names())
 
 
@@ -102,7 +104,7 @@ def test_a_cell_that_raises_or_stalls_exits_2(outcome, monkeypatch):
             raise SweepExecutionError("sweep cell 'bayes'/'lazy' raised")
         return [TaskResult(t.workload, t.scheme, Stats(16), 0.0, False,
                            stall=object()) for t in tasks]
-    monkeypatch.setattr(claims, "run_tasks_resilient", run)
+    monkeypatch.setattr(experiments, "run_tasks_resilient", run)
     result = claims.check(SCALE, SEED)
     assert result.data["exit_code"] == 2
     assert result.text.startswith("claims not judged")

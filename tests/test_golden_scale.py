@@ -45,11 +45,9 @@ def test_paper_256_shape():
 def test_paper_1024_excludes_puno():
     """The 1024 tier exists to avoid the O(N^2) P-Buffer footprint, so
     no scheme may require a PUNO-enabled config."""
-    from repro.scenarios.spec import KNOWN_SCHEMES
-
     spec = get_scenario("paper-1024")
     assert spec.nodes == 1024
-    assert all(not KNOWN_SCHEMES[s] for s in spec.schemes)
+    assert not any(spec.config(s).puno.enabled for s in spec.schemes)
 
 
 def test_scale_meshes_use_computed_routing():

@@ -71,15 +71,18 @@ def test_write_roundtrip(tmp_path):
 
 
 def test_end_to_end_with_sweep(tmp_path):
+    from repro.analysis.metrics import normalized
     from repro.scenarios import ScenarioSpec, WorkloadDef, run_scenario
     synth = WorkloadDef("synth", kind="synthetic", params={
         "instances": 5, "shared_lines": 8, "tx_reads": 4, "tx_writes": 1})
     spec = ScenarioSpec(name="synth-4", nodes=4, workloads=(synth,),
                         schemes=("baseline", "puno"),
                         max_cycles=5_000_000)
-    res = run_scenario(spec, cache=False).sweep_result()
-    table = res.normalized("aborts")
+    res = run_scenario(spec, cache=False)
+    base = res.stats("synth", "baseline").tx_aborted
+    table = {"synth": {s: normalized(res.stats("synth", s).tx_aborted, base)
+                       for s in spec.schemes}}
     rep = Report("sweep")
-    rep.add_grouped_bars("aborts", table.values, ["baseline", "puno"])
+    rep.add_grouped_bars("aborts", table, ["baseline", "puno"])
     path = rep.write(tmp_path / "sweep.html")
     assert (tmp_path / "sweep.html").exists()

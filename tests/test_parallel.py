@@ -1,7 +1,6 @@
 """Parallel grid execution: serial/parallel equivalence, determinism,
-task descriptors, the resilient executor (crash replacement, timeouts,
-resume through the result store), and the strict (non-ragged)
-SweepResult grid."""
+task descriptors, and the resilient executor (crash replacement,
+timeouts, resume through the result store)."""
 
 from __future__ import annotations
 
@@ -24,7 +23,6 @@ from repro.analysis.parallel import (
     run_tasks_resilient,
     task_key,
 )
-from repro.analysis.sweep import SweepResult
 from repro.scenarios import ScenarioSpec, WorkloadDef, run_scenario
 from repro.scenarios.runner import ScenarioResult, scenario_cells, \
     scenario_tasks
@@ -546,38 +544,3 @@ def test_scheme_sweep_checkpoint_round_trip(tmp_path):
     assert cache.hits == 1 and cache.stores == 0
     assert warm.cache_hits == 1
     _assert_same_cells(cold, warm)
-
-
-# ---------------------------------------------------------------------
-# strict SweepResult grid
-# ---------------------------------------------------------------------
-
-def test_sweepresult_rejects_duplicate_cell():
-    r = SweepResult()
-    r.add("wl", "baseline", Stats(4))
-    with pytest.raises(ValueError, match="duplicate"):
-        r.add("wl", "baseline", Stats(4))
-
-
-def test_sweepresult_rejects_ragged_grid():
-    r = SweepResult()
-    a, b = Stats(4), Stats(4)
-    a.execution_cycles = b.execution_cycles = 100
-    r.add("wl1", "baseline", a)
-    r.add("wl1", "puno", b)
-    r.add("wl2", "baseline", a)  # wl2 is missing "puno"
-    with pytest.raises(ValueError, match="missing"):
-        r.table("exec")
-    with pytest.raises(ValueError, match="missing"):
-        r.normalized("exec")
-
-
-def test_sweepresult_complete_grid_builds_table():
-    r = SweepResult()
-    for wl in ("wl1", "wl2"):
-        for scheme in ("baseline", "puno"):
-            s = Stats(4)
-            s.execution_cycles = 100
-            r.add(wl, scheme, s)
-    t = r.table("exec")
-    assert t.get("wl2", "puno") == 100

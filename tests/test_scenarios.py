@@ -255,8 +255,7 @@ def test_smoke_run_and_manifest(tmp_path):
     snap = json.loads((manifest.parent / "cells" / cell_files[0]).read_text())
     assert snap["execution_cycles"] > 0
 
-    sweep = result.sweep_result()
-    assert sweep.stats["hotspot"]["puno"].tx_committed > 0
+    assert result.stats("hotspot", "puno").tx_committed > 0
 
 
 # =====================================================================

@@ -30,7 +30,8 @@ from repro.schemes import (
     scheme_names,
     unregister_scheme,
 )
-from repro.schemes.registry import NEEDS_PUNO, cm_fixed
+from repro.schemes.registry import cm_fixed
+from repro.scenarios import ScenarioSpec, WorkloadDef
 from repro.sim.config import SystemConfig
 from repro.sim.rng import RngFactory
 from repro.sim.stats import Stats
@@ -60,17 +61,25 @@ def test_register_rejects_redefinition():
                                cm_factory=cm_fixed))
 
 
+def _spec(*schemes):
+    return ScenarioSpec(name="schemes", nodes=4,
+                        workloads=(WorkloadDef("kmeans"),), schemes=schemes)
+
+
 def test_register_and_unregister_custom_scheme():
     scheme = register_scheme(Scheme(
-        name="test-custom", description="fixture", cm_factory=cm_fixed))
+        name="test-custom", description="fixture", cm_factory=cm_fixed,
+        needs_puno=True))
+    spec = _spec("test-custom")
     try:
         assert get_scheme("test-custom") is scheme
-        # the scenario-facing view tracks registrations live
-        assert "test-custom" in NEEDS_PUNO
-        assert NEEDS_PUNO["test-custom"] is False
+        # scenario validation and per-cell configs track registrations
+        assert spec.validate() == []
+        assert spec.config("test-custom").puno.enabled
     finally:
         unregister_scheme("test-custom")
     assert "test-custom" not in scheme_names()
+    assert any("unknown scheme 'test-custom'" in p for p in spec.validate())
 
 
 def test_scheme_validation_rejects_inconsistent_axes():
@@ -133,9 +142,11 @@ def test_cm_rng_stream_is_seed_and_name_keyed():
 
 
 def test_needs_puno_flags():
-    assert NEEDS_PUNO["puno"] and NEEDS_PUNO["ats+puno"]
-    for name in BUILTINS - {"puno", "ats+puno"}:
-        assert not NEEDS_PUNO[name], name
+    """Only the PUNO schemes' cells run with the PUNO units on."""
+    spec = _spec(*sorted(BUILTINS))
+    for name in BUILTINS:
+        assert spec.config(name).puno.enabled == \
+            (name in {"puno", "ats+puno"}), name
 
 
 def test_lazy_scheme_resolves_lazy_node_cls():
