@@ -411,7 +411,7 @@ def bench_puno_tick(n: int, repeats: int) -> dict:
     from repro.sim.stats import Stats
 
     def tick(entries):
-        cfg = PUNOConfig(enabled=True, pbuffer_entries=entries)
+        cfg = PUNOConfig(pbuffer_entries=entries)
         sim = Simulator()
         unit = DirectoryPUNO(sim, entries, cfg, Stats(entries))
         for node in range(entries):
@@ -529,10 +529,7 @@ def bench_end_to_end(scale: float, repeats: int) -> dict:
         for _ in range(repeats):
             wl = make_stamp_workload(wl_name, num_nodes=16, scale=scale,
                                      seed=0)
-            cfg = SystemConfig(seed=0)
-            if scheme == "puno":
-                cfg = cfg.with_puno()
-            system = System(cfg, wl, scheme)
+            system = System(SystemConfig(seed=0), wl, scheme)
             t0 = time.perf_counter()
             result = system.run()
             wall = time.perf_counter() - t0

@@ -26,8 +26,7 @@ def main() -> None:
     scale = float(sys.argv[2]) if len(sys.argv) > 2 else 0.6
 
     base = run_with_sampler(name, scale, SystemConfig(), "baseline")
-    puno = run_with_sampler(name, scale, SystemConfig().with_puno(),
-                            "puno")
+    puno = run_with_sampler(name, scale, SystemConfig(), "puno")
 
     for label, sampler in [("baseline", base), ("PUNO", puno)]:
         rows = []

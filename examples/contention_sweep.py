@@ -26,7 +26,7 @@ def main() -> None:
             writer_fraction=0.2, scanner_fraction=0.2,
             partition_writes=True)
         base = run_workload(config, wl, cm="baseline").stats
-        puno = run_workload(config.with_puno(), wl, cm="puno").stats
+        puno = run_workload(config, wl, cm="puno").stats
         rows.append({
             "shared lines": shared_lines,
             "baseline abort %": round(100 * base.abort_rate(), 1),

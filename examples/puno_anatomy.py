@@ -10,6 +10,7 @@ import sys
 
 from repro import SystemConfig, make_stamp_workload, run_workload
 from repro.analysis.report import render_table
+from repro.sim.config import override_config
 
 
 def main() -> None:
@@ -19,11 +20,11 @@ def main() -> None:
 
     variants = {
         "baseline": ("baseline", base_cfg),
-        "unicast-only": ("puno",
-                         base_cfg.with_puno(notification_enabled=False)),
-        "notification-only": ("puno",
-                              base_cfg.with_puno(unicast_enabled=False)),
-        "full PUNO": ("puno", base_cfg.with_puno()),
+        "unicast-only": ("puno", override_config(
+            base_cfg, {"puno": {"notification_enabled": False}})),
+        "notification-only": ("puno", override_config(
+            base_cfg, {"puno": {"unicast_enabled": False}})),
+        "full PUNO": ("puno", base_cfg),
     }
 
     rows = []

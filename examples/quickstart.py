@@ -26,7 +26,7 @@ def main() -> None:
     print()
 
     base = run_workload(config, workload, cm="baseline")
-    puno = run_workload(config.with_puno(), workload, cm="puno")
+    puno = run_workload(config, workload, cm="puno")
 
     rows = []
     for label, r in [("baseline", base), ("PUNO", puno)]:

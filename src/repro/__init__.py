@@ -16,7 +16,7 @@ Quickstart::
     config = SystemConfig()                       # Table II baseline
     wl = make_stamp_workload("intruder")
     base = run_workload(config, wl, cm="baseline")
-    puno = run_workload(config.with_puno(), wl, cm="puno")
+    puno = run_workload(config, wl, cm="puno")    # builds the PUNO units
     print(base.stats.tx_aborted, "->", puno.stats.tx_aborted)
 """
 

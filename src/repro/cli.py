@@ -49,7 +49,7 @@ from repro.analysis import experiments as experiments_mod
 from repro.analysis.report import render_table
 from repro.core.hw_model import estimate_overhead
 from repro.sim.config import SystemConfig, scaled_config
-from repro.schemes import get_scheme, scheme_names
+from repro.schemes import scheme_names
 from repro.workloads.stamp import STAMP_WORKLOADS
 
 #: Every registered protocol scheme (repro.schemes) — the choice set
@@ -110,13 +110,6 @@ def _apply_sanitize_flag(args) -> None:
         os.environ["REPRO_SANITIZE"] = "1"
 
 
-def _make_config(args, scheme: str) -> SystemConfig:
-    cfg = scaled_config(args.nodes, seed=args.seed)
-    if get_scheme(scheme).needs_puno:
-        cfg = cfg.with_puno()
-    return cfg
-
-
 def _stats_row(scheme: str, stats) -> Dict[str, object]:
     return {
         "scheme": scheme,
@@ -165,7 +158,7 @@ def cmd_run(args) -> int:
         faults = None
     _apply_sanitize_flag(args)
     wl = _make_workload(args)
-    cfg = _make_config(args, args.scheme)
+    cfg = scaled_config(args.nodes, seed=args.seed)
     tracer = None
     if args.trace:
         from repro.sim.trace import Tracer
@@ -467,7 +460,7 @@ def cmd_lint(args) -> int:
 def cmd_profile(args) -> int:
     from repro.analysis.profiler import profile_run
     wl = _make_workload(args)
-    cfg = _make_config(args, args.scheme)
+    cfg = scaled_config(args.nodes, seed=args.seed)
     report = profile_run(wl, cfg, args.scheme, top=args.top,
                          max_cycles=args.max_cycles)
     if args.out:

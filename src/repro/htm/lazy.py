@@ -22,10 +22,10 @@ alternative so the trade-off — and the hybrid designs of Section V
   invalidates anything it read or buffered.  Aborts are cheap — the
   write buffer is discarded; memory was never touched.
 
-Build a lazy system with ``System(config, workload, cm,
-node_cls=LazyNodeController)``; all nodes must be lazy (mixing eager
-and lazy nodes is not supported — the committer-wins rule assumes no
-eager nacker exists).
+Build a lazy system with ``System(config, workload, "lazy")``, or
+pair lazy nodes with another scheme via ``node_cls=``; all nodes must
+be lazy (mixing eager and lazy nodes is not supported — the
+committer-wins rule assumes no eager nacker exists).
 """
 
 from __future__ import annotations

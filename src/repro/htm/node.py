@@ -79,7 +79,8 @@ class NodeController:
         "_ns_tx_aborted", "_ns_good_cycles", "_ns_discarded_cycles",
         "_ns_backoff_cycles", "_ns_stall_cycles", "_ns_nacks_received",
         "_ns_nacks_sent", "_abort_causes",
-        "cm", "program", "on_done", "txlb", "san", "fault_tolerant",
+        "cm", "program", "on_done", "txlb", "_notify", "san",
+        "fault_tolerant",
         "_train_load", "_train_store", "_predict_excl",
         "_hit_latency", "_begin_cost", "_commit_cost", "_num_nodes",
         "l1", "mshr", "wb_buffer", "wb_waiters",
@@ -107,7 +108,7 @@ class NodeController:
                  network: Network, stats: Stats, cm: ContentionManager,
                  program: Program,
                  on_done: Optional[Callable[[int], None]] = None,
-                 txlb: Optional[TxLB] = None):
+                 txlb: Optional[TxLB] = None, puno: bool = False):
         self.sim = sim
         self.node = node
         self.config = config
@@ -132,6 +133,9 @@ class NodeController:
         self.program = program
         self.on_done = on_done
         self.txlb = txlb if txlb is not None else TxLB(config.puno.txlb_entries)
+        # PUNO notification (Section III-D): under a PUNO scheme, NACKs
+        # carry this node's remaining-time estimate T_est.
+        self._notify = puno and config.puno.notification_enabled
         self.san = None  # Optional[repro.sanitize.sanitizer.ProtocolSanitizer]
         # Set by an attached FaultInjector: injected duplicates/delays
         # can deliver responses for requests that already completed, so
@@ -712,11 +716,10 @@ class NodeController:
     # ------------------------------------------------------------------
     def _notification(self) -> int:
         """T_est for an outgoing NACK (−1 = no notification)."""
+        if not self._notify:
+            return -1
         tx = self.tx
         if tx is None or not tx.active:
-            return -1
-        if not (self.config.puno.enabled
-                and self.config.puno.notification_enabled):
             return -1
         elapsed = self.sim.now - tx.attempt_start - tx.stall_cycles
         t_est = self.txlb.estimate_remaining(tx.static_id, max(0, elapsed))

@@ -70,9 +70,10 @@ def scenario_tasks(spec: ScenarioSpec,
             label = (wl.label if len(spec.seeds) == 1
                      else f"{wl.label}@s{seed}")
             wspec = wl.to_spec(spec.nodes, spec.scale, seed)
+            config = spec.config(seed)
             for scheme in spec.schemes:
                 tasks.append(SweepTask(
-                    label, scheme, spec.config(scheme, seed), wspec,
+                    label, scheme, config, wspec,
                     max_cycles=budget, audit=True, faults=spec.faults,
                 ))
     return tasks

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.parallel import WorkloadSpec
-from repro.schemes import get_scheme, scheme_names
+from repro.schemes import scheme_names
 from repro.sim.config import (
     OVERRIDE_SECTIONS,
     SystemConfig,
@@ -155,8 +155,7 @@ class ScenarioSpec:
                                 f"choices: {OVERRIDE_SECTIONS}")
         if not problems:
             try:
-                for scheme in self.schemes:
-                    self.config(scheme, self.seeds[0])
+                self.config(self.seeds[0])
             except (ValueError, TypeError) as exc:
                 problems.append(f"config overrides rejected: {exc}")
         if self.faults:
@@ -167,13 +166,13 @@ class ScenarioSpec:
         return problems
 
     # ------------------------------------------------------------------
-    def config(self, scheme: str, seed: int = 0) -> SystemConfig:
-        """The SystemConfig one cell of this scenario runs under."""
+    def config(self, seed: int = 0) -> SystemConfig:
+        """The SystemConfig every cell of this scenario runs under at
+        ``seed``; the cell's scheme decides whether PUNO hardware is
+        built (:attr:`repro.schemes.Scheme.needs_puno`)."""
         cfg = scaled_config(self.nodes, seed=seed)
         if self.overrides:
             cfg = override_config(cfg, self.overrides)
-        if get_scheme(scheme).needs_puno and not cfg.puno.enabled:
-            cfg = cfg.with_puno()
         return cfg
 
     def fault_config(self):

@@ -1,25 +1,28 @@
 """Scheme plug-in base types.
 
 A *scheme* is one point in the protocol design space, decomposed into
-three orthogonal policies:
+orthogonal policies, each stated once:
 
 * **directory forward policy** — how a home directory picks the next
-  waiter when a blocked line unblocks (``forward``: plain FIFO drain,
-  or a :class:`DirArbiter` that reorders the wait queue),
+  waiter when a blocked line unblocks (plain FIFO drain, or the
+  :class:`DirArbiter` an ``arbiter_factory`` builds to reorder the
+  wait queue),
 * **contention manager** — the backoff/abort/prediction policy every
   node consults (``cm_factory`` builds one
   :class:`~repro.htm.contention.base.ContentionManager` per system),
 * **version management** — eager (in-place update + undo log, the
   default :class:`~repro.htm.node.NodeController`) or lazy
-  (write-buffered :class:`~repro.htm.lazy.LazyNodeController`).
+  (write-buffered :class:`~repro.htm.lazy.LazyNodeController`),
+* **PUNO hardware** — ``needs_puno`` builds a P-Buffer at each
+  directory and turns on NACK notification at each node; it is the
+  only switch for them.
 
 ``System`` resolves a scheme *name* through the registry
-(:mod:`repro.schemes.registry`) and asks the scheme for its three
-policies; scenario specs consult :attr:`Scheme.needs_puno` to decide
-whether the cell's config must enable the PUNO units.  Adding a scheme
-is one :func:`~repro.schemes.registry.register_scheme` call — the
-scenario validator, the tournament matrix, the conformance suite and
-the golden ``scheme_digests`` section all pick it up automatically.
+(:mod:`repro.schemes.registry`) and asks the scheme for its
+policies.  Adding a scheme is one
+:func:`~repro.schemes.registry.register_scheme` call — the scenario
+validator, the tournament matrix, the conformance suite and the golden
+``scheme_digests`` section all pick it up automatically.
 
 Determinism contract: every scheme draws randomness only from the
 seeded stream handed to ``cm_factory`` (derived from the config seed
@@ -47,9 +50,6 @@ CMFactory = Callable[..., ContentionManager]
 VERSION_EAGER = "eager"
 VERSION_LAZY = "lazy"
 
-#: Directory-forward axis value for the plain FIFO drain.
-FORWARD_FIFO = "fifo"
-
 
 class DirArbiter:
     """Directory forward policy: picks the next waiter to service.
@@ -62,7 +62,7 @@ class DirArbiter:
     ``popleft()``.
     """
 
-    name = FORWARD_FIFO
+    name = "fifo"
 
     def select(self, waitq, now: int):
         return waitq.popleft()
@@ -84,7 +84,6 @@ class Scheme:
     citation: str = ""
     needs_puno: bool = False
     version: str = VERSION_EAGER
-    forward: str = FORWARD_FIFO
     arbiter_factory: Optional[Callable[[SystemConfig], DirArbiter]] = None
 
     def __post_init__(self) -> None:
@@ -93,22 +92,15 @@ class Scheme:
                 f"scheme {self.name!r}: version must be "
                 f"{VERSION_EAGER!r} or {VERSION_LAZY!r}, got "
                 f"{self.version!r}")
-        if (self.forward != FORWARD_FIFO) != (self.arbiter_factory
-                                              is not None):
-            raise ValueError(
-                f"scheme {self.name!r}: a non-FIFO forward policy "
-                f"({self.forward!r}) needs an arbiter_factory, and "
-                f"vice versa")
 
     # ------------------------------------------------------------------
     def make_cm(self, config: SystemConfig, stats: Stats,
                 avg_c2c: int = 0) -> ContentionManager:
         """Build this scheme's contention manager.
 
-        The RNG stream name is keyed by the *scheme* name, matching
-        the pre-plug-in ``System._make_cm`` naming exactly so the
-        re-registered built-ins stay bit-identical to the golden
-        digests.
+        The RNG stream name is keyed by the *scheme* name (the
+        historical ``cm:<name>`` naming), so the registered built-ins
+        stay bit-identical to the golden digests.
         """
         rng = RngFactory(config.seed).stream(f"cm:{self.name}")
         return self.cm_factory(config, stats, rng, avg_c2c)

@@ -95,6 +95,5 @@ register_scheme(Scheme(
                 "then non-transactional (FIFO within class)",
     citation="arXiv:1305.3038",
     cm_factory=cm_fixed,
-    forward="phase-priority",
     arbiter_factory=PhasePriorityArbiter,
 ))

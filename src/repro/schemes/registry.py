@@ -1,13 +1,11 @@
 """The scheme registry and the built-in scheme set.
 
-The pre-plug-in designs (baseline/backoff/rmw/puno/ats, the ats+puno
-composition, and the lazy version-management variant) are re-expressed
-here as registered :class:`~repro.schemes.base.Scheme` plug-ins.  The
-factories reproduce the old ``System._make_cm`` construction exactly —
-same classes, same shared-RNG composition for ``ats+puno``, same
-``avg_c2c`` plumbing for PUNO backoff — so every golden digest is
-bit-identical to the ad-hoc wiring it replaces (proven by
-``tests/test_golden.py``).
+The paper's designs (baseline/backoff/rmw/puno/ats, the ats+puno
+composition, and the lazy version-management variant) are registered
+here as :class:`~repro.schemes.base.Scheme` plug-ins.  Their factories
+keep the classes, the shared RNG stream of ``ats+puno`` and the
+``avg_c2c`` plumbing of PUNO backoff the golden digests were pinned
+under (``tests/test_golden.py``).
 
 The two new contenders (``phase-priority``, ``adaptive-requeue``) live
 in their own modules and self-register on import; the package

@@ -95,9 +95,9 @@ class HTMConfig:  # lint: disable=dataclass-slots -- pickled across sweep worker
 
 @dataclass(frozen=True)
 class PUNOConfig:  # lint: disable=dataclass-slots -- pickled across sweep workers; frozen+slots breaks 3.10 pickle; built once per run
-    """PUNO hardware parameters (Section III)."""
+    """PUNO hardware parameters (Section III).  Whether the units exist
+    is the scheme's ``needs_puno``; these fields size and tune them."""
 
-    enabled: bool = False
     pbuffer_entries: int = 16  # one per node
     txlb_entries: int = 32
     # P-Buffer lookup + unicast decision latency at the directory.
@@ -179,10 +179,6 @@ class SystemConfig:  # lint: disable=dataclass-slots -- pickled across sweep wor
         """Static address-interleaved home node (static NUCA banking)."""
         return line_addr % self.num_nodes
 
-    def with_puno(self, **kwargs) -> "SystemConfig":
-        """Convenience: a copy with PUNO enabled (and optional overrides)."""
-        return replace(self, puno=replace(self.puno, enabled=True, **kwargs))
-
     def describe(self) -> str:
         """Render the Table II configuration block."""
         rows = [
@@ -203,8 +199,7 @@ class SystemConfig:  # lint: disable=dataclass-slots -- pickled across sweep wor
             (
                 "PUNO",
                 f"{self.puno.pbuffer_entries}-entry P-Buffer, "
-                f"{self.puno.txlb_entries}-entry TxLB"
-                + ("" if self.puno.enabled else " (disabled)"),
+                f"{self.puno.txlb_entries}-entry TxLB",
             ),
         ]
         width = max(len(k) for k, _ in rows)

@@ -8,7 +8,7 @@ simulator's hook points:
 * ``dir`` — directory services and unblocks,
 * ``puno`` — unicast predictions and misprediction feedback.
 
-Attach one via ``System(config, workload, cm, trace=Tracer(...))`` (or
+Attach one via ``System(config, workload, "puno", trace=Tracer(...))`` (or
 set ``stats.tracer`` by hand when driving components directly).
 Tracing is off by default and costs one attribute check per hook when
 disabled.

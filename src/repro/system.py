@@ -2,9 +2,9 @@
 
 ``System`` wires the full CMP together — event engine, mesh network,
 one directory controller and one node controller per node, a contention
-manager, and (optionally) the PUNO units — runs a workload to
-completion, and returns a :class:`RunResult` with the statistics every
-experiment consumes.
+manager, and the PUNO units when the scheme needs them — runs a
+workload to completion, and returns a :class:`RunResult` with the
+statistics every experiment consumes.
 
 The module also provides coherence/atomicity *audits* used throughout
 the test suite: the single-writer/multi-reader invariant over all L1s
@@ -24,13 +24,12 @@ from repro.coherence.states import DirState, L1State
 from repro.core.bitset import bit_list, mask_of
 from repro.core.puno import DirectoryPUNO
 from repro.core.txlb import TxLB
-from repro.htm.contention.base import ContentionManager
 from repro.htm.node import NodeController
-from repro.network.message import Message, MessageType
+from repro.network.message import MessageType
 from repro.network.network import Network
 from repro.network.topology import Mesh
 from repro.sanitize import sanitize_enabled
-from repro.schemes import Scheme, get_scheme
+from repro.schemes import get_scheme
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngFactory
@@ -67,7 +66,7 @@ class System:
     """A fully-wired simulated CMP executing one workload."""
 
     def __init__(self, config: SystemConfig, workload: Workload,
-                 cm: Union[str, ContentionManager] = "baseline",
+                 cm: str = "baseline",
                  trace=None, sampler=None, node_cls=None,
                  sanitize: Optional[bool] = None,
                  faults=None,
@@ -88,15 +87,16 @@ class System:
         self.network = Network(self.sim, self.mesh, self.stats)
         self.rng = RngFactory(config.seed)
 
-        # Resolve the scheme plug-in (repro.schemes): a string selects
-        # a registered Scheme, which supplies all three policy axes —
-        # contention manager, directory forward policy, and (unless the
-        # caller passes an explicit node_cls) version management.
-        self.scheme: Optional[Scheme] = (get_scheme(cm)
-                                         if isinstance(cm, str) else None)
-        self.dir_arbiter = (self.scheme.make_arbiter(config)
-                            if self.scheme is not None else None)
-        self.cm = self._make_cm(cm)
+        # Resolve the scheme plug-in (repro.schemes): the name selects
+        # a registered Scheme, which supplies every policy axis —
+        # contention manager, directory forward policy, PUNO hardware,
+        # and (unless the caller passes an explicit node_cls) version
+        # management.  Its RNG stream is named cm:<scheme>, so the
+        # registered built-ins keep their historical digests.
+        self.scheme = get_scheme(cm)
+        self.dir_arbiter = self.scheme.make_arbiter(config)
+        self.cm = self.scheme.make_cm(config, self.stats,
+                                      avg_c2c=self.mesh.avg_latency)
         self.cm.sim = self.sim
         # One DirEntry free list for the whole system: entries retired
         # at any home bank are reused by every other (zero-alloc steady
@@ -108,9 +108,8 @@ class System:
         self._done_count = 0
         self._finished_at: Optional[int] = None
 
-        if node_cls is None and self.scheme is not None:
-            node_cls = self.scheme.resolve_node_cls()
-        node_cls = node_cls or NodeController
+        puno_on = self.scheme.needs_puno
+        node_cls = node_cls or self.scheme.resolve_node_cls() or NodeController
         node_extra = {}
         if node_cls is not NodeController:
             # lazy nodes share one commit token (see repro.htm.lazy)
@@ -119,7 +118,7 @@ class System:
                 node_extra["commit_token"] = CommitToken()
         for n in range(config.num_nodes):
             puno = None
-            if config.puno.enabled:
+            if puno_on:
                 puno = DirectoryPUNO(self.sim, config.num_nodes,
                                      config.puno, self.stats)
             self.punos.append(puno)
@@ -131,7 +130,8 @@ class System:
             node = node_cls(
                 self.sim, n, config, self.network, self.stats, self.cm,
                 workload.programs[n], on_done=self._node_done,
-                txlb=TxLB(config.puno.txlb_entries), **node_extra,
+                txlb=TxLB(config.puno.txlb_entries), puno=puno_on,
+                **node_extra,
             )
             self.nodes.append(node)
             self.network.register_table(
@@ -164,16 +164,6 @@ class System:
             self.watchdog.attach(self)
 
     # ------------------------------------------------------------------
-    def _make_cm(self, cm: Union[str, ContentionManager]) -> ContentionManager:
-        if isinstance(cm, ContentionManager):
-            return cm
-        # String names resolve through the scheme registry; the Scheme
-        # preserves the historical cm:<name> RNG stream naming and the
-        # avg_c2c plumbing, so registered built-ins are bit-identical
-        # to the pre-plug-in construction.
-        return self.scheme.make_cm(self.config, self.stats,
-                                   avg_c2c=self.mesh.avg_latency)
-
     @staticmethod
     def _make_endpoint(directory: DirectoryController,
                        node: NodeController):
@@ -341,7 +331,7 @@ class System:
 
 
 def run_workload(config: SystemConfig, workload: Workload,
-                 cm: Union[str, ContentionManager] = "baseline",
+                 cm: str = "baseline",
                  max_cycles: Optional[int] = None,
                  audit: bool = True) -> RunResult:
     """One-call convenience wrapper used by examples and benchmarks."""

@@ -112,16 +112,12 @@ def build_conformance_system(scheme: str, workload: str,
                              seed: int = CONFORMANCE_SEED):
     """One sanitized, watchdogged System for a conformance cell.
 
-    PUNO enablement follows the scheme registry, so the cell config is
-    exactly what scenario/tournament runs would build for the scheme.
+    The cell config is exactly what scenario/tournament runs build.
     """
-    from repro.schemes import get_scheme
     from repro.sim.config import scaled_config
     from repro.system import System
     from repro.workloads.stamp import make_stamp_workload
     cfg = scaled_config(nodes, seed=seed + 1)
-    if get_scheme(scheme).needs_puno:
-        cfg = cfg.with_puno()
     wl = make_stamp_workload(workload, num_nodes=nodes, scale=scale,
                              seed=seed)
     return System(cfg, wl, scheme, sanitize=True, watchdog=True)

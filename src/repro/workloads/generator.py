@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.workloads.base import Gap, NonTxOp, Program, TxOp
+from repro.workloads.base import Gap, Program, TxOp
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,3 @@ def interleave_gaps(items: Program, rng: random.Random,
         if gap_hi > 0:
             out.append(Gap(rng.randint(gap_lo, max(gap_lo, gap_hi))))
     return out
-
-
-def nontx_warmup(region: SharedRegion, rng: random.Random, count: int,
-                 think: int = 1) -> Program:
-    """Non-transactional reads that warm caches and the directory."""
-    return [NonTxOp(False, region.pick(rng), think) for _ in range(count)]

@@ -21,6 +21,18 @@ from repro.workloads.base import Gap, NonTxOp, TxInstance, TxOp, Workload
 from repro.workloads.generator import read_ops, write_ops
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _session_result_store(tmp_path_factory):
+    """Point the default result store at a session temporary directory,
+    so neither in-process runs nor the example subprocesses (which
+    inherit the environment) write into ``.repro-cache/`` of the
+    directory pytest was started from."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE_DIR",
+                  str(tmp_path_factory.mktemp("result-store")))
+        yield
+
+
 @pytest.fixture(autouse=True)
 def _no_kept_workload():
     """Every test starts and ends without a workload kept by
@@ -46,11 +58,6 @@ def sim() -> Simulator:
 def cfg4() -> SystemConfig:
     """A 4-node (2x2 mesh) configuration for protocol tests."""
     return small_config(4)
-
-
-@pytest.fixture
-def cfg4_puno(cfg4) -> SystemConfig:
-    return cfg4.with_puno()
 
 
 @pytest.fixture

@@ -104,5 +104,4 @@ def test_paper_spec_shape():
     assert spec.schemes == ("baseline", "backoff", "rmw", "puno")
     assert len(spec.workloads) == 8
     # the Table II machine, simulator seed 1 whatever the workload seed
-    assert spec.config("baseline", seed=3) == SystemConfig()
-    assert spec.config("puno", seed=3) == SystemConfig().with_puno()
+    assert spec.config(seed=3) == SystemConfig()

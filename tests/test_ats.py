@@ -58,7 +58,7 @@ def test_slot_tracks_commit_lengths(ats):
 
 
 def test_inner_delegation():
-    cfg = small_config(4).with_puno()
+    cfg = small_config(4)
     stats = Stats(4)
     inner = PUNOBackoff(cfg, stats, avg_c2c=0.0)
     cm = ATSScheduler(cfg, stats, inner=inner)
@@ -85,7 +85,7 @@ def test_ats_plus_puno_composition_runs():
     wl = make_synthetic_workload(num_nodes=4, instances=8,
                                  shared_lines=6, tx_reads=4, tx_writes=1,
                                  seed=3)
-    cfg = small_config(4).with_puno()
+    cfg = small_config(4)
     r = run_workload(cfg, wl, cm="ats+puno", max_cycles=10_000_000)
     assert r.stats.tx_committed == wl.total_instances()
     assert r.cm_name == "ats"

@@ -108,7 +108,7 @@ def test_zipf64_sanitized_smoke_digests_are_pre_bitmask():
     seed = spec.seeds[0]
     for scheme, expected in ZIPF64_SMOKE_DIGESTS.items():
         assert scheme in spec.schemes
-        cfg = spec.config(scheme, seed)
+        cfg = spec.config(seed)
         wl = spec.workloads[0].to_spec(spec.nodes, spec.scale, seed).build()
         system = System(cfg, wl, scheme, sanitize=True)
         system.run(max_cycles=spec.max_cycles)

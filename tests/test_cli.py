@@ -169,7 +169,7 @@ def test_profile_counts_native_counter_firings():
 
     def cell():
         wl = make_family_workload("zipf", num_nodes=64, scale=0.05, seed=0)
-        return wl, scaled_config(64, seed=0).with_puno()
+        return wl, scaled_config(64, seed=0)
 
     data = profile_run(*cell(), "puno").to_dict()
     wl, cfg = cell()

@@ -25,7 +25,6 @@ def test_table2_defaults():
     assert cfg.network.router_latency == 4
     assert cfg.puno.pbuffer_entries == 16
     assert cfg.puno.txlb_entries == 32
-    assert not cfg.puno.enabled
 
 
 def test_cache_geometry():
@@ -74,14 +73,6 @@ def test_avg_latency_positive_and_symmetric_bounds():
 def test_mismatched_mesh_rejected():
     with pytest.raises(ValueError):
         SystemConfig(num_nodes=8)  # default 4x4 mesh has 16
-
-
-def test_with_puno():
-    cfg = SystemConfig().with_puno(notification_enabled=False)
-    assert cfg.puno.enabled
-    assert not cfg.puno.notification_enabled
-    # original untouched (frozen dataclasses)
-    assert not SystemConfig().puno.enabled
 
 
 def test_small_config_shapes():

@@ -10,7 +10,7 @@ from repro.htm.contention.puno_cm import PUNOBackoff
 from repro.htm.contention.random_backoff import RandomBackoff
 from repro.htm.contention.rmw_predictor import RMWPredictor
 from repro.schemes import get_scheme, scheme_names
-from repro.sim.config import SystemConfig, small_config
+from repro.sim.config import SystemConfig, override_config, small_config
 from repro.sim.stats import Stats
 
 
@@ -32,9 +32,7 @@ def test_registry_contents(cfg, stats):
                 "ats": ATSScheduler}
     assert set(expected) <= set(scheme_names())
     for name, cls in expected.items():
-        scheme = get_scheme(name)
-        config = cfg.with_puno() if scheme.needs_puno else cfg
-        assert type(scheme.make_cm(config, stats)) is cls
+        assert type(get_scheme(name).make_cm(cfg, stats)) is cls
 
 
 def test_fixed_backoff_is_paper_constant(cfg, stats):
@@ -106,7 +104,7 @@ def test_rmw_predictor_capacity_lru(stats):
 
 
 def test_puno_backoff_uses_notification(cfg, stats):
-    cm = PUNOBackoff(cfg.with_puno(), stats, avg_c2c=10.0)
+    cm = PUNOBackoff(cfg, stats, avg_c2c=10.0)
     # T_est large: sleep T_est - 2*c2c, capped
     cap = cfg.puno.notification_cap
     assert cm.nack_backoff(0, 1, t_est=100, is_tx=True) == 80
@@ -118,17 +116,18 @@ def test_puno_backoff_uses_notification(cfg, stats):
 
 
 def test_puno_backoff_respects_disable(cfg, stats):
-    cm = PUNOBackoff(cfg.with_puno(notification_enabled=False), stats,
-                     avg_c2c=10.0)
+    cfg = override_config(cfg, {"puno": {"notification_enabled": False}})
+    cm = PUNOBackoff(cfg, stats, avg_c2c=10.0)
     assert cm.nack_backoff(0, 1, t_est=100, is_tx=True) == 20
 
 
 def test_puno_backoff_uncapped(cfg, stats):
-    cm = PUNOBackoff(cfg.with_puno(notification_cap=0), stats, avg_c2c=0.0)
+    cfg = override_config(cfg, {"puno": {"notification_cap": 0}})
+    cm = PUNOBackoff(cfg, stats, avg_c2c=0.0)
     assert cm.nack_backoff(0, 1, t_est=5000, is_tx=True) == 5000
 
 
 def test_notified_backoff_cycles_stat(cfg, stats):
-    cm = PUNOBackoff(cfg.with_puno(), stats, avg_c2c=0.0)
+    cm = PUNOBackoff(cfg, stats, avg_c2c=0.0)
     cm.nack_backoff(0, 1, t_est=100, is_tx=True)
     assert stats.puno_notified_backoff_cycles == 100

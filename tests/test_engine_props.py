@@ -244,7 +244,7 @@ def _puno_trace(unit_cls):
     same-cycle followers the way message deliveries do."""
     sim = Simulator()
     stats = Stats(4)
-    unit = unit_cls(sim, 4, PUNOConfig(enabled=True), stats)
+    unit = unit_cls(sim, 4, PUNOConfig(), stats)
     period = unit.pbuffer.period
     log = []
 

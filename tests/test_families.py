@@ -283,10 +283,7 @@ def test_rw_mix_has_three_populations():
 @pytest.mark.parametrize("cm", ["baseline", "puno"])
 def test_family_runs_audit_clean(family, cm):
     wl = make_family_workload(family, num_nodes=16, scale=0.25, seed=0)
-    cfg = scaled_config(16, seed=1)
-    if cm == "puno":
-        cfg = cfg.with_puno()
-    result = run_workload(cfg, wl, cm, audit=True)
+    result = run_workload(scaled_config(16, seed=1), wl, cm, audit=True)
     assert result.stats.tx_committed == wl.total_instances()
 
 

@@ -11,7 +11,7 @@ import pickle
 import pytest
 
 from repro.htm.lazy import HybridNodeController
-from repro.schemes import get_scheme, scheme_names
+from repro.schemes import scheme_names
 from repro.sim.config import SystemConfig
 from repro.system import System
 from repro.workloads.base import Gap, NonTxOp, TxInstance, TxOp, Workload
@@ -24,8 +24,6 @@ def _workload() -> Workload:
 
 def _system(scheme, **kwargs) -> System:
     cfg = SystemConfig(seed=1)
-    if get_scheme(scheme).needs_puno:
-        cfg = cfg.with_puno()
     return System(cfg, _workload(), scheme, **kwargs)
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from repro.scenarios.golden import SCALE_SCENARIOS, load_section, run_pinned
 from repro.scenarios.registry import get_scenario
+from repro.schemes import get_scheme
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "golden.json"
 
@@ -44,10 +45,10 @@ def test_paper_256_shape():
 
 def test_paper_1024_excludes_puno():
     """The 1024 tier exists to avoid the O(N^2) P-Buffer footprint, so
-    no scheme may require a PUNO-enabled config."""
+    no scheme may build the PUNO units."""
     spec = get_scenario("paper-1024")
     assert spec.nodes == 1024
-    assert not any(spec.config(s).puno.enabled for s in spec.schemes)
+    assert not any(get_scheme(s).needs_puno for s in spec.schemes)
 
 
 def test_scale_meshes_use_computed_routing():
@@ -58,7 +59,7 @@ def test_scale_meshes_use_computed_routing():
     for name in SCALE_SCENARIOS:
         spec = get_scenario(name)
         assert spec.nodes > ROUTE_TABLE_MAX_NODES
-        cfg = spec.config(spec.schemes[0], seed=0)
+        cfg = spec.config(seed=0)
         assert not Mesh(cfg.network).has_tables
 
 

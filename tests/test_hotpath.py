@@ -160,10 +160,7 @@ def test_message_type_is_int_coded():
 
 def _tiny_system(scheme="baseline"):
     wl = make_stamp_workload("intruder", num_nodes=16, scale=0.05, seed=0)
-    cfg = SystemConfig(seed=0)
-    if scheme == "puno":
-        cfg = cfg.with_puno()
-    return System(cfg, wl, scheme)
+    return System(SystemConfig(seed=0), wl, scheme)
 
 
 def test_dispatch_tables_cover_every_message_type():
@@ -330,10 +327,7 @@ def test_run_twice_snapshot_identical(scheme):
     snaps = []
     for _ in range(2):
         wl = make_stamp_workload("intruder", num_nodes=16, scale=0.1, seed=0)
-        cfg = SystemConfig(seed=0)
-        if scheme == "puno":
-            cfg = cfg.with_puno()
-        result = System(cfg, wl, scheme).run()
+        result = System(SystemConfig(seed=0), wl, scheme).run()
         snaps.append(json.dumps(result.stats.snapshot(), sort_keys=True,
                                 default=str))
     assert snaps[0] == snaps[1]

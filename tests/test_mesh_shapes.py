@@ -43,7 +43,7 @@ def test_puno_on_rectangular_mesh():
     wl = make_synthetic_workload(num_nodes=8, instances=6,
                                  shared_lines=6, tx_reads=4, tx_writes=2,
                                  seed=4)
-    cfg = _cfg(4, 2).with_puno()
+    cfg = _cfg(4, 2)
     r = run_workload(cfg, wl, cm="puno", max_cycles=20_000_000)
     assert r.stats.tx_committed == wl.total_instances()
 
@@ -53,8 +53,7 @@ def test_larger_mesh_than_paper():
     import dataclasses
     cfg = _cfg(6, 6)
     cfg = dataclasses.replace(
-        cfg, puno=dataclasses.replace(cfg.puno, enabled=True,
-                                      pbuffer_entries=36))
+        cfg, puno=dataclasses.replace(cfg.puno, pbuffer_entries=36))
     wl = make_synthetic_workload(num_nodes=36, instances=3,
                                  shared_lines=36, tx_reads=3, tx_writes=1,
                                  seed=5)
@@ -63,7 +62,7 @@ def test_larger_mesh_than_paper():
 
 
 def test_pbuffer_too_small_rejected():
-    cfg = _cfg(6, 6).with_puno()  # default 16 entries < 36 nodes
+    cfg = _cfg(6, 6)  # default 16 entries < 36 nodes
     wl = make_synthetic_workload(num_nodes=36, instances=1,
                                  shared_lines=36, tx_reads=2, tx_writes=0)
     with pytest.raises(ValueError):

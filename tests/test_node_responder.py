@@ -10,7 +10,7 @@ import pytest
 from repro.coherence.states import L1State
 from repro.htm.node import NodeController
 from repro.network.message import Message, MessageType, TxTag
-from repro.sim.config import small_config
+from repro.sim.config import override_config, small_config
 from repro.sim.engine import Simulator
 from repro.sim.stats import Stats
 from repro.htm.contention.fixed import FixedBackoff
@@ -22,7 +22,8 @@ from repro.workloads.generator import read_ops, write_ops
 @pytest.fixture
 def node_setup():
     sim = Simulator()
-    cfg = small_config(4).with_puno(min_nacker_length=0)
+    cfg = override_config(small_config(4),
+                          {"puno": {"min_nacker_length": 0}})
     stats = Stats(4)
     net = RecordingNetwork(sim, stats)
     cm = FixedBackoff(cfg, stats)

@@ -8,7 +8,7 @@ from repro.sim.config import PUNOConfig
 
 @pytest.fixture
 def pb():
-    return PBuffer(4, PUNOConfig(enabled=True))
+    return PBuffer(4, PUNOConfig())
 
 
 def test_initially_unusable(pb):
@@ -66,8 +66,7 @@ def test_key_total_order(pb):
 
 
 def test_lifetime_gate():
-    pb = PBuffer(4, PUNOConfig(enabled=True, lifetime_factor=2.0,
-                               recency_window=50))
+    pb = PBuffer(4, PUNOConfig(lifetime_factor=2.0, recency_window=50))
     pb.update(1, timestamp=100, length_hint=10, now=100)
     # young entry: fine
     assert pb.usable(1, now=110)
@@ -80,24 +79,24 @@ def test_lifetime_gate():
 
 
 def test_lifetime_gate_disabled():
-    pb = PBuffer(4, PUNOConfig(enabled=True, lifetime_factor=0.0))
+    pb = PBuffer(4, PUNOConfig(lifetime_factor=0.0))
     pb.update(1, timestamp=0, length_hint=1, now=0)
     assert pb.usable(1, now=10**6)
 
 
 def test_unknown_length_not_gated():
-    pb = PBuffer(4, PUNOConfig(enabled=True))
+    pb = PBuffer(4, PUNOConfig())
     pb.update(1, timestamp=0, length_hint=0, now=0)
     assert pb.usable(1, now=10**6)
 
 
 def test_capacity_check():
     with pytest.raises(ValueError):
-        PBuffer(32, PUNOConfig(enabled=True, pbuffer_entries=16))
+        PBuffer(32, PUNOConfig(pbuffer_entries=16))
 
 
 def test_validity_threshold_config():
-    pb = PBuffer(4, PUNOConfig(enabled=True, validity_threshold=2))
+    pb = PBuffer(4, PUNOConfig(validity_threshold=2))
     pb.update(1, 10)  # validity 2, threshold 2 -> not usable
     assert not pb.usable(1)
     pb.update(1, 11)  # validity 3
@@ -107,5 +106,5 @@ def test_validity_threshold_config():
 def test_negative_threshold_rejected():
     """The lazy usability test relies on validity_threshold >= 0."""
     with pytest.raises(ValueError):
-        PBuffer(4, PUNOConfig(enabled=True, validity_threshold=-1))
+        PBuffer(4, PUNOConfig(validity_threshold=-1))
 

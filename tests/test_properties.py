@@ -118,7 +118,7 @@ def test_txlb_capacity_never_exceeded(updates, cap):
 @given(st.lists(st.sampled_from(["update", "decay", "invalidate"]),
                 max_size=60))
 def test_pbuffer_validity_stays_in_range(ops):
-    pb = PBuffer(4, PUNOConfig(enabled=True))
+    pb = PBuffer(4, PUNOConfig())
     for op in ops:
         if op == "update":
             pb.update(1, 10)
@@ -142,7 +142,7 @@ def test_pbuffer_matches_reference_model(ops):
     """The 2-bit validity automaton against an exact reference model:
     +2 from zero, +1 otherwise, saturate at validity_max, decay -1
     floored at 0, invalidate clears both fields (Fig. 5)."""
-    cfg = PUNOConfig(enabled=True)
+    cfg = PUNOConfig()
     pb = PBuffer(8, cfg)
     ref_v = [0] * 8
     ref_p = [None] * 8
@@ -176,8 +176,7 @@ def test_adaptive_timeout_period_stays_bounded(hints, scale, adaptive):
     """The rollover period is always inside [min_timeout, max_timeout]
     whatever length hints arrive — and exactly fixed_timeout when
     adaptivity is ablated."""
-    cfg = PUNOConfig(enabled=True, adaptive_timeout=adaptive,
-                     timeout_scale=scale)
+    cfg = PUNOConfig(adaptive_timeout=adaptive, timeout_scale=scale)
     unit = DirectoryPUNO(Simulator(), 8, cfg, Stats(8))
     for i, hint in enumerate(hints):
         msg = Message(MessageType.GETX, addr=i % 4, src=i % 8, dst=0,
@@ -218,7 +217,7 @@ def test_recompute_ud_matches_usable_reference(prior_decays, ops, mask,
     decays longer than the counter is wide and on a buffer that has
     already seen thousands of decays — while the counters themselves
     follow the eager Fig. 5 automaton."""
-    cfg = PUNOConfig(enabled=True, recency_window=64)
+    cfg = PUNOConfig(recency_window=64)
     pb = PBuffer(8, cfg)
     for _ in range(prior_decays):
         pb.decay()
@@ -345,10 +344,7 @@ def test_random_workload_atomicity(seed, shared_lines, writes, rmw, cm):
         num_nodes=4, instances=5, shared_lines=shared_lines,
         tx_reads=max(writes, 3), tx_writes=writes,
         write_in_read_set=not rmw, rmw=rmw, seed=seed)
-    cfg = small_config(4, seed=seed)
-    if cm == "puno":
-        cfg = cfg.with_puno()
-    system = System(cfg, wl, cm)
+    system = System(small_config(4, seed=seed), wl, cm)
     # run() performs the coherence + value audits; they raise on any
     # violation of single-writer/multi-reader or atomicity
     result = system.run(max_cycles=10_000_000)

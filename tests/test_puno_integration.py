@@ -8,7 +8,7 @@ short readers that the baseline's polling multicast keeps killing.
 import pytest
 
 from repro.network.message import MessageType
-from repro.sim.config import small_config
+from repro.sim.config import override_config, small_config
 from repro.system import System, run_workload
 from repro.workloads.base import Gap, TxInstance, TxOp, Workload
 from repro.workloads.generator import read_ops
@@ -30,7 +30,7 @@ def test_fig4_baseline_exhibits_false_aborting(fig4_workload):
 def test_fig4_puno_suppresses_false_aborting(fig4_workload):
     cfg = small_config(4)
     base = _run(fig4_workload, cfg, "baseline").stats
-    puno = _run(fig4_workload, cfg.with_puno(), "puno").stats
+    puno = _run(fig4_workload, cfg, "puno").stats
     # the paper's headline effects, in their strongest setting:
     assert puno.tx_aborted < 0.3 * base.tx_aborted
     assert puno.flit_router_traversals < 0.75 * base.flit_router_traversals
@@ -44,14 +44,14 @@ def test_fig4_puno_suppresses_false_aborting(fig4_workload):
 def test_fig4_puno_same_commits(fig4_workload):
     cfg = small_config(4)
     base = _run(fig4_workload, cfg, "baseline").stats
-    puno = _run(fig4_workload, cfg.with_puno(), "puno").stats
+    puno = _run(fig4_workload, cfg, "puno").stats
     assert base.tx_committed == puno.tx_committed
 
 
 def test_unicast_probe_is_never_granted(fig4_workload):
     """U-bit requests are always nacked (Section III-C)."""
     cfg = small_config(4)
-    s = _run(fig4_workload, cfg.with_puno(), "puno").stats
+    s = _run(fig4_workload, cfg, "puno").stats
     # every unicast produced either a correct-prediction nack or an
     # MP-bit nack; none were acked
     assert (s.puno_correct_predictions + s.puno_mispredictions
@@ -71,7 +71,8 @@ def test_notifications_issued_and_used():
     # older of the two by then, and whose static tx has TxLB history)
     prog1 = [Gap(8000), TxInstance(1, [TxOp(True, X, 1, 50)], 0)]
     wl = Workload("notify", [prog0, prog1, [Gap(1)], [Gap(1)]])
-    cfg = small_config(4).with_puno(min_nacker_length=0)
+    cfg = override_config(small_config(4),
+                          {"puno": {"min_nacker_length": 0}})
     s = _run(wl, cfg, "puno").stats
     assert s.puno_notifications > 0
     assert s.puno_notified_backoff_cycles > 0
@@ -82,7 +83,8 @@ def test_unicast_only_still_helps(fig4_workload):
     cfg = small_config(4)
     base = _run(fig4_workload, cfg, "baseline").stats
     uni = _run(fig4_workload,
-               cfg.with_puno(notification_enabled=False), "puno").stats
+               override_config(cfg, {"puno": {"notification_enabled": False}}),
+               "puno").stats
     assert uni.tx_aborted < 0.6 * base.tx_aborted
     assert uni.puno_notifications == 0
 
@@ -91,7 +93,8 @@ def test_notification_only_reduces_polling(fig4_workload):
     cfg = small_config(4)
     base = _run(fig4_workload, cfg, "baseline").stats
     noti = _run(fig4_workload,
-                cfg.with_puno(unicast_enabled=False), "puno").stats
+                override_config(cfg, {"puno": {"unicast_enabled": False}}),
+                "puno").stats
     assert noti.puno_unicasts == 0
     # notified backoff means fewer GETX retries than 20-cycle polling
     assert noti.tx_getx_total < base.tx_getx_total
@@ -108,9 +111,10 @@ def test_misprediction_feedback_cycle():
     prog2 = [Gap(600),
              TxInstance(1, [TxOp(True, X, 1, 10)], 0)]
     wl = Workload("stale", [[Gap(1)], prog1, prog2, [Gap(1)]])
-    cfg = small_config(4).with_puno(
-        # keep the entry artificially hot so the stale path triggers
-        lifetime_factor=0.0, min_nacker_length=0, timeout_scale=1000.0)
+    # keep the entry artificially hot so the stale path triggers
+    cfg = override_config(small_config(4), {"puno": {
+        "lifetime_factor": 0.0, "min_nacker_length": 0,
+        "timeout_scale": 1000.0}})
     r = run_workload(cfg, wl, cm="puno", max_cycles=1_000_000)
     s = r.stats
     assert s.tx_committed == 2
@@ -123,7 +127,7 @@ def test_puno_audit_clean_on_stamp(cfg16=None):
     from repro.workloads.stamp import make_stamp_workload
     from repro.sim.config import SystemConfig
     wl = make_stamp_workload("intruder", scale=0.3)
-    r = run_workload(SystemConfig().with_puno(), wl, cm="puno",
+    r = run_workload(SystemConfig(), wl, cm="puno",
                      max_cycles=50_000_000)
     assert r.stats.tx_committed == wl.total_instances()
 
@@ -131,6 +135,7 @@ def test_puno_audit_clean_on_stamp(cfg16=None):
 def test_reader_epoch_filter_ablation(fig4_workload):
     """Disabling the epoch filter must not break correctness, only
     change prediction behaviour."""
-    cfg = small_config(4).with_puno(reader_epoch_filter=False)
+    cfg = override_config(small_config(4),
+                          {"puno": {"reader_epoch_filter": False}})
     r = _run(fig4_workload, cfg, "puno")
     assert r.stats.tx_committed > 0

@@ -15,7 +15,7 @@ from repro.sim.stats import Stats
 def unit():
     sim = Simulator()
     stats = Stats(4)
-    cfg = PUNOConfig(enabled=True, min_nacker_length=0)
+    cfg = PUNOConfig(min_nacker_length=0)
     puno = DirectoryPUNO(sim, 4, cfg, stats)
     return sim, puno, stats
 
@@ -86,7 +86,7 @@ def test_epoch_mismatch_blocks_unicast(unit):
 def test_short_nacker_gate():
     sim = Simulator()
     stats = Stats(4)
-    cfg = PUNOConfig(enabled=True, min_nacker_length=200)
+    cfg = PUNOConfig(min_nacker_length=200)
     puno = DirectoryPUNO(sim, 4, cfg, stats)
     puno.observe_request(_getx(2, ts=5, length_hint=50))
     entry = _entry({2}, readers={2: 5}, ud=2)
@@ -97,8 +97,7 @@ def test_short_nacker_gate():
 def test_unicast_disabled(unit):
     sim = Simulator()
     stats = Stats(4)
-    puno = DirectoryPUNO(sim, 4, PUNOConfig(enabled=True,
-                                            unicast_enabled=False), stats)
+    puno = DirectoryPUNO(sim, 4, PUNOConfig(unicast_enabled=False), stats)
     entry = _entry({2}, readers={2: 5}, ud=2)
     assert puno.predict_unicast(entry, _getx(1, ts=50), (2,)) is None
     assert stats.puno_declines["disabled"] == 1
@@ -140,8 +139,7 @@ def test_adaptive_timeout_tracks_length_hints(unit):
 
 def test_fixed_timeout_when_adaptivity_off():
     sim = Simulator()
-    puno = DirectoryPUNO(sim, 4, PUNOConfig(enabled=True,
-                                            adaptive_timeout=False),
+    puno = DirectoryPUNO(sim, 4, PUNOConfig(adaptive_timeout=False),
                          Stats(4))
     for _ in range(5):
         puno.observe_request(_getx(1, ts=10, length_hint=10**6))
@@ -175,8 +173,7 @@ def test_cached_period_tracks_timeout_period(adaptive):
     a fresh _timeout_period() after every request, whichever branch of
     the average-length update the request took."""
     sim = Simulator()
-    puno = DirectoryPUNO(sim, 4, PUNOConfig(enabled=True,
-                                            adaptive_timeout=adaptive),
+    puno = DirectoryPUNO(sim, 4, PUNOConfig(adaptive_timeout=adaptive),
                          Stats(4))
     assert puno.pbuffer.period == puno._timeout_period()
     requests = [_getx(1, ts=10, length_hint=5000),

@@ -4,11 +4,13 @@ enable/disable policy."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.parallel import SweepTask, WorkloadSpec, \
     run_tasks_resilient, task_key
-from repro.sim.config import small_config
+from repro.sim.config import override_config, small_config
 from repro.sim.resultcache import (
     CacheCorruption,
     ResultCache,
@@ -70,7 +72,8 @@ def test_key_is_stable_for_identical_inputs(cfg):
 def test_key_changes_with_config(cfg):
     base = task_key(_task(cfg))
     assert task_key(_task(small_config(4, seed=2))) != base
-    assert task_key(_task(cfg.with_puno())) != base
+    puno = override_config(cfg, {"puno": {"min_nacker_length": 0}})
+    assert task_key(_task(puno)) != base
 
 
 def test_key_changes_with_workload_seed_and_scale(cfg):
@@ -103,7 +106,8 @@ def test_workload_fingerprint_covers_ops():
 
 def test_config_fingerprint_covers_nested_fields(cfg):
     assert (config_fingerprint(cfg)
-            != config_fingerprint(cfg.with_puno(txlb_entries=8)))
+            != config_fingerprint(
+                override_config(cfg, {"puno": {"txlb_entries": 8}})))
 
 
 # ---------------------------------------------------------------------
@@ -312,6 +316,15 @@ def test_repro_no_cache_disables_default(tmp_path, monkeypatch):
     assert resolve_cache(True) is None
     assert resolve_cache("/tmp/somewhere") is None
     assert resolve_cache(ResultCache(tmp_path)) is None
+
+
+def test_default_store_is_under_the_working_directory(tmp_path,
+                                                      monkeypatch):
+    monkeypatch.delenv("REPRO_CACHE_DIR")
+    monkeypatch.chdir(tmp_path)
+    assert default_cache().root == Path(".repro-cache")
+    assert (default_cache().root.resolve()
+            == (tmp_path / ".repro-cache").resolve())
 
 
 def test_resolve_cache_forms(tmp_path, monkeypatch):

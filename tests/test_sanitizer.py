@@ -16,8 +16,6 @@ from repro.workloads.synthetic import make_synthetic_workload
 
 def _make_system(cm="puno", sanitize=True, num_nodes=4, **wl_kw):
     cfg = small_config(num_nodes)
-    if cm in ("puno", "ats+puno"):
-        cfg = cfg.with_puno()
     wl_kw.setdefault("instances", 6)
     wl_kw.setdefault("shared_lines", 8)
     wl = make_synthetic_workload(num_nodes=num_nodes, **wl_kw)

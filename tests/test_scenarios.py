@@ -75,19 +75,17 @@ def test_duplicate_labels_and_unknown_kinds_reported():
     assert any("unknown STAMP" in p for p in spec.validate())
 
 
-def test_config_applies_scheme_and_overrides():
+def test_config_applies_overrides():
     spec = tiny_spec(overrides={"puno": {"timeout_scale": 0.5},
                                 "htm": {"nack_backoff": 99}})
-    base = spec.config("baseline")
-    puno = spec.config("puno")
-    assert base.num_nodes == 32
-    assert not base.puno.enabled and puno.puno.enabled
+    cfg = spec.config()
+    assert cfg.num_nodes == 32
     # the P-Buffer is sized one entry per node past the 16 default
-    assert puno.puno.pbuffer_entries >= 32
-    assert puno.puno.timeout_scale == 0.5
-    assert base.htm.nack_backoff == 99
+    assert cfg.puno.pbuffer_entries >= 32
+    assert cfg.puno.timeout_scale == 0.5
+    assert cfg.htm.nack_backoff == 99
     # seeds perturb the config seed axis
-    assert spec.config("puno", seed=3).seed != puno.seed
+    assert spec.config(seed=3).seed != cfg.seed
 
 
 def test_smoke_shrinks_but_keeps_shape():

@@ -4,8 +4,8 @@ The plug-in decomposition must be *behaviour-preserving* for the
 re-registered built-ins (the golden suite proves bit-identity; here we
 prove the structural claims: same CM classes, same RNG streams, same
 node classes) and *complete* for the new contenders (arbiter ordering,
-adaptive-requeue bounds, registry-driven PUNO enablement, System
-wiring).
+adaptive-requeue bounds, PUNO hardware chosen by the scheme alone,
+System wiring).
 """
 
 from collections import deque
@@ -32,10 +32,11 @@ from repro.schemes import (
 )
 from repro.schemes.registry import cm_fixed
 from repro.scenarios import ScenarioSpec, WorkloadDef
-from repro.sim.config import SystemConfig
+from repro.sim.config import SystemConfig, small_config
 from repro.sim.rng import RngFactory
 from repro.sim.stats import Stats
-from repro.system import System
+from repro.system import System, run_workload
+from repro.workloads.base import Gap, Workload
 from repro.workloads.stamp import make_stamp_workload
 
 BUILTINS = {"baseline", "backoff", "rmw", "puno", "ats", "ats+puno",
@@ -66,6 +67,19 @@ def _spec(*schemes):
                         workloads=(WorkloadDef("kmeans"),), schemes=schemes)
 
 
+def _puno_units(scheme):
+    """Whether a 4-node System under ``scheme`` builds the PUNO
+    hardware: a P-Buffer unit at every directory, and NACK
+    notification at every node."""
+    wl = Workload("idle", [[Gap(1)] for _ in range(4)])
+    system = System(small_config(4), wl, scheme)
+    built = {p is not None for p in system.punos}
+    notify = {n._notify for n in system.nodes}
+    assert len(built) == len(notify) == 1, scheme
+    assert built == notify, scheme
+    return built.pop()
+
+
 def test_register_and_unregister_custom_scheme():
     scheme = register_scheme(Scheme(
         name="test-custom", description="fixture", cm_factory=cm_fixed,
@@ -73,9 +87,10 @@ def test_register_and_unregister_custom_scheme():
     spec = _spec("test-custom")
     try:
         assert get_scheme("test-custom") is scheme
-        # scenario validation and per-cell configs track registrations
+        # scenario validation tracks registrations, and the scheme
+        # alone builds the PUNO units
         assert spec.validate() == []
-        assert spec.config("test-custom").puno.enabled
+        assert _puno_units("test-custom")
     finally:
         unregister_scheme("test-custom")
     assert "test-custom" not in scheme_names()
@@ -83,15 +98,18 @@ def test_register_and_unregister_custom_scheme():
 
 
 def test_scheme_validation_rejects_inconsistent_axes():
+    """Each axis is stated once: the version must name a known
+    versioning, and the forward policy is the arbiter factory alone
+    (None is the FIFO drain)."""
     with pytest.raises(ValueError, match="version"):
         Scheme(name="x", description="", cm_factory=cm_fixed,
                version="optimistic")
-    with pytest.raises(ValueError, match="arbiter_factory"):
-        Scheme(name="x", description="", cm_factory=cm_fixed,
-               forward="reordered")  # non-FIFO without a factory
-    with pytest.raises(ValueError, match="arbiter_factory"):
-        Scheme(name="x", description="", cm_factory=cm_fixed,
-               arbiter_factory=PhasePriorityArbiter)  # factory w/o axis
+    fifo = Scheme(name="x", description="", cm_factory=cm_fixed)
+    assert fifo.make_arbiter(SystemConfig()) is None
+    reordering = Scheme(name="x", description="", cm_factory=cm_fixed,
+                        arbiter_factory=PhasePriorityArbiter)
+    assert isinstance(reordering.make_arbiter(SystemConfig()),
+                      PhasePriorityArbiter)
 
 
 def test_every_scheme_documents_itself():
@@ -124,7 +142,7 @@ def test_builtin_cm_classes_match_legacy_registry():
 
 
 def test_ats_puno_composition_shares_one_stream():
-    cfg = SystemConfig(seed=3).with_puno()
+    cfg = SystemConfig(seed=3)
     cm = get_scheme("ats+puno").make_cm(cfg, Stats(cfg.num_nodes),
                                         avg_c2c=12)
     assert isinstance(cm.inner, PUNOBackoff)
@@ -143,10 +161,41 @@ def test_cm_rng_stream_is_seed_and_name_keyed():
 
 def test_needs_puno_flags():
     """Only the PUNO schemes' cells run with the PUNO units on."""
-    spec = _spec(*sorted(BUILTINS))
     for name in BUILTINS:
-        assert spec.config(name).puno.enabled == \
+        assert get_scheme(name).needs_puno == \
             (name in {"puno", "ats+puno"}), name
+        assert _puno_units(name) == get_scheme(name).needs_puno, name
+
+
+# The scheme name alone chooses the design: at bayes scale 1.0 under
+# the Table II config, "puno" runs the P-Buffers and notification, and
+# "baseline" runs neither.
+BAYES_DIGESTS = {
+    "puno": "6bad03a0e685a84199c752d336a62a19"
+            "daf4c20ba04aad0c975a8a5b3f0c9089",
+    "baseline": "cb84c68e6737373571c5ebce95538a8e"
+                "ada87f2f5b6164bd615b1f8028edf3bc",
+}
+
+
+def test_scheme_name_alone_selects_the_puno_hardware():
+    wl = make_stamp_workload("bayes", scale=1.0)
+    for scheme, digest in BAYES_DIGESTS.items():
+        stats = run_workload(SystemConfig(), wl, scheme).stats
+        assert stats.snapshot_digest() == digest, scheme
+        assert (stats.puno_unicasts > 0) == (scheme == "puno"), scheme
+
+
+def test_puno_has_no_enable_field():
+    """PUNO hardware is not a config switch: an override that tries to
+    turn it on is an unknown field, reported by validation."""
+    spec = ScenarioSpec(name="enable", nodes=4,
+                        workloads=(WorkloadDef("kmeans"),),
+                        schemes=("baseline",),
+                        overrides={"puno": {"enabled": True}})
+    problems = spec.validate()
+    assert len(problems) == 1
+    assert "unknown puno config field(s) ['enabled']" in problems[0]
 
 
 def test_lazy_scheme_resolves_lazy_node_cls():
@@ -161,8 +210,6 @@ def test_lazy_scheme_resolves_lazy_node_cls():
 
 def _small_system(scheme, **kwargs):
     cfg = SystemConfig(seed=1)
-    if get_scheme(scheme).needs_puno:
-        cfg = cfg.with_puno()
     wl = make_stamp_workload("intruder", num_nodes=16, scale=0.05,
                              seed=0)
     return System(cfg, wl, scheme, **kwargs)

@@ -205,10 +205,7 @@ def test_audits_pass_on_contended_synthetic():
 def test_all_cms_complete_and_audit(cm):
     wl = make_synthetic_workload(num_nodes=4, instances=8,
                                  shared_lines=6, tx_reads=4, tx_writes=2)
-    cfg = small_config(4)
-    if cm == "puno":
-        cfg = cfg.with_puno()
-    r = run_workload(cfg, wl, cm=cm, max_cycles=5_000_000)
+    r = run_workload(small_config(4), wl, cm=cm, max_cycles=5_000_000)
     assert r.stats.tx_committed == wl.total_instances()
     assert r.cm_name == cm
 
@@ -274,7 +271,7 @@ def test_sanitized_stamp_tour(monkeypatch):
     swept at every event boundary."""
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     from repro.workloads.stamp import STAMP_WORKLOADS, make_stamp_workload
-    cfg = small_config(8).with_puno()
+    cfg = small_config(8)
     for name in STAMP_WORKLOADS:
         wl = make_stamp_workload(name, num_nodes=8, scale=0.1)
         r = run_workload(cfg, wl, cm="puno", max_cycles=20_000_000)

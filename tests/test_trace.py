@@ -130,7 +130,7 @@ def test_system_trace_roundtrips_through_disk(tmp_path):
     wl = make_synthetic_workload(num_nodes=4, instances=3,
                                  shared_lines=6, tx_reads=3, tx_writes=1,
                                  seed=2)
-    system = System(small_config(4).with_puno(), wl, "puno", trace=tracer)
+    system = System(small_config(4), wl, "puno", trace=tracer)
     system.run(max_cycles=5_000_000)
     path = tmp_path / "trace.jsonl"
     n = tracer.write_jsonl(path)
@@ -145,7 +145,7 @@ def test_system_integration_traces_lifecycle():
     wl = make_synthetic_workload(num_nodes=4, instances=4,
                                  shared_lines=6, tx_reads=3, tx_writes=1,
                                  seed=1)
-    system = System(small_config(4).with_puno(), wl, "puno", trace=tracer)
+    system = System(small_config(4), wl, "puno", trace=tracer)
     system.run(max_cycles=5_000_000)
     begins = tracer.filter(category="tx", event="begin")
     commits = tracer.filter(category="tx", event="commit")

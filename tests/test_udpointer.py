@@ -6,7 +6,7 @@ from repro.sim.config import PUNOConfig
 
 
 def _pb(entries):
-    pb = PBuffer(4, PUNOConfig(enabled=True))
+    pb = PBuffer(4, PUNOConfig())
     for node, ts in entries.items():
         pb.update(node, ts)
     return pb
@@ -54,8 +54,7 @@ def test_epoch_filter_requires_entry():
 
 
 def test_lifetime_gate_applies_with_now():
-    pb = PBuffer(4, PUNOConfig(enabled=True, lifetime_factor=2.0,
-                               recency_window=10))
+    pb = PBuffer(4, PUNOConfig(lifetime_factor=2.0, recency_window=10))
     pb.update(1, timestamp=0, length_hint=10, now=0)
     assert recompute_ud([1], pb, now=5) == 1
     assert recompute_ud([1], pb, now=1000) is None
