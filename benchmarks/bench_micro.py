@@ -402,7 +402,10 @@ def bench_puno_tick(n: int, repeats: int) -> dict:
     only event, so the rate is the per-tick cost the 256-node PUNO
     cells pay on most of their events.  The P-Buffer is the engine's
     native periodic counter, so a tick is the drain loop's own work
-    (pop, count, re-arm) with no callback.  Every entry holds a
+    (pop, count, re-arm) with no callback.  One directory means one
+    counter per cycle: this is the unbatched path, where every tick
+    pays its own pop and push; in a cell of many directories the
+    ticks of one cycle share one heap entry.  Every entry holds a
     priority before the first tick.  The sizes take turns, best of at
     least 5, so a slow spell on a shared host hits both of them."""
     from repro.core.puno import DirectoryPUNO

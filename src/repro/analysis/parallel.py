@@ -276,7 +276,7 @@ def _record(results: List[Optional[TaskResult]],
                                       result.end_cycle))
 
 
-def _shutdown_pool(ex: ProcessPoolExecutor) -> None:
+def _kill_pool(ex: ProcessPoolExecutor) -> None:
     """Tear a pool down without waiting on stuck or dead workers."""
     procs = getattr(ex, "_processes", None)
     if procs:
@@ -294,7 +294,8 @@ def _run_round(task_list: List[SweepTask], pending: List[int],
     result to ``finish`` as it arrives, classify crashes and stalls.
     Returns the failed cells' reasons keyed by task index; a
     deterministic worker exception raises :class:`SweepExecutionError`
-    immediately (no retry)."""
+    immediately (no retry).  A round whose every cell came back joins
+    its idle workers; a stuck, broken or raising one is killed."""
     ctx = _pool_context()
     ex = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
     failed: Dict[int, str] = {}
@@ -326,8 +327,13 @@ def _run_round(task_list: List[SweepTask], pending: List[int],
                 except Exception as exc:
                     raise _cell_error(task_list[i], exc) from exc
                 finish(i, result)
-    finally:
-        _shutdown_pool(ex)
+    except BaseException:
+        _kill_pool(ex)
+        raise
+    if failed:
+        _kill_pool(ex)
+    else:
+        ex.shutdown(wait=True)
     return failed
 
 

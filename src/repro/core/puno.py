@@ -164,10 +164,12 @@ class DirectoryPUNO:
     # The timeout is the P-Buffer itself, armed on the engine as a
     # PeriodicCounter: each tick is still one engine event, because
     # puno_timeouts is digested and the tick's heap sequence number
-    # orders it within its cycle, so ticks are neither elided nor
-    # batched.  The drain loop does the whole tick (the decay is the
-    # O(1) count bump, the re-arm a heap push), so no Python frame runs
-    # per tick; this unit only sets the period and stops the counter.
+    # orders it within its cycle, so no tick is elided or merged into
+    # another.  The drain loop does the whole tick (the decay is the
+    # O(1) count bump), so no Python frame runs per tick, and it queues
+    # the directories that tick in lockstep as one heap entry, so a
+    # cycle of ticks costs one pop and one push; this unit only sets
+    # the period and stops the counter.
     def _timeout_period(self) -> int:
         c = self.config
         if not c.adaptive_timeout:

@@ -30,6 +30,11 @@ Hot-path notes
   callback: the drain loop bumps and re-arms it under the key a
   self-re-arming callback would push, on the loop's rare
   cancelled-handle branch, so other events pay no extra test for it.
+  Counters due in one cycle with consecutive sequence numbers share
+  one heap entry (the first carries the rest as *followers*), so a
+  cycle in which hundreds of directories tick costs one pop and one
+  push instead of one each per tick.  Each firing is still one event
+  with its own sequence number; only the heap storage is batched.
 * Cancellable timers that re-arm one after another (a node's op
   timers) go through :meth:`Simulator.rearm`: the same unchecked push
   as ``enqueue``, but with a handle, and the handle of the caller's
@@ -49,9 +54,11 @@ Hot-path notes
   ``run(until=...)`` keeps a separate peek-first loop that hands
   each live event to the drain loop; only tests use it.
 * The number of *live* (queued, not cancelled) events is derived, not
-  counted: ``len(heap) - cancelled_in_heap``.  :meth:`Simulator.idle`
-  and :attr:`Simulator.live_events` stay O(1) while ``schedule``, the
-  sends and the drain loop carry no counter update.
+  counted: ``len(heap) - cancelled_in_heap + followers``, where only
+  the counter branch changes the follower total.
+  :meth:`Simulator.idle` and :attr:`Simulator.live_events` stay O(1)
+  while ``schedule``, the sends and the rest of the drain loop carry no
+  counter update.
 * Cancelled events normally stay in the heap until they surface at the
   top, but once they exceed half the heap (and a small absolute floor)
   the heap is compacted in place — long runs with heavy
@@ -122,12 +129,23 @@ class PeriodicCounter:
     ``active`` is cleared the counter fires once more as an inert event
     and leaves the heap.
 
-    Its heap entry is ``(time, seq, counter, None, None)``.
+    Its heap entry is ``(time, seq, counter, None, followers)``.
     ``cancelled`` is a class attribute that always reads True, so the
     drain loop reaches the counter on its cancelled-handle branch,
     where the ``None`` callback tells it from a cancelled
     :class:`Event`: message and op-timer events take no extra test.
     It is never cancelled and never counts as cancelled.
+
+    ``followers`` is ``None`` or a list of counters due in the same
+    cycle under the next sequence numbers, ``seq + 1``, ``seq + 2``
+    and so on.  Sequence numbers are handed out once each, so no other
+    entry can sort between them: firing the head and then each
+    follower runs exactly the events, in the order, that one entry per
+    counter would.  The drain loop builds such entries from re-arms
+    that take consecutive sequence numbers and land on one cycle, fires
+    the next heap entry in the same pass when it holds more counters of
+    the cycle, and, when its budget runs out inside an entry, pushes
+    the rest back under the next follower's ``(time, seq)``.
     """
 
     __slots__ = ("period", "active", "count")
@@ -144,13 +162,14 @@ class Simulator:
     """Binary-heap event loop with an integer cycle clock."""
 
     __slots__ = ("now", "_heap", "_seq", "_running", "events_processed",
-                 "_cancelled_in_heap", "post_event", "counters")
+                 "_cancelled_in_heap", "_followers", "post_event",
+                 "counters")
 
     def __init__(self) -> None:
         self.now: int = 0
         # entries are (time, seq, Event-or-None, fn, args), or (time,
-        # seq, counter, None, None); seq uniqueness means tuple
-        # comparison never reaches element 2
+        # seq, counter, None, followers-or-None); seq uniqueness means
+        # tuple comparison never reaches element 2
         self._heap: List[Tuple[int, int, Any, Any, Any]] = []
         self._seq: int = 0
         self._running = False
@@ -158,6 +177,9 @@ class Simulator:
         # cancelled entries still in the heap: drives lazy compaction
         # and, subtracted from the heap size, gives the live count
         self._cancelled_in_heap: int = 0
+        # counters queued as followers in another counter's entry: each
+        # is a live event the heap size does not show
+        self._followers: int = 0
         # Optional hook invoked after every executed event (the event
         # boundary).  Installed by the protocol sanitizer; None (the
         # default) costs one local None-check per event in the hot loop.
@@ -248,6 +270,14 @@ class Simulator:
         heapq.heappush(self._heap,
                        (self.now + counter.period, seq, counter, None, None))
 
+    def _queue(self, time: int, seq: int, counter: PeriodicCounter,
+               followers: Optional[List[PeriodicCounter]]) -> None:
+        """Push a counter entry with its followers (None or a non-empty
+        list) and count the followers as live."""
+        heapq.heappush(self._heap, (time, seq, counter, None, followers))
+        if followers is not None:
+            self._followers += len(followers)
+
     def schedule_at(self, time: int, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute cycle ``time`` (>= now)."""
         if time < self.now:
@@ -269,7 +299,8 @@ class Simulator:
 
         Mutates the existing list (slice assignment) so aliases held by
         a running :meth:`run` loop stay valid.  A counter's entry (no
-        callback) is kept, although its ``cancelled`` reads True.
+        callback) is kept with its followers, although its
+        ``cancelled`` reads True.
         """
         self._heap[:] = [item for item in self._heap
                          if item[2] is None or not item[2].cancelled
@@ -322,25 +353,87 @@ class Simulator:
         processed = self.events_processed
         try:
             while budget and heap:
-                t, _, ev, fn, args = pop(heap)
+                t, seq, ev, fn, args = pop(heap)
                 if ev is not None:
                     if ev.cancelled:
                         if fn is not None:
                             self._cancelled_in_heap -= 1
                             continue
-                        # a PeriodicCounter fires: count, re-arm, no
-                        # callback
                         if t != now:
                             self.now = now = t
-                        budget -= 1
-                        processed += 1
-                        if ev.active:
-                            ev.count += 1
-                            seq = self._seq
-                            self._seq = seq + 1
-                            push(heap, (t + ev.period, seq, ev, None, None))
-                        if post is not None:
-                            post()
+                        if args is None and (not heap or heap[0][0] != t
+                                             or heap[0][3] is not None):
+                            # a lone counter: fire and re-arm it without
+                            # the batch bookkeeping, which would cost a
+                            # one-directory tick a quarter of its rate
+                            budget -= 1
+                            processed += 1
+                            if ev.active:
+                                ev.count += 1
+                                s = self._seq
+                                self._seq = s + 1
+                                push(heap, (t + ev.period, s, ev, None, None))
+                            if post is not None:
+                                post()
+                            continue
+                        # a batch: ev, then its followers (args), then
+                        # each counter entry of this cycle that surfaces
+                        # at heap[0]; re-arms with consecutive seqs that
+                        # land on one cycle build one entry (head at
+                        # rtime, rseq; followers more; next seq nxt)
+                        if args is not None:
+                            self._followers -= len(args)
+                        i = 0
+                        head = None
+                        nxt = -1
+                        try:
+                            while True:
+                                budget -= 1
+                                processed += 1
+                                if ev.active:
+                                    ev.count += 1
+                                    s = self._seq
+                                    self._seq = s + 1
+                                    at = t + ev.period
+                                    if s == nxt and at == rtime:
+                                        if more is None:
+                                            more = [ev]
+                                        else:
+                                            more.append(ev)
+                                    else:
+                                        if head is not None:
+                                            self._queue(rtime, rseq, head,
+                                                        more)
+                                        head = ev
+                                        rtime = at
+                                        rseq = s
+                                        more = None
+                                    nxt = s + 1
+                                if post is not None:
+                                    post()
+                                if not budget:
+                                    break
+                                if args is not None and i < len(args):
+                                    ev = args[i]
+                                    i += 1
+                                    continue
+                                if heap:
+                                    top = heap[0]
+                                    if top[0] == t and top[3] is None:
+                                        _, seq, ev, _, args = pop(heap)
+                                        i = 0
+                                        if args is not None:
+                                            self._followers -= len(args)
+                                        continue
+                                break
+                        finally:
+                            if head is not None:
+                                self._queue(rtime, rseq, head, more)
+                            if args is not None and i < len(args):
+                                # stopped inside an entry: the rest keeps
+                                # its next follower's key
+                                self._queue(t, seq + i + 1, args[i],
+                                            args[i + 1:] or None)
                         continue
                     ev.sim = None  # executed: cancel() is a no-op
                 if t != now:
@@ -357,7 +450,8 @@ class Simulator:
         """Peek-first loop for ``run(until=...)``: stops before the
         first live event past ``until``, then moves the clock there.
         Each live event runs through :meth:`_drain` with a budget of
-        one, so both loops execute an event the same way."""
+        one, so both loops execute an event the same way (a counter
+        entry fires its head and pushes its followers back)."""
         heap = self._heap
         while heap:
             t, _, ev, fn, _ = heap[0]
@@ -390,12 +484,14 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of queued (possibly cancelled) events."""
-        return len(self._heap)
+        return len(self._heap) + self._followers
 
     @property
     def live_events(self) -> int:
-        """Number of queued non-cancelled events (O(1))."""
-        return len(self._heap) - self._cancelled_in_heap
+        """Number of queued non-cancelled events (O(1)), each counter
+        follower counted."""
+        return len(self._heap) - self._cancelled_in_heap + self._followers
 
     def idle(self) -> bool:
+        # a counter entry is live, followers or not
         return len(self._heap) == self._cancelled_in_heap

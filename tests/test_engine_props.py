@@ -9,8 +9,12 @@ by ``run(max_events=k)`` chunks of random size, by ``step()``, or by
 ``run(until=...)`` horizons.  The reference is the same program built
 from plain primitives: every ``rearm`` replaced by ``schedule`` and
 every counter by a callback that re-arms itself through
-``call_later``.  The PUNO rollover counter is pinned against the same
-reference tick.
+``call_later``.  Lockstep programs arm eight or more counters of one
+period in one cycle, so the engine queues them as one batch entry; the
+reference is then compared after every chunk, step and horizon, live
+count and sequence counter included.  The PUNO rollover counter is
+pinned against the same reference tick, with several directories
+ticking in lockstep on one engine.
 """
 
 import heapq
@@ -22,6 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.puno import DirectoryPUNO
+from repro.network.message import Message, MessageType, TxTag
 from repro.sim import engine
 from repro.sim.config import PUNOConfig
 from repro.sim.engine import Event, PeriodicCounter, Simulator
@@ -37,8 +42,9 @@ SLOTS = 3
 # Periodic counters per program; ("counter", period) arms one,
 # ("period", (i, p)) re-times counter i, ("stop", i) stops it.  Once no
 # spawned event is left to run, every counter stops, so each program
-# drains.
-MAX_COUNTERS = 3
+# drains.  Lockstep programs arm 8 or more of one period.
+MAX_COUNTERS = 12
+LOCKSTEP_COUNTERS = (8, MAX_COUNTERS)
 
 ACTION = st.one_of(
     st.tuples(st.just("schedule"), st.integers(0, 12)),
@@ -58,6 +64,30 @@ SETUP = st.lists(ACTION, max_size=30)
 REACTIONS = st.lists(st.lists(ACTION, max_size=3), max_size=SPAWN_LIMIT)
 
 
+@st.composite
+def lockstep_programs(draw):
+    """8 or more counters of one period armed in one cycle, with
+    events on their first tick cycle armed between two of them, the
+    first spawned event re-timing one counter, then a random tail."""
+    period = draw(st.integers(1, 12))
+    setup = []
+    for _ in range(draw(st.integers(*LOCKSTEP_COUNTERS))):
+        setup.append(("counter", period))
+        if draw(st.integers(0, 3)) == 0:
+            setup.append(("enqueue", period))  # between two counters
+    # the first spawned event outlives the first tick
+    setup.insert(0, ("call_later", draw(st.integers(period, 12))))
+    setup += draw(st.lists(ACTION, max_size=10))
+    retime = ("period", (draw(st.integers(0, 1 << 16)),
+                         draw(st.integers(1, 12))))
+    reactions = draw(REACTIONS) or [[]]
+    reactions[0] = [retime] + reactions[0]
+    return setup, reactions
+
+
+PROGRAMS = st.one_of(st.tuples(SETUP, REACTIONS), lockstep_programs())
+
+
 def _is_live(item) -> bool:
     """A queued entry that will execute: no handle, a live handle, or a
     counter (whose ``cancelled`` always reads True)."""
@@ -67,7 +97,9 @@ def _is_live(item) -> bool:
 
 
 def _live_in_heap(sim: Simulator) -> int:
-    return sum(1 for item in sim._heap if _is_live(item))
+    """Live events in the heap, each counter follower counted."""
+    return sum(1 + len(item[4] or ()) if isinstance(item[2], PeriodicCounter)
+               else 1 for item in sim._heap if _is_live(item))
 
 
 def _reference_tick(sim: Simulator, counter: PeriodicCounter):
@@ -166,18 +198,31 @@ def _state(sim, log, counters):
             sim.live_events, [c.count for c in counters])
 
 
+# Eight counters of period 3 armed in one cycle, an event on their first
+# tick cycle between the fourth and the fifth, and the first spawned
+# event re-timing one of them at a tick cycle: a batch entry split
+# around the event, merged again, then left by the re-timed counter.
+LOCKSTEP = ([("call_later", 12)] + [("counter", 3)] * 4 + [("enqueue", 3)]
+            + [("counter", 3)] * 4,
+            [[("period", (2, 5)), ("call_later", 12)]])
+
+
 @settings(max_examples=150, deadline=None)
-@given(SETUP, REACTIONS, st.lists(st.integers(1, 9), min_size=1,
-                                  max_size=8))
-def test_drain_paths_agree(setup, reactions, chunks):
-    ref = _build(setup, reactions, reference=True)
+@given(PROGRAMS, st.lists(st.integers(1, 9), min_size=1, max_size=8))
+@example(LOCKSTEP, [1, 2, 5])
+def test_drain_paths_agree(program, chunks):
+    """One unbounded ``run()`` ends where the reference does, and
+    ``max_events`` chunks agree with the reference drained in the same
+    chunks after every chunk."""
+    ref = _build(*program, reference=True)
     ref[0].run()
     assert ref[0].idle() and ref[0].live_events == 0
-
-    whole = _build(setup, reactions)
+    whole = _build(*program)
     whole[0].run()
+    assert _state(*whole) == _state(*ref)
 
-    chunked = _build(setup, reactions)
+    ref = _build(*program, reference=True)
+    chunked = _build(*program)
     sim = chunked[0]
     i = 0
     while not sim.idle():
@@ -185,41 +230,37 @@ def test_drain_paths_agree(setup, reactions, chunks):
         i += 1
         before = sim.events_processed
         sim.run(max_events=k)
-        done = sim.events_processed - before
+        ref[0].run(max_events=k)
+        assert _state(*chunked) == _state(*ref)
         assert sim.live_events == _live_in_heap(sim)
         # a chunk stops short of its budget only on an empty heap
-        assert done == k or sim.live_events == 0
-
-    stepped = _build(setup, reactions)
-    while stepped[0].step():
-        assert stepped[0].live_events == _live_in_heap(stepped[0])
-    assert stepped[0].idle()
-
-    for run in (whole, chunked, stepped):
-        assert _state(*run) == _state(*ref)
+        assert sim.events_processed - before == k or sim.live_events == 0
+    assert ref[0].idle()
 
 
 @settings(max_examples=100, deadline=None)
-@given(SETUP, REACTIONS, st.lists(st.integers(1, 7), min_size=1,
-                                  max_size=8))
-def test_until_horizons_agree(setup, reactions, strides):
-    ref = _build(setup, reactions, reference=True)
-    ref[0].run()
-
-    run = _build(setup, reactions)
+@given(PROGRAMS, st.lists(st.integers(1, 7), min_size=1, max_size=8))
+@example(LOCKSTEP, [3, 1])
+def test_until_horizons_agree(program, strides):
+    """``run(until=...)`` horizons, the reference run to the same
+    horizons, agree after every horizon."""
+    ref = _build(*program, reference=True)
+    run = _build(*program)
     sim = run[0]
     i = 0
     while not sim.idle():
         sim.run(until=sim.now)  # the current cycle's followers only
+        ref[0].run(until=sim.now)
+        assert _state(*run) == _state(*ref)
         horizon = sim.now + strides[i % len(strides)]
         i += 1
         assert sim.run(until=horizon) == horizon
+        ref[0].run(until=horizon)
+        assert _state(*run) == _state(*ref)
         assert sim.live_events == _live_in_heap(sim)
         assert all(item[0] > horizon for item in sim._heap
                    if _is_live(item))
-    state, ref_state = _state(*run), _state(*ref)
-    # the last horizon leaves the clock past the last event
-    assert state[0] == ref_state[0] and state[2:] == ref_state[2:]
+    assert ref[0].idle()
 
 
 # ---------------------------------------------------------------------
@@ -233,23 +274,42 @@ class _CallLaterPUNO(DirectoryPUNO):
 
     def __init__(self, sim, *args):
         super().__init__(sim, *args)
-        (time, seq, _, _, _), = sim._heap
-        sim._heap[0] = (time, seq, None,
+        i, = [i for i, item in enumerate(sim._heap)
+              if item[2] is self.pbuffer]
+        time, seq = sim._heap[i][:2]
+        sim._heap[i] = (time, seq, None,
                         _reference_tick(sim, self.pbuffer), ())
+
+
+# Directories per PUNO trace: all armed in one cycle with one period,
+# so their ticks share cycles and the engine batches them.
+PUNO_UNITS = 8
 
 
 def _puno_trace(unit_cls):
     """Events that land on, just before and just after the rollover
-    ticks, each logging the tick count it observes; some re-arm
-    same-cycle followers the way message deliveries do."""
+    ticks of several directories on one engine, each logging the tick
+    counts it observes; some re-arm same-cycle followers the way
+    message deliveries do.  One probe is armed between the fourth and
+    the fifth directory, so it runs between two ticks of one cycle, and
+    one request re-times the third directory mid-run.  Returns the
+    trace and, apart, the most followers one heap entry held."""
     sim = Simulator()
     stats = Stats(4)
-    unit = unit_cls(sim, 4, PUNOConfig(), stats)
-    period = unit.pbuffer.period
+    cfg = PUNOConfig()
     log = []
+    widest = [0]
+    units = []
 
     def probe(label):
-        log.append((label, sim.now, stats.puno_timeouts))
+        log.append((label, sim.now,
+                    tuple(unit.pbuffer.count for unit in units)))
+        widest[0] = max([widest[0]] + [len(item[4]) for item in sim._heap
+                                       if item[3] is None and item[4]])
+        if label == 7:
+            units[2].observe_request(Message(
+                MessageType.GETX, 0, 1, 0, requester=1, req_id=1,
+                tx=TxTag(1, sim.now, 0, 3 * period)))
         if label >= 1000:
             return
         if label % 3 == 0:
@@ -257,28 +317,40 @@ def _puno_trace(unit_cls):
         if label % 5 == 0:
             sim.call_later(period, probe, label + 2000)
 
+    for u in range(PUNO_UNITS):
+        units.append(unit_cls(sim, 4, cfg, stats))
+        period = units[0].pbuffer.period
+        if u == 3:
+            sim.call_later(period, probe, 999)
     for k in range(40):
         sim.call_later(k * period // 4, probe, k)
         sim.call_later(k * period // 4 + period, probe, 100 + k)
-    sim.run(max_events=500)
-    unit.stop()
+    sim.run(max_events=1500)
+    for unit in units:
+        unit.stop()
     sim.run()
+    retimed = units[2].pbuffer.period
     return (log, stats.puno_timeouts, sim.events_processed, sim._seq,
-            period)
+            period, retimed), widest[0]
 
 
 def test_puno_rearm_matches_call_later_tick():
-    real = _puno_trace(DirectoryPUNO)
-    reference = _puno_trace(_CallLaterPUNO)
+    real, widest = _puno_trace(DirectoryPUNO)
+    reference, _ = _puno_trace(_CallLaterPUNO)
     assert real == reference
-    log, ticks, events, _, period = real
-    assert ticks > 10
-    # probes really do share cycles with ticks, on both sides of them
-    on_tick = [(label, now, seen) for label, now, seen in log
+    log, ticks, events, _, period, retimed = real
+    assert ticks > 10 * PUNO_UNITS and retimed != period
+    # the directories' ticks really were queued as batches
+    assert widest >= PUNO_UNITS // 2 - 1
+    # probes really do share cycles with ticks, on both sides of them,
+    # and between two directories' ticks of one cycle
+    on_tick = [(now, seen) for _, now, seen in log
                if now and now % period == 0]
-    assert {seen * period == now for _, now, seen in on_tick} == {True,
-                                                                   False}
-    assert events == len(log) + ticks + 1  # + the final no-op tick
+    assert {seen[0] * period == now for now, seen in on_tick} == {True,
+                                                                  False}
+    assert any(seen[3] * period == now != seen[4] * period
+               for now, seen in on_tick)
+    assert events == len(log) + ticks + PUNO_UNITS  # + final no-op ticks
 
 
 # ---------------------------------------------------------------------
@@ -304,16 +376,17 @@ PURGE_COUNTER = ([("counter", 5), ("purge", 0)], [])
 
 
 @settings(max_examples=150, deadline=None)
-@given(SETUP, REACTIONS)
-@example(*CANCEL_SPENT)
-@example(*CANCEL_QUEUED)
-@example(*COUNTER_TICKS)
-@example(*PURGE_COUNTER)
-def test_rearm_matches_schedule_reference(setup, reactions):
+@given(PROGRAMS)
+@example(CANCEL_SPENT)
+@example(CANCEL_QUEUED)
+@example(COUNTER_TICKS)
+@example(PURGE_COUNTER)
+@example(LOCKSTEP)
+def test_rearm_matches_schedule_reference(program):
     """Stepped side by side, the program and its plain-primitive
     reference agree after every event."""
-    ref = _build(setup, reactions, reference=True)
-    run = _build(setup, reactions)
+    ref = _build(*program, reference=True)
+    run = _build(*program)
     sim = run[0]
     assert _state(*run) == _state(*ref)
     while True:
@@ -353,19 +426,38 @@ def test_rearm_property_catches_unsafe_reuse(monkeypatch, mutant):
         test_rearm_matches_schedule_reference()
 
 
-def _engine_mutant(method, old, new):
-    """``Simulator.<method>`` with ``old`` in its source replaced by
-    ``new``."""
+def _engine_mutant(method, *edits):
+    """``Simulator.<method>`` with each ``(old, new)`` of ``edits``
+    applied to its source, every occurrence of ``old`` replaced."""
     src = textwrap.dedent(inspect.getsource(getattr(Simulator, method)))
-    assert src.count(old) == 1
+    for old, new in edits:
+        assert old in src
+        src = src.replace(old, new)
     namespace = dict(vars(engine))
-    exec(src.replace(old, new), namespace)
+    exec(src, namespace)
     return namespace[method]
 
 
 # the drain loop re-arms a counter under the seq it already used
-_drain_skipping_seq_bump = _engine_mutant("_drain", "self._seq = seq + 1",
-                                          "pass")
+_drain_skipping_seq_bump = _engine_mutant("_drain",
+                                          ("self._seq = s + 1", "pass"))
+# a batch runs to the end of its cycle whatever the budget says
+_drain_firing_whole_cycle = _engine_mutant(
+    "_drain", ("if not budget:", "if False:"),
+    ("while budget and heap:", "while budget > 0 and heap:"))
+# the followers of a batch entry are not counted as live events
+_drain_counting_batch_as_one = _engine_mutant(
+    "_drain", ("self._followers -= len(args)", "pass"))
+
+
+def _queue_counting_batch_as_one(self, time, seq, counter, followers):
+    """``Simulator._queue`` that leaves the follower total alone."""
+    heapq.heappush(self._heap, (time, seq, counter, None, followers))
+# re-arms that land on one cycle join one entry even when another
+# event took a seq between them
+_drain_merging_across_seqs = _engine_mutant(
+    "_drain", ("if s == nxt and at == rtime:",
+               "if head is not None and at == rtime:"))
 
 
 def _purge_dropping_counters(self):
@@ -376,14 +468,59 @@ def _purge_dropping_counters(self):
     self._cancelled_in_heap = 0
 
 
-@pytest.mark.parametrize("method, mutant", [
-    ("_drain", _drain_skipping_seq_bump),
-    ("_purge", _purge_dropping_counters)], ids=["seq_bump", "purge"])
+def _post_event_trace(reference):
+    """Eight lockstep counters of period 4 whose ``post_event`` hook,
+    on some of their firings, schedules a logged event on their next
+    tick cycle: its seq falls between two of the counters' re-arms.
+    The hook stops the counters after 60 firings."""
+    sim = Simulator()
+    counters = [PeriodicCounter(4) for _ in range(8)]
+    for counter in counters:
+        if reference:
+            sim.call_later(4, _reference_tick(sim, counter))
+        else:
+            sim.arm(counter)
+    log = []
+    hooks = [0]
+
+    def post():
+        hooks[0] += 1
+        if hooks[0] % 7 == 3:
+            sim.call_later(4, lambda: log.append(
+                (sim.now, tuple(c.count for c in counters))))
+        if hooks[0] == 60:
+            for counter in counters:
+                counter.active = False
+
+    sim.post_event = post
+    sim.run()
+    return (log, sim.now, sim.events_processed, sim._seq, sim.live_events,
+            [c.count for c in counters])
+
+
+def test_post_event_scheduling_mid_batch_keeps_order():
+    assert _post_event_trace(False) == _post_event_trace(True)
+
+
+@pytest.mark.parametrize("method, mutant, check", [
+    ("_drain", _drain_skipping_seq_bump,
+     test_rearm_matches_schedule_reference),
+    ("_purge", _purge_dropping_counters,
+     test_rearm_matches_schedule_reference),
+    ("_drain", _drain_firing_whole_cycle,
+     test_rearm_matches_schedule_reference),
+    # step() never leaves followers queued: chunks do
+    ("_drain", _drain_counting_batch_as_one, test_drain_paths_agree),
+    ("_queue", _queue_counting_batch_as_one, test_drain_paths_agree),
+    ("_drain", _drain_merging_across_seqs,
+     test_post_event_scheduling_mid_batch_keeps_order)],
+    ids=["seq_bump", "purge", "whole_cycle", "batch_as_one_live",
+         "queue_as_one_live", "merge_across_seqs"])
 def test_counter_property_catches_engine_mutants(monkeypatch, method,
-                                                 mutant):
+                                                 mutant, check):
     monkeypatch.setattr(Simulator, method, mutant)
     with pytest.raises(AssertionError):
-        test_rearm_matches_schedule_reference()
+        check()
 
 
 def test_counter_fires_as_events_and_stops_inert():
@@ -400,6 +537,24 @@ def test_counter_fires_as_events_and_stops_inert():
     sim.run()
     assert counter.count == 3 and sim.events_processed == 4
     assert sim.now == 14 and sim.idle()
+
+
+def test_lockstep_counters_queue_as_one_entry():
+    sim = Simulator()
+    counters = [PeriodicCounter(5) for _ in range(8)]
+    for counter in counters:
+        sim.arm(counter)
+    sim.run(max_events=8)  # the first cycle: eight singletons
+    entry, = sim._heap
+    assert entry == (10, 8, counters[0], None, counters[1:])
+    assert sim.live_events == sim.pending == 8
+    sim.run(max_events=3)  # stops inside the batch at cycle 10
+    assert [c.count for c in counters] == [2] * 3 + [1] * 5
+    assert sorted(sim._heap, key=lambda item: item[:2]) == [
+        (10, 11, counters[3], None, counters[4:]),
+        (15, 16, counters[0], None, counters[1:3])]
+    assert sim.live_events == sim.pending == 8
+    assert sim.now == 10 and sim.events_processed == 11 and sim._seq == 19
 
 
 def test_rearm_reuses_only_spent_handles():

@@ -5,6 +5,7 @@ timeouts, resume through the result store)."""
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import time
 from collections import Counter
@@ -305,6 +306,13 @@ def test_resilient_matches_plain_runner():
         == [(t.workload, t.scheme) for t in tasks]
     for a, b in zip(plain, resilient):
         assert a.stats.snapshot() == b.stats.snapshot()
+
+
+def test_clean_round_joins_its_workers():
+    """A round whose every cell came back leaves no worker process
+    behind: the pool is joined, not terminated."""
+    run_tasks_resilient(_tasks2(), jobs=2, cache=False)
+    assert multiprocessing.active_children() == []
 
 
 def test_killed_worker_is_retried_to_completion(tmp_path, monkeypatch):
