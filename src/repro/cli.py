@@ -110,6 +110,15 @@ def _apply_sanitize_flag(args) -> None:
         os.environ["REPRO_SANITIZE"] = "1"
 
 
+def _report_problems(spec) -> bool:
+    """Print the grid's ``validate()`` problems to stderr; True when
+    there are any (the command then exits 2)."""
+    problems = spec.validate()
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    return bool(problems)
+
+
 def _stats_row(scheme: str, stats) -> Dict[str, object]:
     return {
         "scheme": scheme,
@@ -202,25 +211,19 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    schemes = args.schemes.split(",") if args.schemes else list(SCHEMES)
-    unknown = set(schemes) - set(SCHEMES)
-    if unknown:
-        print(f"unknown scheme(s): {sorted(unknown)}", file=sys.stderr)
-        return 2
-    _apply_cache_flag(args)
-    _apply_sanitize_flag(args)
-    from repro.analysis.parallel import run_tasks_resilient
-    from repro.scenarios.runner import scenario_tasks
+    from repro.scenarios import run_scenario
     from repro.scenarios.spec import ScenarioSpec
-    # the executor directly, not run_scenario: its validate() rejects
-    # the chain meshes (e.g. --nodes 7) compare has always run
+    schemes = args.schemes.split(",") if args.schemes else list(SCHEMES)
     spec = ScenarioSpec(name="compare", nodes=args.nodes,
                         workloads=(_workload_def(args),),
                         schemes=tuple(schemes), scale=args.scale,
                         seeds=(args.seed,))
-    tasks = scenario_tasks(spec, max_cycles=args.max_cycles)
-    grid = {r.scheme: r.stats
-            for r in run_tasks_resilient(tasks, args.jobs)}
+    if _report_problems(spec):
+        return 2
+    _apply_cache_flag(args)
+    _apply_sanitize_flag(args)
+    result = run_scenario(spec, jobs=args.jobs, max_cycles=args.max_cycles)
+    grid = {r.scheme: r.stats for r in result.results}
     rows: List[Dict[str, object]] = []
     base_stats = grid[schemes[0]]
     for scheme in schemes:
@@ -229,7 +232,7 @@ def cmd_compare(args) -> int:
         row["aborts x"] = round(stats.tx_aborted
                                 / max(base_stats.tx_aborted, 1), 3)
         row["exec x"] = round(stats.execution_cycles
-                              / base_stats.execution_cycles, 3)
+                              / max(base_stats.execution_cycles, 1), 3)
         rows.append(row)
     print(render_table(rows, title=f"{args.workload}: scheme comparison "
                                    f"(x = vs {schemes[0]})"))
@@ -251,9 +254,8 @@ def cmd_experiment(args) -> int:
 
 def cmd_chaos(args) -> int:
     from repro.analysis.chaos import TOUR, ChaosReport
-    from repro.analysis.parallel import SweepExecutionError, \
-        run_tasks_resilient
-    from repro.scenarios.runner import scenario_tasks
+    from repro.analysis.parallel import SweepExecutionError
+    from repro.scenarios import run_scenario
     from repro.scenarios.spec import ScenarioSpec, WorkloadDef
     spec = ScenarioSpec(
         name="chaos", nodes=args.nodes,
@@ -261,36 +263,22 @@ def cmd_chaos(args) -> int:
             args.workloads.split(",") if args.workloads else TOUR)),
         schemes=tuple(args.schemes.split(",")), scale=args.scale,
         seeds=(args.seed,), faults=args.faults or "")
-    try:
-        active = spec.fault_config() is not None
-    except ValueError as exc:
-        print(f"bad --faults: {exc}", file=sys.stderr)
+    if _report_problems(spec):
         return 2
-    if not active:
+    if spec.fault_config() is None:
         print("no faults configured: pass --faults with at least one "
               "nonzero rate, e.g. 'dup=0.02,delay=0.05,seed=7'",
               file=sys.stderr)
         return 2
-    unknown = {w.label for w in spec.workloads} - set(STAMP_WORKLOADS)
-    if unknown:
-        print(f"unknown workload(s): {sorted(unknown)}", file=sys.stderr)
-        return 2
-    unknown = set(spec.schemes) - set(SCHEMES)
-    if unknown:
-        print(f"unknown scheme(s): {sorted(unknown)}", file=sys.stderr)
-        return 2
     _apply_sanitize_flag(args)
-    # the executor directly, not run_scenario: its validate() rejects
-    # the chain meshes chaos has always run; the store stays off, as a
-    # replayed verdict would verify nothing
+    # the store stays off: a replayed verdict would verify nothing
     try:
-        results = run_tasks_resilient(
-            scenario_tasks(spec, max_cycles=args.max_cycles), jobs=1,
-            cache=False)
+        result = run_scenario(spec, jobs=1, cache=False,
+                              max_cycles=args.max_cycles)
     except SweepExecutionError as exc:
         print(f"chaos: {exc}", file=sys.stderr)
         return 1
-    report = ChaosReport.from_results(results)
+    report = ChaosReport.from_results(result.results)
     if args.json:
         print(json.dumps(report.to_dict(), indent=1))
     else:
@@ -368,20 +356,21 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_tournament(args) -> int:
+    from repro.scenarios import run_scenario
+    from repro.schemes.tournament import TOURNAMENT_BASELINE, \
+        tournament_spec
     schemes = args.schemes.split(",") if args.schemes else []
-    unknown = set(schemes) - set(SCHEMES)
-    if unknown:
-        print(f"unknown scheme(s): {sorted(unknown)}", file=sys.stderr)
+    if schemes:  # the normalization base leads
+        schemes = [TOURNAMENT_BASELINE] + [
+            s for s in schemes if s != TOURNAMENT_BASELINE]
+    spec = tournament_spec(schemes=tuple(schemes))
+    if _report_problems(spec):
         return 2
-    if schemes and "puno" not in schemes:
-        schemes.insert(0, "puno")  # the normalization base
     _apply_cache_flag(args)
     _apply_sanitize_flag(args)
-    from repro.schemes.tournament import run_tournament
-    result = run_tournament(smoke=args.smoke, jobs=args.jobs,
-                            schemes=tuple(schemes),
-                            max_cycles=args.max_cycles,
-                            verbose=not args.json)
+    result = run_scenario(spec, smoke=args.smoke, jobs=args.jobs,
+                          max_cycles=args.max_cycles,
+                          verbose=not args.json)
     if args.json:
         print(json.dumps(result.to_dict(), indent=1))
     else:

@@ -277,7 +277,7 @@ SOA_PREFIXES = ("_ns_",)
 FOLD_BOUNDARY_FILE = "sim/stats.py"
 FOLD_BOUNDARY_FUNCS = frozenset({
     "messages_by_type", "dir_requests", "puno_declines", "snapshot",
-    "summary", "__getstate__", "__setstate__", "_fold_type_counts",
+    "summary", "__getstate__", "_fold_type_counts",
     "_fold_node_stats",
 })
 

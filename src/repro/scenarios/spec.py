@@ -123,12 +123,6 @@ class ScenarioSpec:
             problems.append("scenario has no name")
         if self.nodes <= 0:
             problems.append(f"nodes must be positive, got {self.nodes}")
-        else:
-            w, h = mesh_shape(self.nodes)
-            if h == 1 and self.nodes > 3:
-                problems.append(
-                    f"nodes={self.nodes} only factors as a {w}x1 chain; "
-                    f"pick a composite count for a 2D mesh")
         if not self.workloads:
             problems.append("scenario has no workloads")
         labels = [w.label for w in self.workloads]

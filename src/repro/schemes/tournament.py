@@ -1,11 +1,12 @@
 """The scheme tournament (``repro tournament``).
 
 Sweeps every registered scheme head-to-head against PUNO over a
-16-node scenario matrix, through the same resilient executor scenario
-runs use (process fan-out, the result store that also resumes an
-interrupted run).  PUNO is
-the first scheme of the spec, so the rendered table normalizes every
-contender against it.
+16-node scenario matrix: ``repro tournament`` runs
+:func:`tournament_spec` through
+:func:`~repro.scenarios.runner.run_scenario` like any other scenario
+(process fan-out, the result store that also resumes an interrupted
+run).  PUNO is the first scheme of the spec, so the rendered table
+normalizes every contender against it.
 
 The tournament grid doubles as the golden ``scheme_digests`` section:
 ``repro golden --tournament`` reruns each cell sanitized and compares
@@ -18,10 +19,9 @@ from __future__ import annotations
 
 from repro.schemes.registry import scheme_names
 
-# NOTE: repro.scenarios is imported lazily inside the functions below —
-# the scenarios package registers the tournament scenario from this
-# module at import time, so a module-level import here would be
-# circular.
+# NOTE: repro.scenarios is imported lazily inside tournament_spec — the
+# scenarios package registers the tournament scenario from this module
+# at import time, so a module-level import here would be circular.
 
 #: The tournament envelope: the golden tour's high-contention member
 #: (intruder — arbitration and backoff policy actually bite) and its
@@ -66,13 +66,3 @@ def tournament_spec(nodes: int = TOURNAMENT_NODES,
         tags=("tournament", "schemes"),
     )
 
-
-def run_tournament(smoke: bool = False, jobs: int = 1,
-                   cache: object = True, schemes: tuple = (),
-                   max_cycles=None, verbose: bool = False):
-    """Execute the tournament matrix; returns a ScenarioResult whose
-    ``render_text`` table is normalized against PUNO."""
-    from repro.scenarios.runner import run_scenario
-    spec = tournament_spec(schemes=tuple(schemes))
-    return run_scenario(spec, smoke=smoke, jobs=jobs, cache=cache,
-                        max_cycles=max_cycles, verbose=verbose)

@@ -334,7 +334,7 @@ class Stats:
         return out
 
     # ------------------------------------------------------------------
-    # pickle compatibility
+    # pickling
     # ------------------------------------------------------------------
     def __getstate__(self) -> Dict[str, object]:
         """Drop the cached node views: they are self-referential and
@@ -346,41 +346,6 @@ class Stats:
         state["_puno_timeouts"] = self.puno_timeouts
         state["_rollover_counters"] = []
         return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        """Accept pickles from before the SoA accumulators.
-
-        Cached RunResults (the content-addressed result cache) carry
-        Stats pickled with ``messages_by_type``/``dir_requests`` as
-        instance Counters; migrate them into the arrays so they don't
-        shadow the fold-on-read properties.  A pickled ``nodes`` list
-        (pre node-SoA) is likewise migrated into the per-field arrays.
-        """
-        for legacy, soa, names in (
-                ("messages_by_type", "_msg_counts", MSG_TYPE_NAMES),
-                ("dir_requests", "_dir_req_counts", MSG_TYPE_NAMES),
-                ("puno_declines", "_puno_decline_counts",
-                 DECLINE_REASONS)):
-            counter = state.pop(legacy, None)
-            if counter is not None and soa not in state:
-                counts = [0] * len(names)
-                for name, n in counter.items():
-                    counts[names.index(name)] = n
-                state[soa] = counts
-        legacy_nodes = state.pop("nodes", None)
-        state.setdefault("_node_views", None)
-        if "puno_timeouts" in state:
-            state["_puno_timeouts"] = state.pop("puno_timeouts")
-            state["_rollover_counters"] = []
-        self.__dict__.update(state)
-        if legacy_nodes is not None and "_ns_tx_started" not in state:
-            n = len(legacy_nodes)
-            for f in NODE_INT_FIELDS:
-                setattr(self, f"_ns_{f}",
-                        [getattr(ns, f) for ns in legacy_nodes])
-            self._ns_aborts_by_cause = [Counter(ns.aborts_by_cause)
-                                        for ns in legacy_nodes]
-            self.num_nodes = n
 
     # ------------------------------------------------------------------
     # aggregate helpers

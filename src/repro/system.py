@@ -6,10 +6,12 @@ manager, and the PUNO units when the scheme needs them — runs a
 workload to completion, and returns a :class:`RunResult` with the
 statistics every experiment consumes.
 
-The module also provides coherence/atomicity *audits* used throughout
-the test suite: the single-writer/multi-reader invariant over all L1s
-and directories, and the value audit (the final memory image must equal
-exactly the committed increments).
+The module also provides the coherence/atomicity *audits* that
+``System.run`` applies on completion: the single-writer/multi-reader
+invariant over all L1s and directories, and the value audit (the final
+memory image must equal exactly the committed increments, and every
+transaction instance of every node's program must commit exactly once,
+each attempt ending in one commit or one abort).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngFactory
 from repro.sim.stats import Stats
 from repro.sim.watchdog import StallError, Watchdog, WatchdogConfig
-from repro.workloads.base import Workload
+from repro.workloads.base import TxInstance, Workload
 
 # Every message type in code order: the endpoint dispatch table layout.
 _MESSAGE_TYPES = tuple(MessageType)
@@ -318,7 +320,9 @@ class System:
         return entry.value
 
     def audit_values(self) -> None:
-        """Atomicity audit: memory == sum of committed increments."""
+        """Atomicity audit: memory == sum of committed increments, and
+        per node no outcome lost or doubled (attempts = commits +
+        aborts, and each program TxInstance commits exactly once)."""
         addrs = set()
         for directory in self.directories:
             addrs.update(directory.entries.keys())
@@ -328,6 +332,18 @@ class System:
             raise CoherenceViolation(
                 f"value audit failed: memory sum {total} != committed "
                 f"increments {committed}")
+        for n, node in enumerate(self.stats.nodes):
+            if node.tx_attempts != node.tx_committed + node.tx_aborted:
+                raise CoherenceViolation(
+                    f"node {n}: lost outcome — {node.tx_attempts} "
+                    f"attempts != {node.tx_committed} commits + "
+                    f"{node.tx_aborted} aborts")
+            expected = sum(1 for item in self.workload.programs[n]
+                           if isinstance(item, TxInstance))
+            if node.tx_committed != expected:
+                raise CoherenceViolation(
+                    f"node {n}: {node.tx_committed} commits for "
+                    f"{expected} program instance(s)")
 
 
 def run_workload(config: SystemConfig, workload: Workload,

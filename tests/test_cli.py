@@ -68,9 +68,18 @@ def test_puno_runs_on_a_32_node_mesh(monkeypatch, capsys):
     assert "puno" in capsys.readouterr().out
 
 
+def test_compare_with_zero_instances(monkeypatch, capsys):
+    """An empty program finishes at cycle 0: the base cell's zero
+    execution time must not divide the exec x column."""
+    _guard_cache_env(monkeypatch)
+    assert main(["compare", "synthetic", "--instances", "0", "--nodes",
+                 "4", "--schemes", "baseline,puno", "--no-cache"]) == 0
+    assert "exec x" in capsys.readouterr().out
+
+
 def test_compare_runs_a_chain_mesh(monkeypatch, capsys):
-    """7 nodes only factor as a 7x1 chain: scenario validation rejects
-    such a mesh, but compare has always run it."""
+    """7 nodes only factor as a 7x1 chain, which the scenario runner
+    takes like any other mesh."""
     _guard_cache_env(monkeypatch)
     assert main(["compare", "intruder", "--nodes", "7", "--scale", "0.05",
                  "--schemes", "baseline,puno", "--no-cache"]) == 0
@@ -481,6 +490,16 @@ def test_tournament_smoke_table(monkeypatch, capsys):
     out = capsys.readouterr().out
     # puno is forced in as the normalization base
     assert "puno" in out and "baseline" in out
+
+
+def test_tournament_normalizes_against_puno_wherever_listed(monkeypatch,
+                                                            capsys):
+    _guard_cache_env(monkeypatch)
+    rc = main(["tournament", "--smoke", "--no-cache",
+               "--schemes", "baseline,puno"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "x = vs puno" in out and "x = vs baseline" not in out
 
 
 def test_tournament_json_payload(monkeypatch, capsys):

@@ -43,10 +43,16 @@ def test_valid_spec_has_no_problems():
     assert tiny_spec().validate() == []
 
 
+def test_chain_meshes_are_valid():
+    """A prime count only factors as an Nx1 chain, which Mesh runs like
+    any other shape (``repro compare --nodes 7``)."""
+    assert tiny_spec(nodes=37).validate() == []
+
+
 @pytest.mark.parametrize("kw,needle", [
     (dict(name=""), "no name"),
     (dict(nodes=0), "positive"),
-    (dict(nodes=37), "chain"),  # prime -> 37x1 degenerate mesh
+    (dict(faults="warp=0.1"), "unknown fault spec key"),
     (dict(workloads=()), "no workloads"),
     (dict(schemes=("baseline", "warp")), "unknown scheme"),
     (dict(schemes=()), "no schemes"),

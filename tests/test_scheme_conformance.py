@@ -2,10 +2,11 @@
 
 Every registered scheme — whatever its directory-forward, contention
 and version-management policies — must obey the shared protocol
-contract.  The matrix below runs each scheme through the sanitized
-paper-16 smoke workloads and asserts the invariants of
-:mod:`repro.testing`; the mutation meta-tests then seed one deliberate
-bug per new scheme and prove (a) the conformance suite and (b) the
+contract.  One module-scoped grid runs each scheme through the
+sanitized paper-16 smoke workloads
+(:func:`repro.testing.check_scheme_conformance`), and each matrix case
+reads its own cell; the mutation meta-tests then seed one deliberate
+bug per new scheme and prove (a) the conformance check and (b) the
 pinned ``scheme_digests`` golden section each catch it, mirroring the
 MP-bit relay meta-test of the main golden tour.  The file-level checks
 of the ``scheme_digests`` section run with every other section in
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.parallel import SweepExecutionError
 from repro.scenarios.golden import (
     check_section,
     compare_digests,
@@ -25,28 +27,30 @@ from repro.scenarios.golden import (
     pinned_digests,
     section_specs,
 )
+from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import WorkloadDef
 from repro.schemes import (
     AdaptiveRequeue,
     PhasePriorityArbiter,
     scheme_names,
 )
-from repro.testing import (
-    conformance_matrix,
-    conformance_workloads,
-    run_scheme_conformance,
-)
+from repro.testing import check_scheme_conformance
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "golden.json"
 
-WORKLOADS = conformance_workloads()
-REPLAY_WORKLOAD = WORKLOADS[0]
+WORKLOADS = tuple(w.label for w in get_scenario("paper-16").smoke().workloads)
 MATRIX = [(s, w) for s in scheme_names() for w in WORKLOADS]
 
 
 # ---------------------------------------------------------------------
 # the conformance matrix
 # ---------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def grid():
+    """Every registered scheme x the smoke workloads, checked once."""
+    return check_scheme_conformance()
+
 
 def test_matrix_covers_every_registered_scheme():
     assert {s for s, _ in MATRIX} == set(scheme_names())
@@ -55,29 +59,22 @@ def test_matrix_covers_every_registered_scheme():
 
 @pytest.mark.parametrize("scheme,workload", MATRIX,
                          ids=[f"{s}-{w}" for s, w in MATRIX])
-def test_scheme_conforms(scheme, workload):
-    report = run_scheme_conformance(
-        scheme, workload, replay=(workload == REPLAY_WORKLOAD))
-    assert report.ok, "\n" + report.describe()
-    assert report.sanitizer_checks > 0
-    if workload == REPLAY_WORKLOAD:
-        assert report.replay_digest == report.digest
+def test_scheme_conforms(grid, scheme, workload):
+    stats = grid.stats(workload, scheme)
+    assert stats.sanitizer_checks > 0
+    assert stats.tx_committed > 0
 
 
-def test_conformance_matrix_helper_runs_everything():
-    reports = conformance_matrix(schemes=("baseline",),
-                                 workloads=("genome",))
-    assert set(reports) == {("baseline", "genome")}
-    assert reports[("baseline", "genome")].ok
+def test_conformance_matrix_helper_runs_everything(grid):
+    assert grid.cells == [(w, s, 0) for w in WORKLOADS
+                          for s in scheme_names()]
 
 
-def test_conformance_exercises_real_contention():
+def test_conformance_exercises_real_contention(grid):
     """A conformance pass over a contention-free matrix would prove
     nothing about arbitration/backoff policy — intruder cells must
     abort."""
-    report = run_scheme_conformance("baseline", "intruder",
-                                    replay=False)
-    assert report.aborts > 0
+    assert grid.stats("intruder", "baseline").tx_aborted > 0
 
 
 # ---------------------------------------------------------------------
@@ -128,7 +125,7 @@ def test_conformance_catches_phase_priority_dropping_a_forward(
     """Seeded bug: the arbiter silently discards the lowest-priority
     waiter whenever it reorders — a dropped deferred forward.  The
     victim's request is never serviced, its node never finishes, and
-    the conformance run must fail (deadlock / lost outcome), not pass.
+    the conformance run must fail with the cell named, not pass.
     """
     real_select = PhasePriorityArbiter.select
 
@@ -142,11 +139,8 @@ def test_conformance_catches_phase_priority_dropping_a_forward(
         return real_select(self, waitq, now)
 
     monkeypatch.setattr(PhasePriorityArbiter, "select", dropping_select)
-    report = run_scheme_conformance("phase-priority", "intruder",
-                                    replay=False)
-    assert not report.ok, (
-        "conformance suite failed to detect a dropped directory "
-        "forward — the invariants have regressed")
+    with pytest.raises(SweepExecutionError, match="'phase-priority'"):
+        check_scheme_conformance(("phase-priority",))
 
 
 def test_golden_catches_phase_priority_inversion(monkeypatch):
@@ -192,13 +186,8 @@ def test_conformance_catches_adaptive_requeue_unseeded_rng(monkeypatch):
         self.rng = random.Random()  # no seed: OS entropy
 
     monkeypatch.setattr(AdaptiveRequeue, "__init__", unseeded_init)
-    report = run_scheme_conformance("adaptive-requeue", "intruder",
-                                    replay=True)
-    assert not report.ok, (
-        "conformance suite failed to detect an unseeded scheme RNG — "
-        "the deterministic-replay invariant has regressed")
-    assert any("replay" in f or "nondeterministic" in f
-               for f in report.failures), report.failures
+    with pytest.raises(AssertionError, match="nondeterministic replay"):
+        check_scheme_conformance(("adaptive-requeue",))
 
 
 def test_golden_catches_adaptive_requeue_unseeded_rng(monkeypatch):

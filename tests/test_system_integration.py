@@ -210,6 +210,37 @@ def test_all_cms_complete_and_audit(cm):
     assert r.cm_name == cm
 
 
+@pytest.mark.parametrize("fields,needle", [
+    (("_ns_tx_committed",), "lost outcome"),
+    (("_ns_tx_attempts", "_ns_tx_committed"), "commits for 10 program"),
+])
+def test_double_counted_commit_fails_the_run(monkeypatch, fields, needle):
+    """Seeded bug: node 1 counts its first commit twice (and, in the
+    second case, the attempt too, as a replayed instance would).
+    Memory stays right, so the coherence audit and the value sum hold,
+    but the run's outcome audit must name the node."""
+    from repro.htm.node import NodeController
+    from repro.system import CoherenceViolation
+    real_commit = NodeController._commit
+    doubled = []
+
+    def double_counting_commit(self):
+        real_commit(self)
+        if self.node == 1 and not doubled:
+            doubled.append(self.node)
+            for field in fields:
+                getattr(self, field)[self.node] += 1
+
+    monkeypatch.setattr(NodeController, "_commit", double_counting_commit)
+    wl = make_synthetic_workload(num_nodes=4, instances=10,
+                                 shared_lines=8, tx_reads=4, tx_writes=2)
+    system = System(small_config(4), wl)
+    with pytest.raises(CoherenceViolation, match=f"^node 1: .*{needle}"):
+        system.run(max_cycles=5_000_000)
+    assert doubled == [1]
+    system.audit_coherence()
+
+
 def test_execution_cycles_recorded():
     system, result = _run([[Gap(100)], [Gap(5)], [Gap(5)], [Gap(5)]])
     assert result.stats.execution_cycles >= 100
