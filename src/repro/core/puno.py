@@ -168,8 +168,11 @@ class DirectoryPUNO:
     # another.  The drain loop does the whole tick (the decay is the
     # O(1) count bump), so no Python frame runs per tick, and it queues
     # the directories that tick in lockstep as one heap entry, so a
-    # cycle of ticks costs one pop and one push; this unit only sets
-    # the period and stops the counter.
+    # cycle of ticks costs one pop and one push.  While they share one
+    # period and all run, that entry fires in one pass, a bare count
+    # bump per directory (no post_event hook set); a re-timed or
+    # stopped directory sends its cycle through the per-tick loop.
+    # This unit only sets the period and stops the counter.
     def _timeout_period(self) -> int:
         c = self.config
         if not c.adaptive_timeout:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Optional, Union
 
-from repro.core.bitset import iter_bits
+from repro.core.bitset import iter_bits, mask_of
 from repro.core.pbuffer import PBuffer
 
 
@@ -21,18 +21,24 @@ def recompute_ud(sharers: Union[int, Iterable[int]], pbuffer: PBuffer,
 
     ``sharers`` is either an integer bitmask (the directory entry's
     sharer vector) or an iterable of node ids (explicit target lists);
-    both walk node ids in ascending order, so the result is identical.
+    both name the same candidates, so the result is identical.
 
     Only P-Buffer entries whose validity exceeds the threshold
     participate; ties in timestamp break on node id (the same total
-    order used everywhere for conflict resolution).
+    order used everywhere for conflict resolution).  The result is the
+    smallest ``(ts, node)`` key, a strict total order over distinct
+    nodes, so it does not depend on the order candidates are walked in.
 
     When ``tx_readers`` is given (the reader-epoch filter), a sharer is
     a candidate only if the transaction that added it to the sharer
     list is still the node's current transaction — i.e. the timestamp
     recorded at add time equals the node's current P-Buffer priority.
     Such a sharer *provably* holds the line in its live read set, so a
-    priority-favourable unicast to it will be nacked.
+    priority-favourable unicast to it will be nacked.  Only nodes
+    recorded in ``tx_readers`` can pass, so the walk then covers the
+    readers that are sharers (in the dict's order) rather than every
+    sharer bit: a 256-node sharer vector with a few readers costs a
+    few shifts instead of a full bit walk.
 
     Runs after every directory service, so the staleness test is
     inlined over the P-Buffer's column arrays (one set of list loads
@@ -53,7 +59,13 @@ def recompute_ud(sharers: Union[int, Iterable[int]], pbuffer: PBuffer,
         touched = pbuffer._touched
         length = pbuffer._length
         recency_window = cfg.recency_window
-    nodes = iter_bits(sharers) if type(sharers) is int else sharers
+    if tx_readers is None:
+        nodes = iter_bits(sharers) if type(sharers) is int else sharers
+    else:
+        # only recorded readers can pass the filter: walk those that
+        # share instead of every sharer bit
+        mask = sharers if type(sharers) is int else mask_of(sharers)
+        nodes = [node for node in tx_readers if mask >> node & 1]
     for node in nodes:
         ts = priority[node]
         if ts is None or expiry[node] <= live_after:
@@ -64,10 +76,8 @@ def recompute_ud(sharers: Union[int, Iterable[int]], pbuffer: PBuffer,
             hint = length[node]
             if hint > 0 and (now - ts) > lifetime_factor * hint:
                 continue
-        if tx_readers is not None:
-            added_ts = tx_readers.get(node)
-            if added_ts is None or added_ts != ts:
-                continue
+        if tx_readers is not None and tx_readers[node] != ts:
+            continue
         key = (ts, node)
         if best_key is None or key < best_key:
             best_key = key

@@ -153,6 +153,14 @@ class PUNOConfig:  # lint: disable=dataclass-slots -- pickled across sweep worke
     # names a sharer whose current transaction never read the line.
     reader_epoch_filter: bool = True
 
+    def __post_init__(self) -> None:
+        # a rollover period below one cycle re-arms the counter in its
+        # own cycle, so the clock (and the max_cycles watchdog) stops
+        for name in ("min_timeout", "fixed_timeout"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"puno.{name} must be >= 1, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class SystemConfig:  # lint: disable=dataclass-slots -- pickled across sweep workers; frozen+slots breaks 3.10 pickle; built once per run

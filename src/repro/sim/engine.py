@@ -33,8 +33,14 @@ Hot-path notes
   Counters due in one cycle with consecutive sequence numbers share
   one heap entry (the first carries the rest as *followers*), so a
   cycle in which hundreds of directories tick costs one pop and one
-  push instead of one each per tick.  Each firing is still one event
-  with its own sequence number; only the heap storage is batched.
+  push instead of one each per tick.  When every counter of such an
+  entry is active with one period, the budget covers them all, no
+  other counter entry of the cycle follows and no ``post_event`` hook
+  is set, the entry fires in one pass: a bare ``count`` bump per
+  counter, the n sequence numbers taken at once, and the same
+  followers list pushed back one period later.  Each firing is still
+  one event with its own sequence number; only the heap storage and
+  the loop's bookkeeping are batched.
 * Cancellable timers that re-arm one after another (a node's op
   timers) go through :meth:`Simulator.rearm`: the same unchecked push
   as ``enqueue``, but with a handle, and the handle of the caller's
@@ -146,6 +152,16 @@ class PeriodicCounter:
     the next heap entry in the same pass when it holds more counters of
     the cycle, and, when its budget runs out inside an entry, pushes
     the rest back under the next follower's ``(time, seq)``.
+
+    An entry whose counters are all active with one period fires in
+    one pass when the budget covers it, no other counter entry of the
+    cycle follows and no ``post_event`` hook is set: each ``count`` is
+    bumped, the n re-arms take the next n sequence numbers, and the
+    entry goes back one period later with the same followers list —
+    the entry the per-tick loop would build.  A hook runs between two
+    ticks and may take a sequence number, so with a hook, a stopped
+    or re-timed counter, or a budget that ends inside the entry, the
+    per-tick loop fires it.
     """
 
     __slots__ = ("period", "active", "count")
@@ -263,7 +279,11 @@ class Simulator:
     def arm(self, counter: PeriodicCounter) -> None:
         """Start ``counter``: its first firing is ``counter.period``
         cycles from now, then one every period while it is active
-        (see :class:`PeriodicCounter`)."""
+        (see :class:`PeriodicCounter`).  A period below one cycle is
+        rejected: the counter would re-arm in its own cycle forever
+        and the clock would never advance."""
+        if counter.period < 1:
+            raise ValueError(f"counter period {counter.period} < 1")
         self.counters.append(counter)
         seq = self._seq
         self._seq = seq + 1
@@ -361,21 +381,48 @@ class Simulator:
                             continue
                         if t != now:
                             self.now = now = t
-                        if args is None and (not heap or heap[0][0] != t
-                                             or heap[0][3] is not None):
-                            # a lone counter: fire and re-arm it without
-                            # the batch bookkeeping, which would cost a
-                            # one-directory tick a quarter of its rate
-                            budget -= 1
-                            processed += 1
-                            if ev.active:
-                                ev.count += 1
-                                s = self._seq
-                                self._seq = s + 1
-                                push(heap, (t + ev.period, s, ev, None, None))
-                            if post is not None:
-                                post()
-                            continue
+                        if (not heap or heap[0][0] != t
+                                or heap[0][3] is not None):
+                            # no other counter entry of this cycle follows
+                            if args is None:
+                                # a lone counter: fire and re-arm it
+                                # without the batch bookkeeping, which
+                                # would cost a one-directory tick a
+                                # quarter of its rate
+                                budget -= 1
+                                processed += 1
+                                if ev.active:
+                                    ev.count += 1
+                                    s = self._seq
+                                    self._seq = s + 1
+                                    push(heap, (t + ev.period, s, ev, None,
+                                                None))
+                                if post is not None:
+                                    post()
+                                continue
+                            if (post is None and ev.active
+                                    and budget > len(args)):
+                                # a lockstep batch in one pass: all
+                                # active with one period and no hook to
+                                # take a seq between two ticks, so the
+                                # re-arms take the next n seqs, land on
+                                # one cycle and form this entry again
+                                period = ev.period
+                                for c in args:
+                                    if not c.active or c.period != period:
+                                        break
+                                else:
+                                    ev.count += 1
+                                    for c in args:
+                                        c.count += 1
+                                    n = len(args) + 1
+                                    s = self._seq
+                                    self._seq = s + n
+                                    budget -= n
+                                    processed += n
+                                    push(heap, (t + period, s, ev, None,
+                                                args))
+                                    continue
                         # a batch: ev, then its followers (args), then
                         # each counter entry of this cycle that surfaces
                         # at heap[0]; re-arms with consecutive seqs that

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import PeriodicCounter, Simulator
 
 
 def test_schedule_and_run_order(sim):
@@ -42,6 +42,13 @@ def test_zero_delay_runs_after_queued_same_cycle(sim):
 def test_negative_delay_rejected(sim):
     with pytest.raises(ValueError):
         sim.schedule(-1, lambda: None)
+
+
+@pytest.mark.parametrize("period", [0, -3])
+def test_arm_rejects_period_below_one(sim, period):
+    with pytest.raises(ValueError, match="period"):
+        sim.arm(PeriodicCounter(period))
+    assert sim.counters == [] and sim.idle()
 
 
 def test_schedule_at(sim):

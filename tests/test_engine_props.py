@@ -10,11 +10,14 @@ by ``run(max_events=k)`` chunks of random size, by ``step()``, or by
 from plain primitives: every ``rearm`` replaced by ``schedule`` and
 every counter by a callback that re-arms itself through
 ``call_later``.  Lockstep programs arm eight or more counters of one
-period in one cycle, so the engine queues them as one batch entry; the
-reference is then compared after every chunk, step and horizon, live
-count and sequence counter included.  The PUNO rollover counter is
-pinned against the same reference tick, with several directories
-ticking in lockstep on one engine.
+period in one cycle, so the engine queues them as one batch entry
+and, while they share a period and all run, fires it in one pass;
+the reference is then compared after every chunk, step and horizon,
+live count and sequence counter included, with budgets aimed at a
+batch's last tick and one tick before it, and with and without a
+``post_event`` hook.  The PUNO rollover counter is pinned against
+the same reference tick, with several directories ticking in
+lockstep on one engine.
 """
 
 import heapq
@@ -68,24 +71,36 @@ REACTIONS = st.lists(st.lists(ACTION, max_size=3), max_size=SPAWN_LIMIT)
 def lockstep_programs(draw):
     """8 or more counters of one period armed in one cycle, with
     events on their first tick cycle armed between two of them, the
-    first spawned event re-timing one counter, then a random tail."""
+    first spawned event re-timing one counter and one follower (to the
+    batch's period or another), some spawned event stopping a
+    follower, then a random tail.  The first spawned event outlives
+    the first ticks, so whole batches fire in one pass before it."""
     period = draw(st.integers(1, 12))
+    n = draw(st.integers(*LOCKSTEP_COUNTERS))
     setup = []
-    for _ in range(draw(st.integers(*LOCKSTEP_COUNTERS))):
+    for _ in range(n):
         setup.append(("counter", period))
         if draw(st.integers(0, 3)) == 0:
             setup.append(("enqueue", period))  # between two counters
-    # the first spawned event outlives the first tick
-    setup.insert(0, ("call_later", draw(st.integers(period, 12))))
+    setup.insert(0, ("call_later", draw(st.integers(period, 4 * period))))
     setup += draw(st.lists(ACTION, max_size=10))
     retime = ("period", (draw(st.integers(0, 1 << 16)),
                          draw(st.integers(1, 12))))
+    retime_follower = ("period", (draw(st.integers(1, n - 1)),
+                                  draw(st.sampled_from([period,
+                                                        period + 1]))))
     reactions = draw(REACTIONS) or [[]]
-    reactions[0] = [retime] + reactions[0]
+    reactions[0] = [retime, retime_follower] + reactions[0]
+    stop = ("stop", draw(st.integers(1, n - 1)))
+    reactions[draw(st.integers(0, len(reactions) - 1))].insert(0, stop)
     return setup, reactions
 
 
 PROGRAMS = st.one_of(st.tuples(SETUP, REACTIONS), lockstep_programs())
+# max_events chunks and until strides; 0 and -1 are aimed at the next
+# cycle of counter ticks (see _aimed): its last tick, and one before it
+CHUNKS = st.lists(st.integers(-1, 9), min_size=1, max_size=8)
+STRIDES = st.lists(st.integers(-1, 7), min_size=1, max_size=8)
 
 
 def _is_live(item) -> bool:
@@ -112,14 +127,36 @@ def _reference_tick(sim: Simulator, counter: PeriodicCounter):
     return tick
 
 
-def _build(setup, reactions, reference=False):
+def _aimed(sim: Simulator, k: int):
+    """``(horizon, budget)`` for a drawn chunk or stride ``k`` whose
+    run should end with the ticks of the next cycle a counter is due
+    in: the budget of ``k == 0`` covers every live event queued up to
+    and including that cycle's last counter entry, followers counted,
+    so a lockstep batch ends exactly at it; ``k == -1`` stops one tick
+    before.  None without a queued counter."""
+    entries = [item for item in sim._heap
+               if isinstance(item[2], PeriodicCounter)]
+    if not entries:
+        return None
+    horizon = min(item[0] for item in entries)
+    last = max(item[:2] for item in entries if item[0] == horizon)
+    budget = sum(1 + len(item[4] or ()) if isinstance(item[2],
+                                                      PeriodicCounter)
+                 else 1 for item in sim._heap
+                 if item[:2] <= last and _is_live(item))
+    return horizon, budget + k
+
+
+def _build(setup, reactions, reference=False, hook=False):
     """A simulator loaded with the program, the log its events append
     ``(tag, now, counts)`` to, and its counters.  Event ``tag`` runs
     ``reactions[tag]``; cancels pick a handle by index, executed ones
     included (a no-op).  ``reference`` builds the program from plain
     primitives: slots armed through ``schedule`` (a fresh handle per
     timer) instead of ``rearm``, and counters ticked by
-    :func:`_reference_tick` instead of the engine."""
+    :func:`_reference_tick` instead of the engine.  ``hook`` installs
+    a ``post_event`` hook that logs ``("post", now, counts)`` after
+    every event, counter ticks included."""
     sim = Simulator()
     log = []
     handles = []
@@ -189,6 +226,9 @@ def _build(setup, reactions, reference=False):
     for action in setup:
         apply(action)
     stop_counters_when_done()
+    if hook:
+        sim.post_event = lambda: log.append(
+            ("post", sim.now, tuple(c.count for c in counters)))
     return sim, log, counters
 
 
@@ -208,26 +248,33 @@ LOCKSTEP = ([("call_later", 12)] + [("counter", 3)] * 4 + [("enqueue", 3)]
 
 
 @settings(max_examples=150, deadline=None)
-@given(PROGRAMS, st.lists(st.integers(1, 9), min_size=1, max_size=8))
-@example(LOCKSTEP, [1, 2, 5])
-def test_drain_paths_agree(program, chunks):
+@given(PROGRAMS, CHUNKS, st.booleans())
+@example(LOCKSTEP, [1, 2, 5], False)
+@example(LOCKSTEP, [0, -1, 0, 3], False)
+@example(LOCKSTEP, [0, -1, 2], True)
+def test_drain_paths_agree(program, chunks, hook):
     """One unbounded ``run()`` ends where the reference does, and
     ``max_events`` chunks agree with the reference drained in the same
-    chunks after every chunk."""
-    ref = _build(*program, reference=True)
+    chunks after every chunk, with and without a ``post_event`` hook.
+    Chunks of 0 and -1 end at the next counter entry's last tick and
+    one tick before it."""
+    ref = _build(*program, reference=True, hook=hook)
     ref[0].run()
     assert ref[0].idle() and ref[0].live_events == 0
-    whole = _build(*program)
+    whole = _build(*program, hook=hook)
     whole[0].run()
     assert _state(*whole) == _state(*ref)
 
-    ref = _build(*program, reference=True)
-    chunked = _build(*program)
+    ref = _build(*program, reference=True, hook=hook)
+    chunked = _build(*program, hook=hook)
     sim = chunked[0]
     i = 0
     while not sim.idle():
         k = chunks[i % len(chunks)]
         i += 1
+        if k < 1:
+            aimed = _aimed(sim, k)
+            k = max(1, aimed[1]) if aimed else 1
         before = sim.events_processed
         sim.run(max_events=k)
         ref[0].run(max_events=k)
@@ -239,21 +286,36 @@ def test_drain_paths_agree(program, chunks):
 
 
 @settings(max_examples=100, deadline=None)
-@given(PROGRAMS, st.lists(st.integers(1, 7), min_size=1, max_size=8))
-@example(LOCKSTEP, [3, 1])
-def test_until_horizons_agree(program, strides):
+@given(PROGRAMS, STRIDES, st.booleans())
+@example(LOCKSTEP, [3, 1], False)
+@example(LOCKSTEP, [0, -1, 2], True)
+def test_until_horizons_agree(program, strides, hook):
     """``run(until=...)`` horizons, the reference run to the same
-    horizons, agree after every horizon."""
-    ref = _build(*program, reference=True)
-    run = _build(*program)
+    horizons, agree after every horizon, with and without a
+    ``post_event`` hook.  A stride of 0 ends at the next counter
+    entry's cycle; -1 gives that horizon a ``max_events`` budget that
+    ends one tick inside the entry, so the clock stays put."""
+    ref = _build(*program, reference=True, hook=hook)
+    run = _build(*program, hook=hook)
     sim = run[0]
     i = 0
     while not sim.idle():
         sim.run(until=sim.now)  # the current cycle's followers only
         ref[0].run(until=sim.now)
         assert _state(*run) == _state(*ref)
-        horizon = sim.now + strides[i % len(strides)]
+        stride = strides[i % len(strides)]
         i += 1
+        aimed = _aimed(sim, stride) if stride < 1 else None
+        if aimed is not None and stride < 0:
+            horizon, budget = aimed
+            budget = max(1, budget)
+            now = sim.run(until=horizon, max_events=budget)
+            ref[0].run(until=horizon, max_events=budget)
+            assert _state(*run) == _state(*ref)
+            assert now == horizon or any(
+                item[0] <= horizon for item in sim._heap if _is_live(item))
+            continue
+        horizon = aimed[0] if aimed else sim.now + max(1, stride)
         assert sim.run(until=horizon) == horizon
         ref[0].run(until=horizon)
         assert _state(*run) == _state(*ref)
@@ -460,6 +522,21 @@ _drain_merging_across_seqs = _engine_mutant(
                "if head is not None and at == rtime:"))
 
 
+# the one-pass path leaves the first follower's count alone
+_drain_one_pass_skipping_count = _engine_mutant(
+    "_drain", ("c.count += 1", "c.count += c is not args[0]"))
+# the one-pass path takes one seq too few
+_drain_one_pass_short_seq = _engine_mutant(
+    "_drain", ("self._seq = s + n", "self._seq = s + n - 1"))
+# the one-pass path fires followers of another period at the head's
+_drain_one_pass_mixed_periods = _engine_mutant(
+    "_drain", ("if not c.active or c.period != period:",
+               "if not c.active:"))
+# the one-pass path runs with a hook set, which it never calls
+_drain_one_pass_with_hook = _engine_mutant(
+    "_drain", ("if (post is None and ev.active", "if (ev.active"))
+
+
 def _purge_dropping_counters(self):
     """``Simulator._purge`` that drops whatever reads as cancelled."""
     self._heap[:] = [item for item in self._heap
@@ -513,9 +590,15 @@ def test_post_event_scheduling_mid_batch_keeps_order():
     ("_drain", _drain_counting_batch_as_one, test_drain_paths_agree),
     ("_queue", _queue_counting_batch_as_one, test_drain_paths_agree),
     ("_drain", _drain_merging_across_seqs,
-     test_post_event_scheduling_mid_batch_keeps_order)],
+     test_post_event_scheduling_mid_batch_keeps_order),
+    ("_drain", _drain_one_pass_skipping_count, test_drain_paths_agree),
+    ("_drain", _drain_one_pass_short_seq, test_drain_paths_agree),
+    ("_drain", _drain_one_pass_mixed_periods, test_drain_paths_agree),
+    # the hook's log misses the batch's ticks
+    ("_drain", _drain_one_pass_with_hook, test_drain_paths_agree)],
     ids=["seq_bump", "purge", "whole_cycle", "batch_as_one_live",
-         "queue_as_one_live", "merge_across_seqs"])
+         "queue_as_one_live", "merge_across_seqs", "one_pass_count",
+         "one_pass_seq", "one_pass_mixed_periods", "one_pass_hook"])
 def test_counter_property_catches_engine_mutants(monkeypatch, method,
                                                  mutant, check):
     monkeypatch.setattr(Simulator, method, mutant)

@@ -7,6 +7,7 @@ from collections import Counter
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.bitset import mask_of
 from repro.core.pbuffer import PBuffer
 from repro.core.puno import DirectoryPUNO
 from repro.core.txlb import TxLB
@@ -256,6 +257,53 @@ def test_recompute_ud_matches_usable_reference(prior_decays, ops, mask,
     assert recompute_ud(mask, pb, readers, at) == expected
     sharers = [n for n in range(8) if mask >> n & 1]
     assert recompute_ud(sharers, pb, readers, at) == expected
+
+
+@settings(deadline=None)
+@given(st.integers(0, 300), st.lists(st.integers(0, 255), max_size=60),
+       st.integers(64, 255), st.data())
+def test_recompute_ud_matches_reference_wide(prior_decays, sharers, high,
+                                            data):
+    """The same oracle on a 256-entry P-Buffer: sharer masks wider than
+    one 64-bit word, and reader dicts whose keys include non-sharers
+    and ids above 63.  With readers, the recomputation walks only the
+    readers that share; its pick must still be the reference's."""
+    cfg = PUNOConfig(recency_window=64, pbuffer_entries=256)
+    pb = PBuffer(256, cfg)
+    for _ in range(prior_decays):
+        pb.decay()
+    mask = mask_of(sharers) | 1 << high
+    members = sorted(set(sharers) | {high})
+    now = 0
+    for _ in range(data.draw(st.integers(0, 40))):
+        now += 7
+        op = data.draw(st.sampled_from(["update", "update", "decay",
+                                        "invalidate"]))
+        node = data.draw(st.one_of(st.sampled_from(members),
+                                   st.integers(0, 255)))
+        if op == "update":
+            pb.update(node, data.draw(st.integers(0, 3000)),
+                      data.draw(st.integers(0, 300)), now)
+        elif op == "decay":
+            pb.decay()
+        else:
+            pb.invalidate(node)
+    readers = {}
+    for node in data.draw(st.lists(st.one_of(st.sampled_from(members),
+                                             st.integers(0, 255)),
+                                   max_size=40)):
+        kind = data.draw(st.sampled_from(["match", "stale", "other"]))
+        if kind == "match" and pb.priority(node) is not None:
+            readers[node] = pb.priority(node)
+        elif kind == "stale":
+            readers[node] = -1
+        else:
+            readers[node] = data.draw(st.integers(0, 3000))
+    at = data.draw(st.one_of(st.none(), st.integers(now, now + 5000)))
+    for tx_readers in (None, readers):
+        expected = _reference_ud(mask, pb, tx_readers, at)
+        assert recompute_ud(mask, pb, tx_readers, at) == expected
+        assert recompute_ud(members, pb, tx_readers, at) == expected
 
 
 @given(st.lists(st.integers(1, 10_000), min_size=1, max_size=40))

@@ -6,7 +6,7 @@ from repro.coherence.directory import DirEntry
 from repro.core.bitset import mask_of
 from repro.core.puno import DirectoryPUNO
 from repro.network.message import Message, MessageType, TxTag
-from repro.sim.config import PUNOConfig
+from repro.sim.config import PUNOConfig, SystemConfig
 from repro.sim.engine import Simulator
 from repro.sim.stats import Stats
 
@@ -144,6 +144,17 @@ def test_fixed_timeout_when_adaptivity_off():
     for _ in range(5):
         puno.observe_request(_getx(1, ts=10, length_hint=10**6))
     assert puno._timeout_period() == puno.config.fixed_timeout
+
+
+@pytest.mark.parametrize("field", ["min_timeout", "fixed_timeout"])
+def test_rollover_period_below_one_cycle_is_rejected(field):
+    """A zero period would re-arm the counter in its own cycle forever:
+    the clock, and with it the max_cycles watchdog, would stand still."""
+    with pytest.raises(ValueError, match=field):
+        PUNOConfig(adaptive_timeout=False, **{field: 0})
+    with pytest.raises(ValueError, match=field):
+        SystemConfig(puno=PUNOConfig(**{field: -1}))
+    assert getattr(PUNOConfig(**{field: 1}), field) == 1
 
 
 def test_stop_ends_timeout_rescheduling(unit):

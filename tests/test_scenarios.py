@@ -64,6 +64,9 @@ def test_chain_meshes_are_valid():
     (dict(faults="drop=2.0"), "fault"),
     (dict(overrides={"network": {"topology": "hier"}}),
      "overrides rejected"),
+    (dict(overrides={"puno": {"adaptive_timeout": False,
+                              "fixed_timeout": 0}}),
+     "overrides rejected: puno.fixed_timeout"),
 ])
 def test_invalid_specs_are_reported(kw, needle):
     problems = tiny_spec(**kw).validate()
