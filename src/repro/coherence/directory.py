@@ -428,13 +428,13 @@ class DirectoryController:
                 self.puno.feedback_mispredict(msg.mp_node)
                 if self.san is not None:
                     self.san.check_mp_feedback(self.puno, msg.mp_node)
-            self.puno.after_service(entry)
+        # _unblock recomputes the UD pointer (after_service) before it
+        # restarts any queued service
+        self._unblock(entry)
         if self.san is not None:
             # Line state is settled here (requester installed before
-            # sending UNBLOCK); the check itself runs at the event
-            # boundary after the wait queue drains.
-            self.san.queue_line_check(self, msg.addr)
-        self._unblock(entry)
+            # sending UNBLOCK), unless a restarted service blocked it
+            self.san.check_settled_line(self, msg.addr)
 
     def _handle_wb_data(self, msg: Message) -> None:
         # Owner-supplied data on an M -> S downgrade.  On the mesh this

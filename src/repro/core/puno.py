@@ -170,8 +170,8 @@ class DirectoryPUNO:
     # the directories that tick in lockstep as one heap entry, so a
     # cycle of ticks costs one pop and one push.  While they share one
     # period and all run, that entry fires in one pass, a bare count
-    # bump per directory (no post_event hook set); a re-timed or
-    # stopped directory sends its cycle through the per-tick loop.
+    # bump per directory, sanitized or not; a re-timed or stopped
+    # directory sends its cycle through the per-tick loop.
     # This unit only sets the period and stops the counter.
     def _timeout_period(self) -> int:
         c = self.config

@@ -27,10 +27,9 @@ in the simulator.  Four things keep it lean:
   — deliveries are never cancelled), so delivery costs zero
   intermediate Python calls;
 * the sanitizer check is hoisted out entirely: assigning ``san``
-  switches the instance between the mode-selected fast send and
-  ``_send_full`` (the same shadowing trick ``engine.run`` uses for
-  ``post_event``), so unsanitized runs never test ``san is None`` per
-  message.
+  rebinds the instance's ``send`` attribute to the mode-selected fast
+  send or to ``_send_full``, so unsanitized runs never test
+  ``san is None`` per message.
 
 Per-router flit accounting lives in the mesh for both sends: the
 table send increments the mesh's flat per-pair list, the computed send

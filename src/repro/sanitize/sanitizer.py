@@ -3,7 +3,8 @@
 One :class:`ProtocolSanitizer` per :class:`~repro.system.System`,
 created when sanitizing is enabled.  :meth:`attach` wires it into the
 components (each holds an optional ``san`` back-reference, ``None``
-when disabled) and installs a ``post_event`` hook on the engine.
+when disabled); the engine knows nothing of it, so sanitized and plain
+runs drain through the same loop.
 
 Check placement
 ---------------
@@ -14,11 +15,11 @@ transit between the forward and the requester's UNBLOCK.  The one
 moment the state is settled is when the UNBLOCK reaches the home
 directory: the requester installed its copy *before* sending it, every
 invalidation ACK was collected before that, and no new service has
-started (the entry is still blocked).  The directory therefore queues a
-line check there, and the engine's ``post_event`` hook drains the queue
-at the event boundary — after the UNBLOCK handler restarted any queued
-service, so a line whose entry re-blocked is skipped and re-checked at
-that service's own UNBLOCK.
+started (the entry is still blocked).  The directory therefore calls
+:meth:`ProtocolSanitizer.check_settled_line` at the end of that
+UNBLOCK's handling, after it restarted any queued service, so a line
+whose entry re-blocked is skipped and re-checked at that service's own
+UNBLOCK.
 
 Everything else (priority decisions, P-Buffer counters, TxLB
 estimates, message fields, the undo log) is pure data and is checked
@@ -47,12 +48,9 @@ class ProtocolSanitizer:
         self.sim = system.sim
         self.stats = system.stats
         self.config = system.config
-        # (directory, addr) pairs queued at UNBLOCK, drained post-event
-        self._line_checks: List[Tuple[object, int]] = []
 
     def attach(self) -> None:
         """Wire the sanitizer into every component of the system."""
-        self.sim.post_event = self._post_event
         self.system.network.san = self
         for directory in self.system.directories:
             directory.san = self
@@ -68,21 +66,15 @@ class ProtocolSanitizer:
     # ==================================================================
     # line-state checks (mesi-single-owner, dir-sharers)
     # ==================================================================
-    def queue_line_check(self, directory, addr: int) -> None:
-        """Called by the directory when an UNBLOCK completes a service."""
-        self._line_checks.append((directory, addr))
-
-    def _post_event(self) -> None:
-        if not self._line_checks:
+    def check_settled_line(self, directory, addr: int) -> None:
+        """Called by the directory once an UNBLOCK has completed a
+        service and restarted any queued one."""
+        entry = directory.entries.get(addr)
+        if entry is None or entry.blocked:
+            # a queued request claimed the entry; its own UNBLOCK
+            # checks the line again
             return
-        pending, self._line_checks = self._line_checks, []
-        for directory, addr in pending:
-            entry = directory.entries.get(addr)
-            if entry is None or entry.blocked:
-                # a queued request claimed the entry in the same event;
-                # its own UNBLOCK will queue a fresh check
-                continue
-            self.check_line(directory, addr, entry)
+        self.check_line(directory, addr, entry)
 
     def check_line(self, directory, addr: int, entry=None) -> None:
         """Single-owner MESI + sharer-list consistency for one line.

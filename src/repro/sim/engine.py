@@ -34,13 +34,15 @@ Hot-path notes
   one heap entry (the first carries the rest as *followers*), so a
   cycle in which hundreds of directories tick costs one pop and one
   push instead of one each per tick.  When every counter of such an
-  entry is active with one period, the budget covers them all, no
-  other counter entry of the cycle follows and no ``post_event`` hook
-  is set, the entry fires in one pass: a bare ``count`` bump per
-  counter, the n sequence numbers taken at once, and the same
-  followers list pushed back one period later.  Each firing is still
-  one event with its own sequence number; only the heap storage and
-  the loop's bookkeeping are batched.
+  entry is active with one period, the budget covers them all and no
+  other counter entry of the cycle follows, the entry fires in one
+  pass: a bare ``count`` bump per counter, the n sequence numbers
+  taken at once, and the same followers list pushed back one period
+  later.  Each firing is still one event with its own sequence
+  number; only the heap storage and the loop's bookkeeping are
+  batched.  The engine has no per-event hook (the sanitizer checks
+  inside the components), so nothing runs between two ticks of a
+  cycle and sanitized runs drain exactly as plain ones do.
 * Cancellable timers that re-arm one after another (a node's op
   timers) go through :meth:`Simulator.rearm`: the same unchecked push
   as ``enqueue``, but with a handle, and the handle of the caller's
@@ -128,10 +130,10 @@ class PeriodicCounter:
     """A counter the engine itself bumps every ``period`` cycles.
 
     Armed once with :meth:`Simulator.arm`, each firing is one engine
-    event (counted in ``events_processed``, followed by ``post_event``)
-    that runs no callback: while ``active``, the drain loop adds one to
-    ``count`` and re-arms the counter at ``now + period`` with a fresh
-    sequence number, reading ``period`` as it stands then.  Once
+    event (counted in ``events_processed``) that runs no callback:
+    while ``active``, the drain loop adds one to ``count`` and re-arms
+    the counter at ``now + period`` with a fresh sequence number,
+    reading ``period`` as it stands then.  Once
     ``active`` is cleared the counter fires once more as an inert event
     and leaves the heap.
 
@@ -154,14 +156,15 @@ class PeriodicCounter:
     the rest back under the next follower's ``(time, seq)``.
 
     An entry whose counters are all active with one period fires in
-    one pass when the budget covers it, no other counter entry of the
-    cycle follows and no ``post_event`` hook is set: each ``count`` is
-    bumped, the n re-arms take the next n sequence numbers, and the
-    entry goes back one period later with the same followers list —
-    the entry the per-tick loop would build.  A hook runs between two
-    ticks and may take a sequence number, so with a hook, a stopped
-    or re-timed counter, or a budget that ends inside the entry, the
-    per-tick loop fires it.
+    one pass when the budget covers it and no other counter entry of
+    the cycle follows: each ``count`` is bumped, the n re-arms take
+    the next n sequence numbers, and the entry goes back one period
+    later with the same followers list — the entry the per-tick loop
+    would build.  A stopped or re-timed counter, or a budget that ends
+    inside the entry, sends it through the per-tick loop.  No callback
+    runs between two ticks of one cycle, so the per-tick loop's
+    re-arms take consecutive sequence numbers too, and every re-arm
+    that lands on the current entry's cycle joins it.
     """
 
     __slots__ = ("period", "active", "count")
@@ -178,8 +181,7 @@ class Simulator:
     """Binary-heap event loop with an integer cycle clock."""
 
     __slots__ = ("now", "_heap", "_seq", "_running", "events_processed",
-                 "_cancelled_in_heap", "_followers", "post_event",
-                 "counters")
+                 "_cancelled_in_heap", "_followers", "counters")
 
     def __init__(self) -> None:
         self.now: int = 0
@@ -196,10 +198,6 @@ class Simulator:
         # counters queued as followers in another counter's entry: each
         # is a live event the heap size does not show
         self._followers: int = 0
-        # Optional hook invoked after every executed event (the event
-        # boundary).  Installed by the protocol sanitizer; None (the
-        # default) costs one local None-check per event in the hot loop.
-        self.post_event: Optional[Callable[[], None]] = None
         # every PeriodicCounter armed on this engine, for reports
         self.counters: List[PeriodicCounter] = []
 
@@ -368,7 +366,6 @@ class Simulator:
         heap = self._heap  # identity-stable: _purge compacts in place
         pop = heapq.heappop
         push = heapq.heappush
-        post = self.post_event
         now = self.now
         processed = self.events_processed
         try:
@@ -397,16 +394,12 @@ class Simulator:
                                     self._seq = s + 1
                                     push(heap, (t + ev.period, s, ev, None,
                                                 None))
-                                if post is not None:
-                                    post()
                                 continue
-                            if (post is None and ev.active
-                                    and budget > len(args)):
+                            if ev.active and budget > len(args):
                                 # a lockstep batch in one pass: all
-                                # active with one period and no hook to
-                                # take a seq between two ticks, so the
-                                # re-arms take the next n seqs, land on
-                                # one cycle and form this entry again
+                                # active with one period, so the re-arms
+                                # take the next n seqs, land on one
+                                # cycle and form this entry again
                                 period = ev.period
                                 for c in args:
                                     if not c.active or c.period != period:
@@ -425,14 +418,14 @@ class Simulator:
                                     continue
                         # a batch: ev, then its followers (args), then
                         # each counter entry of this cycle that surfaces
-                        # at heap[0]; re-arms with consecutive seqs that
-                        # land on one cycle build one entry (head at
-                        # rtime, rseq; followers more; next seq nxt)
+                        # at heap[0]; nothing else runs in between, so
+                        # the re-arms take consecutive seqs and those
+                        # that land on one cycle build one entry (head
+                        # at rtime, rseq; followers more)
                         if args is not None:
                             self._followers -= len(args)
                         i = 0
                         head = None
-                        nxt = -1
                         try:
                             while True:
                                 budget -= 1
@@ -442,7 +435,7 @@ class Simulator:
                                     s = self._seq
                                     self._seq = s + 1
                                     at = t + ev.period
-                                    if s == nxt and at == rtime:
+                                    if head is not None and at == rtime:
                                         if more is None:
                                             more = [ev]
                                         else:
@@ -455,9 +448,6 @@ class Simulator:
                                         rtime = at
                                         rseq = s
                                         more = None
-                                    nxt = s + 1
-                                if post is not None:
-                                    post()
                                 if not budget:
                                     break
                                 if args is not None and i < len(args):
@@ -488,8 +478,6 @@ class Simulator:
                 budget -= 1
                 processed += 1
                 fn(*args)
-                if post is not None:
-                    post()
         finally:
             self.events_processed = processed
 

@@ -9,6 +9,7 @@ import pytest
 from repro.coherence.directory import DirectoryController
 from repro.coherence.states import DirState
 from repro.core.bitset import mask_of
+from repro.core.puno import DirectoryPUNO
 from repro.network.message import Message, MessageType, TxTag
 from repro.sim.config import small_config
 from repro.sim.engine import Simulator
@@ -256,3 +257,43 @@ def test_tx_getx_counted_per_service(dirsetup):
                            survivors=[1, 2]))
         sim.run()
     assert stats.tx_getx_total == 2
+
+
+class _CountingPUNO(DirectoryPUNO):
+    """A PUNO unit that counts its UD-pointer recomputes."""
+
+    recomputes = 0
+
+    def after_service(self, entry):
+        self.recomputes += 1
+        super().after_service(entry)
+
+
+def test_unblock_recomputes_ud_pointer_once():
+    """Each UNBLOCK-completed service (an owner-path GETS, a multicast
+    GETX whose UNBLOCK carries MP-bit feedback) recomputes the UD
+    pointer once, after the feedback has been applied."""
+    sim = Simulator()
+    cfg = small_config(4)
+    stats = Stats(4)
+    net = RecordingNetwork(sim, stats)
+    puno = _CountingPUNO(sim, 4, cfg.puno, stats)
+    puno.stop()  # no rollover ticks, so sim.run() drains
+    d = DirectoryController(sim, 0, cfg, net, stats, puno=puno)
+    d.receive(_gets(0, src=1))
+    sim.run()
+    d.receive(_gets(0, src=2, req_id=7))
+    sim.run()
+    d.receive(Message(MessageType.WB_DATA, 0, 1, 0, requester=2,
+                      req_id=7, value=0))
+    before = puno.recomputes
+    d.receive(_unblock(0, src=2, req_id=7))
+    assert puno.recomputes == before + 1
+    d.receive(_getx(0, src=1, req_id=9, tx=TxTag(node=1, timestamp=5)))
+    sim.run()
+    before = puno.recomputes
+    d.receive(_unblock(0, src=1, req_id=9, success=False, survivors=[2],
+                       mp_node=2))
+    assert puno.recomputes == before + 1
+    assert stats.puno_pbuffer_invalidations == 1
+    assert d.entries[0].sharers == mask_of({1, 2})

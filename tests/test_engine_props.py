@@ -14,10 +14,9 @@ period in one cycle, so the engine queues them as one batch entry
 and, while they share a period and all run, fires it in one pass;
 the reference is then compared after every chunk, step and horizon,
 live count and sequence counter included, with budgets aimed at a
-batch's last tick and one tick before it, and with and without a
-``post_event`` hook.  The PUNO rollover counter is pinned against
-the same reference tick, with several directories ticking in
-lockstep on one engine.
+batch's last tick and one tick before it.  The PUNO rollover counter
+is pinned against the same reference tick, with several directories
+ticking in lockstep on one engine.
 """
 
 import heapq
@@ -147,16 +146,14 @@ def _aimed(sim: Simulator, k: int):
     return horizon, budget + k
 
 
-def _build(setup, reactions, reference=False, hook=False):
+def _build(setup, reactions, reference=False):
     """A simulator loaded with the program, the log its events append
     ``(tag, now, counts)`` to, and its counters.  Event ``tag`` runs
     ``reactions[tag]``; cancels pick a handle by index, executed ones
     included (a no-op).  ``reference`` builds the program from plain
     primitives: slots armed through ``schedule`` (a fresh handle per
     timer) instead of ``rearm``, and counters ticked by
-    :func:`_reference_tick` instead of the engine.  ``hook`` installs
-    a ``post_event`` hook that logs ``("post", now, counts)`` after
-    every event, counter ticks included."""
+    :func:`_reference_tick` instead of the engine."""
     sim = Simulator()
     log = []
     handles = []
@@ -226,9 +223,6 @@ def _build(setup, reactions, reference=False, hook=False):
     for action in setup:
         apply(action)
     stop_counters_when_done()
-    if hook:
-        sim.post_event = lambda: log.append(
-            ("post", sim.now, tuple(c.count for c in counters)))
     return sim, log, counters
 
 
@@ -248,25 +242,23 @@ LOCKSTEP = ([("call_later", 12)] + [("counter", 3)] * 4 + [("enqueue", 3)]
 
 
 @settings(max_examples=150, deadline=None)
-@given(PROGRAMS, CHUNKS, st.booleans())
-@example(LOCKSTEP, [1, 2, 5], False)
-@example(LOCKSTEP, [0, -1, 0, 3], False)
-@example(LOCKSTEP, [0, -1, 2], True)
-def test_drain_paths_agree(program, chunks, hook):
+@given(PROGRAMS, CHUNKS)
+@example(LOCKSTEP, [1, 2, 5])
+@example(LOCKSTEP, [0, -1, 0, 3])
+def test_drain_paths_agree(program, chunks):
     """One unbounded ``run()`` ends where the reference does, and
     ``max_events`` chunks agree with the reference drained in the same
-    chunks after every chunk, with and without a ``post_event`` hook.
-    Chunks of 0 and -1 end at the next counter entry's last tick and
-    one tick before it."""
-    ref = _build(*program, reference=True, hook=hook)
+    chunks after every chunk.  Chunks of 0 and -1 end at the next
+    counter entry's last tick and one tick before it."""
+    ref = _build(*program, reference=True)
     ref[0].run()
     assert ref[0].idle() and ref[0].live_events == 0
-    whole = _build(*program, hook=hook)
+    whole = _build(*program)
     whole[0].run()
     assert _state(*whole) == _state(*ref)
 
-    ref = _build(*program, reference=True, hook=hook)
-    chunked = _build(*program, hook=hook)
+    ref = _build(*program, reference=True)
+    chunked = _build(*program)
     sim = chunked[0]
     i = 0
     while not sim.idle():
@@ -286,17 +278,17 @@ def test_drain_paths_agree(program, chunks, hook):
 
 
 @settings(max_examples=100, deadline=None)
-@given(PROGRAMS, STRIDES, st.booleans())
-@example(LOCKSTEP, [3, 1], False)
-@example(LOCKSTEP, [0, -1, 2], True)
-def test_until_horizons_agree(program, strides, hook):
+@given(PROGRAMS, STRIDES)
+@example(LOCKSTEP, [3, 1])
+@example(LOCKSTEP, [0, -1, 2])
+def test_until_horizons_agree(program, strides):
     """``run(until=...)`` horizons, the reference run to the same
-    horizons, agree after every horizon, with and without a
-    ``post_event`` hook.  A stride of 0 ends at the next counter
-    entry's cycle; -1 gives that horizon a ``max_events`` budget that
-    ends one tick inside the entry, so the clock stays put."""
-    ref = _build(*program, reference=True, hook=hook)
-    run = _build(*program, hook=hook)
+    horizons, agree after every horizon.  A stride of 0 ends at the
+    next counter entry's cycle; -1 gives that horizon a ``max_events``
+    budget that ends one tick inside the entry, so the clock stays
+    put."""
+    ref = _build(*program, reference=True)
+    run = _build(*program)
     sim = run[0]
     i = 0
     while not sim.idle():
@@ -515,11 +507,6 @@ _drain_counting_batch_as_one = _engine_mutant(
 def _queue_counting_batch_as_one(self, time, seq, counter, followers):
     """``Simulator._queue`` that leaves the follower total alone."""
     heapq.heappush(self._heap, (time, seq, counter, None, followers))
-# re-arms that land on one cycle join one entry even when another
-# event took a seq between them
-_drain_merging_across_seqs = _engine_mutant(
-    "_drain", ("if s == nxt and at == rtime:",
-               "if head is not None and at == rtime:"))
 
 
 # the one-pass path leaves the first follower's count alone
@@ -532,9 +519,6 @@ _drain_one_pass_short_seq = _engine_mutant(
 _drain_one_pass_mixed_periods = _engine_mutant(
     "_drain", ("if not c.active or c.period != period:",
                "if not c.active:"))
-# the one-pass path runs with a hook set, which it never calls
-_drain_one_pass_with_hook = _engine_mutant(
-    "_drain", ("if (post is None and ev.active", "if (ev.active"))
 
 
 def _purge_dropping_counters(self):
@@ -543,40 +527,6 @@ def _purge_dropping_counters(self):
                      if item[2] is None or not item[2].cancelled]
     heapq.heapify(self._heap)
     self._cancelled_in_heap = 0
-
-
-def _post_event_trace(reference):
-    """Eight lockstep counters of period 4 whose ``post_event`` hook,
-    on some of their firings, schedules a logged event on their next
-    tick cycle: its seq falls between two of the counters' re-arms.
-    The hook stops the counters after 60 firings."""
-    sim = Simulator()
-    counters = [PeriodicCounter(4) for _ in range(8)]
-    for counter in counters:
-        if reference:
-            sim.call_later(4, _reference_tick(sim, counter))
-        else:
-            sim.arm(counter)
-    log = []
-    hooks = [0]
-
-    def post():
-        hooks[0] += 1
-        if hooks[0] % 7 == 3:
-            sim.call_later(4, lambda: log.append(
-                (sim.now, tuple(c.count for c in counters))))
-        if hooks[0] == 60:
-            for counter in counters:
-                counter.active = False
-
-    sim.post_event = post
-    sim.run()
-    return (log, sim.now, sim.events_processed, sim._seq, sim.live_events,
-            [c.count for c in counters])
-
-
-def test_post_event_scheduling_mid_batch_keeps_order():
-    assert _post_event_trace(False) == _post_event_trace(True)
 
 
 @pytest.mark.parametrize("method, mutant, check", [
@@ -589,16 +539,12 @@ def test_post_event_scheduling_mid_batch_keeps_order():
     # step() never leaves followers queued: chunks do
     ("_drain", _drain_counting_batch_as_one, test_drain_paths_agree),
     ("_queue", _queue_counting_batch_as_one, test_drain_paths_agree),
-    ("_drain", _drain_merging_across_seqs,
-     test_post_event_scheduling_mid_batch_keeps_order),
     ("_drain", _drain_one_pass_skipping_count, test_drain_paths_agree),
     ("_drain", _drain_one_pass_short_seq, test_drain_paths_agree),
-    ("_drain", _drain_one_pass_mixed_periods, test_drain_paths_agree),
-    # the hook's log misses the batch's ticks
-    ("_drain", _drain_one_pass_with_hook, test_drain_paths_agree)],
+    ("_drain", _drain_one_pass_mixed_periods, test_drain_paths_agree)],
     ids=["seq_bump", "purge", "whole_cycle", "batch_as_one_live",
-         "queue_as_one_live", "merge_across_seqs", "one_pass_count",
-         "one_pass_seq", "one_pass_mixed_periods", "one_pass_hook"])
+         "queue_as_one_live", "one_pass_count", "one_pass_seq",
+         "one_pass_mixed_periods"])
 def test_counter_property_catches_engine_mutants(monkeypatch, method,
                                                  mutant, check):
     monkeypatch.setattr(Simulator, method, mutant)

@@ -9,6 +9,8 @@ import json
 
 import pytest
 
+from repro.analysis.chaos import ChaosOutcome
+from repro.analysis.parallel import run_task
 from repro.faults import (
     DUP_SAFE_TYPES,
     RESPONSE_TYPES,
@@ -18,6 +20,10 @@ from repro.faults import (
     parse_fault_spec,
 )
 from repro.network.message import MessageType
+from repro.sanitize import ENV_FLAG as SANITIZE_FLAG
+from repro.sanitize.violations import SanitizerViolation
+from repro.scenarios.runner import scenario_tasks
+from repro.scenarios.spec import ScenarioSpec, WorkloadDef
 from repro.sim.config import small_config
 from repro.sim.watchdog import StallError, WatchdogConfig
 from repro.system import System
@@ -253,3 +259,24 @@ def test_audits_safe_classification():
     assert not audits_safe(FaultConfig(per_pair=((0, 1, "reorder", 0.1),)))
     # zero-rate overrides don't disqualify
     assert audits_safe(FaultConfig(per_type=(("DATA", "drop", 0.0),)))
+
+
+# ---------------------------------------------------------------------
+# delay + reorder: a sanitized cell loses a sharer (ROADMAP item 2)
+# ---------------------------------------------------------------------
+
+@pytest.mark.xfail(strict=True, raises=SanitizerViolation,
+                   reason="dir-sharers at cycle 19662, addr 52: an S "
+                          "holder drops out of the sharer list under "
+                          "delay+reorder")
+def test_delay_reorder_labyrinth_cell_raises_no_violation(monkeypatch):
+    """The 16-node labyrinth/baseline chaos cell at scale 0.1 under
+    ``delay=0.05,reorder=0.02,seed=7``, sanitized, must commit or
+    stall in a way the faults explain, and raise no violation."""
+    spec = ScenarioSpec(name="chaos", nodes=16,
+                        workloads=(WorkloadDef("labyrinth"),),
+                        schemes=("baseline",), scale=0.1,
+                        faults="delay=0.05,reorder=0.02,seed=7")
+    task, = scenario_tasks(spec, max_cycles=500_000_000)
+    monkeypatch.setenv(SANITIZE_FLAG, "1")
+    assert ChaosOutcome(run_task(task)).ok

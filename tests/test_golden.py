@@ -41,7 +41,8 @@ from repro.scenarios.golden import (
     section_specs,
     tour_spec,
 )
-from repro.scenarios.runner import scenario_cells
+from repro.sanitize import ENV_FLAG as SANITIZE_FLAG
+from repro.scenarios.runner import run_scenario, scenario_cells
 from repro.scenarios.spec import WorkloadDef
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "golden.json"
@@ -87,6 +88,26 @@ def test_golden_runs_are_sanitized_and_nontrivial():
     # the meta-test mutation below would be invisible.
     assert st.puno_unicasts > 0
     assert st.puno_pbuffer_updates > 0
+
+
+def test_sanitizer_does_not_steer_the_tour(monkeypatch):
+    """Every tour cell run plain ends in the snapshot of its sanitized
+    run, less the ``sanitizer_checks`` count: the checks observe the
+    protocol without changing one event of it."""
+    def snapshots(result):
+        out = []
+        for r in result.results:
+            snap = r.stats.snapshot()
+            out.append((snap.pop("sanitizer_checks"), snap))
+        return out
+
+    sanitized = snapshots(run_pinned(tour_spec()))
+    monkeypatch.delenv(SANITIZE_FLAG, raising=False)
+    plain = snapshots(run_scenario(tour_spec(), cache=False))
+    assert len(plain) == tour_spec().num_cells == 8
+    assert all(checks > 0 for checks, _ in sanitized)
+    assert all(checks == 0 for checks, _ in plain)
+    assert [snap for _, snap in plain] == [snap for _, snap in sanitized]
 
 
 def test_compare_digests_reports_all_categories():

@@ -41,7 +41,9 @@ def test_sanitize_off_by_default(monkeypatch):
     assert not sanitize_enabled()
     system = _make_system(sanitize=None)
     assert system.sanitizer is None
-    assert system.sim.post_event is None
+    assert system.network.san is None
+    assert all(d.san is None for d in system.directories)
+    assert all(n.san is None for n in system.nodes)
     result = system.run(max_cycles=5_000_000)
     assert result.stats.sanitizer_checks == 0
     assert "sanitizer_checks" not in result.extras
@@ -286,7 +288,7 @@ def test_write_without_read_permission_caught():
 
 
 # ---------------------------------------------------------------------
-# a corruption injected mid-run is caught by the event-boundary sweep
+# a corruption injected mid-run is caught by the settled-line check
 # ---------------------------------------------------------------------
 
 def test_midrun_corruption_aborts_the_run():
@@ -301,7 +303,7 @@ def test_midrun_corruption_aborts_the_run():
                     continue
                 system.nodes[0].l1.install(addr, L1State.M, 0)
                 system.nodes[1].l1.install(addr, L1State.M, 0)
-                system.sanitizer.queue_line_check(directory, addr)
+                system.sanitizer.check_settled_line(directory, addr)
                 return
         system.sim.schedule(500, corrupt)  # nothing settled yet
 
