@@ -393,9 +393,7 @@ def cmd_golden(args) -> int:
     )
     section = ("scheme_digests" if args.tournament
                else "scale_digests" if args.scale else "digests")
-    scenarios = ()
-    if args.scale and args.scenarios:
-        scenarios = tuple(s for s in args.scenarios.split(",") if s)
+    scenarios = tuple(s for s in args.scenarios.split(",") if s)
     try:
         if args.update:
             digests = pinned_digests(section_specs(section, scenarios),
@@ -614,8 +612,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "section: sanitized smoke cells of the "
                              "paper-256/paper-1024 scenarios")
     gold_p.add_argument("--scenarios", default="",
-                        help="with --scale: comma-separated subset of "
-                             "the scale scenarios to run (default all)")
+                        help="comma-separated subset of the selected "
+                             "section's scenarios to run (default all); "
+                             "a name the section does not pin is exit 2")
     gold_p.add_argument("--tournament", action="store_true",
                         help="check (or --update pin) the scheme "
                              "section: sanitized tournament cells of "

@@ -18,10 +18,8 @@ UD pointer off the critical path after each service.
 from __future__ import annotations
 
 from collections import deque
-from typing import ClassVar, Dict, Optional, Tuple
+from typing import ClassVar, Deque, Dict, Optional, Tuple
 
-from repro.coherence.dirstore import DirEntry, DirEntryPool, DirStore, \
-    EntriesView
 from repro.coherence.states import DirState
 from repro.core.bitset import bit_tuple
 from repro.network.message import Message, MessageType, make_data, \
@@ -31,8 +29,35 @@ from repro.sim.config import SystemConfig
 from repro.sim.engine import Simulator
 from repro.sim.stats import Stats
 
-__all__ = ["DirEntry", "DirEntryPool", "DirectoryController",
-           "ServiceRecord"]
+__all__ = ["DirEntry", "DirectoryController", "ServiceRecord"]
+
+
+class DirEntry:
+    """Directory state for one cache line.
+
+    ``sharers`` is an integer bitmask (bit ``n`` = node ``n`` shares
+    the line): membership, add/remove and clear are int ops with no
+    per-event container allocation, and the representation stays one
+    object at any mesh width.
+    """
+
+    __slots__ = ("state", "sharers", "owner", "value", "in_l2", "blocked",
+                 "waitq", "service", "ud", "tx_readers")
+
+    def __init__(self) -> None:
+        self.state: DirState = DirState.I
+        self.sharers: int = 0
+        self.owner: Optional[int] = None
+        self.value: int = 0
+        self.in_l2: bool = False  # False until first touch (memory fetch)
+        self.blocked: bool = False
+        # (msg, arrival) waiters; None until the first blocked arrival
+        self.waitq: Optional[Deque[Tuple]] = None
+        self.service = None  # Optional[ServiceRecord]
+        self.ud: Optional[int] = None  # PUNO unicast-destination pointer
+        # PUNO reader-epoch metadata: sharer -> timestamp of the
+        # transaction whose request added it to the sharer list.
+        self.tx_readers: dict = {}
 
 
 class ServiceRecord:
@@ -76,8 +101,7 @@ class DirectoryController:
     }
 
     def __init__(self, sim: Simulator, node: int, config: SystemConfig,
-                 network: Network, stats: Stats, puno=None,
-                 pool: Optional[DirEntryPool] = None, arbiter=None):
+                 network: Network, stats: Stats, puno=None, arbiter=None):
         self.sim = sim
         self.node = node
         self.config = config
@@ -89,16 +113,9 @@ class DirectoryController:
         # None keeps the plain FIFO drain in _unblock.
         self.arbiter = arbiter
         self.san = None  # Optional[repro.sanitize.sanitizer.ProtocolSanitizer]
-        # Address-interned entry storage; the pool is usually shared by
-        # every bank in the system (System passes one), so retired
-        # entries recirculate globally.  ``entries`` keeps the mapping
-        # interface for audits/sanitizer/tests; the handlers below go
-        # through the bound store internals.
-        self.store = DirStore(pool)
-        self.entries = EntriesView(self.store)
-        self._slots = self.store._slots
-        self._live = self.store._live
-        self._obtain = self.store.obtain
+        # One entry per line this bank has ever seen; a line back in
+        # state I keeps its entry (and with it its value and in_l2).
+        self.entries: Dict[int, DirEntry] = {}
 
     # ------------------------------------------------------------------
     # message entry point
@@ -109,19 +126,16 @@ class DirectoryController:
             raise ValueError(f"directory {self.node} got {msg}")
         getattr(self, name)(msg)
 
-    def entry(self, addr: int) -> DirEntry:
-        return self._obtain(addr)
-
     # ------------------------------------------------------------------
     # request dispatch / queueing
     # ------------------------------------------------------------------
     def _enqueue_or_service(self, msg: Message) -> None:
-        # One store call does get-or-create (and revives a retired
-        # line with its preserved value/in-L2 bits).
-        entry = self._obtain(msg.addr)
+        entry = self.entries.get(msg.addr)
+        if entry is None:
+            entry = self.entries[msg.addr] = DirEntry()
         if entry.blocked:
-            # The first waiter creates the queue; the entry keeps it
-            # through later releases (see DirEntryPool.release).
+            # The first waiter creates the queue; the entry keeps it,
+            # empty, after the drain.
             waitq = entry.waitq
             if waitq is None:
                 waitq = entry.waitq = deque()
@@ -342,23 +356,13 @@ class DirectoryController:
         # else: stale writeback (ownership already moved on) — drop it.
         ack = make_put_ack(msg.addr, self.node, msg.src, msg.req_id)
         self.network.send(ack, self.config.directory_latency)
-        # A non-sticky writeback settles the line to I with nothing
-        # queued: retire the entry to the pool.  Skipped under the
-        # sanitizer — its deferred line checks must still find the
-        # entry after the event boundary.  When this PUT was drained
-        # from an unblock loop, the loop's own retire attempt later is
-        # an identity-checked no-op.
-        if (self.san is None and entry.state is DirState.I
-                and not entry.blocked and not entry.waitq):
-            self.store.retire(msg.addr, entry)
 
     # ------------------------------------------------------------------
     # UNBLOCK / WB_DATA
     # ------------------------------------------------------------------
     def _handle_unblock(self, msg: Message) -> None:
-        # The entry is blocked on this service, so it is necessarily
-        # live: index the store internals directly.
-        entry = self._live[self._slots[msg.addr]]
+        # The entry is blocked on this service, so it exists.
+        entry = self.entries[msg.addr]
         rec = entry.service
         if rec is None or not entry.blocked:
             raise AssertionError(f"spurious UNBLOCK {msg}")
@@ -443,8 +447,9 @@ class DirectoryController:
         # two-leg path, so by the triangle inequality it cannot arrive
         # first); a mismatch is only reachable under injected delay and
         # means the line has moved on — applying the payload would
-        # overwrite a fresher value with a stale one.
-        entry = self.entry(msg.addr)
+        # overwrite a fresher value with a stale one.  The entry exists:
+        # this bank forwarded the FWD_GETS, and entries are never dropped.
+        entry = self.entries[msg.addr]
         rec = entry.service
         if (rec is None or rec.msg.req_id != msg.req_id
                 or rec.msg.src != msg.requester):
@@ -471,7 +476,6 @@ class DirectoryController:
         rec = entry.service
         if rec is None:
             raise AssertionError("unblocking an entry with no service")
-        addr = rec.msg.addr
         blocked_for = self.sim.now - rec.block_start
         self.stats.dir_blocked_cycles_total += blocked_for
         if rec.is_txgetx:
@@ -492,10 +496,3 @@ class DirectoryController:
                 nxt, arrived = arb.select(entry.waitq, self.sim.now)
             self.stats.dir_queue_wait_cycles += self.sim.now - arrived
             self._service(nxt, entry)
-        # Settled back to I with nothing queued (e.g. a multicast fail
-        # with no survivors): retire to the pool.  See _service_put for
-        # the sanitizer gate; the identity check inside retire makes
-        # this a no-op if a drained PUT already retired it.
-        if (self.san is None and not entry.blocked and not entry.waitq
-                and entry.state is DirState.I):
-            self.store.retire(addr, entry)

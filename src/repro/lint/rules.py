@@ -232,8 +232,7 @@ HOT_PATH_PREFIXES = ("network/", "sim/", "coherence/", "workloads/base.py")
 EVENT_PATH_FILES = (
     "network/network.py", "network/message.py", "network/topology.py",
     "sim/engine.py",
-    "coherence/cache.py", "coherence/directory.py",
-    "coherence/dirstore.py", "coherence/states.py",
+    "coherence/cache.py", "coherence/directory.py", "coherence/states.py",
     "htm/node.py", "htm/conflict.py", "htm/lazy.py", "htm/transaction.py",
     "core/puno.py", "core/pbuffer.py", "core/txlb.py", "core/bitset.py",
     "core/udpointer.py",

@@ -69,14 +69,14 @@ class ProtocolSanitizer:
     def check_settled_line(self, directory, addr: int) -> None:
         """Called by the directory once an UNBLOCK has completed a
         service and restarted any queued one."""
-        entry = directory.entries.get(addr)
-        if entry is None or entry.blocked:
+        entry = directory.entries[addr]
+        if entry.blocked:
             # a queued request claimed the entry; its own UNBLOCK
             # checks the line again
             return
-        self.check_line(directory, addr, entry)
+        self.check_line(addr, entry)
 
-    def check_line(self, directory, addr: int, entry=None) -> None:
+    def check_line(self, addr: int, entry) -> None:
         """Single-owner MESI + sharer-list consistency for one line.
 
         Sharer direction: the directory's list is deliberately
@@ -85,10 +85,6 @@ class ProtocolSanitizer:
         {nodes holding S} a subset of ``entry.sharers`` — not equality.
         """
         self.stats.sanitizer_checks += 1
-        if entry is None:
-            entry = directory.entries.get(addr)
-            if entry is None:
-                return
         owners: List[int] = []
         sharers: List[int] = []
         for node in self.system.nodes:

@@ -19,8 +19,8 @@ of :class:`~repro.scenarios.spec.ScenarioSpec` run through
   scheme per tournament workload, so a newly registered scheme shows
   up as EXTRA until pinned (``--tournament``),
 * ``scale_digests`` — the smoke cells of the 256/1024-node scenarios,
-  the bit-identity contract of computed routing and pooled directory
-  storage (``--scale``).
+  the bit-identity contract of computed routing at those sizes
+  (``--scale``).
 
 Every section shares one compute / save / load / check path.  Digests
 are keyed ``<scenario>/<workload>/<scheme>/s<seed>``.  Pinned runs

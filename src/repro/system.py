@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from repro.coherence.directory import DirectoryController
-from repro.coherence.dirstore import DirEntryPool
 from repro.coherence.states import DirState, L1State
 from repro.core.bitset import bit_list, mask_of
 from repro.core.puno import DirectoryPUNO
@@ -100,10 +99,6 @@ class System:
         self.cm = self.scheme.make_cm(config, self.stats,
                                       avg_c2c=self.mesh.avg_latency)
         self.cm.sim = self.sim
-        # One DirEntry free list for the whole system: entries retired
-        # at any home bank are reused by every other (zero-alloc steady
-        # state; see repro.coherence.dirstore).
-        self.dir_pool = DirEntryPool()
         self.punos: List[Optional[DirectoryPUNO]] = []
         self.directories: List[DirectoryController] = []
         self.nodes: List[NodeController] = []
@@ -126,7 +121,6 @@ class System:
             self.punos.append(puno)
             directory = DirectoryController(self.sim, n, config,
                                             self.network, self.stats, puno,
-                                            pool=self.dir_pool,
                                             arbiter=self.dir_arbiter)
             self.directories.append(directory)
             node = node_cls(

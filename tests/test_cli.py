@@ -468,6 +468,26 @@ def test_golden_scale_exit_codes(tmp_path, monkeypatch, capsys):
     assert f"MISMATCH {cell}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags", [
+    ["--scenarios", "paper-256"],
+    ["--tournament", "--scenarios", "bogus"],
+    ["--update", "--scenarios", "paper-256"],
+])
+def test_golden_scenarios_outside_section_is_exit_2(flags, tmp_path,
+                                                    capsys):
+    """--scenarios restricts whichever section is selected, so a name
+    that section does not pin is exit 2 before any cell runs (and an
+    --update writes nothing)."""
+    import shutil
+    from pathlib import Path
+    path = tmp_path / "golden.json"
+    shutil.copy(Path(__file__).parent / "golden" / "golden.json", path)
+    before = path.read_bytes()
+    assert main(["golden", *flags, "--file", str(path)]) == 2
+    assert "pins no scenario(s)" in capsys.readouterr().err
+    assert path.read_bytes() == before
+
+
 def test_golden_update_then_check(tmp_path, capsys):
     path = tmp_path / "golden.json"
     assert main(["golden", "--update", "--file", str(path)]) == 0

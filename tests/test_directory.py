@@ -297,3 +297,56 @@ def test_unblock_recomputes_ud_pointer_once():
     assert puno.recomputes == before + 1
     assert stats.puno_pbuffer_invalidations == 1
     assert d.entries[0].sharers == mask_of({1, 2})
+
+
+def test_wait_queue_is_created_by_the_first_waiter_and_kept(dirsetup):
+    """An entry carries no wait queue until a request arrives while it
+    is blocked; the queue then stays with the entry, empty, after the
+    drain."""
+    sim, d, net, stats = dirsetup
+    d.receive(_gets(0, src=1))  # cold fetch: blocks the entry, nobody waits
+    entry = d.entries[0]
+    assert entry.blocked and entry.waitq is None
+    d.receive(_gets(0, src=2, req_id=2))
+    waitq = entry.waitq
+    assert [m.requester for m, _ in waitq] == [2]
+    sim.run()  # the fetch completes and the waiter is drained
+    assert entry.waitq is waitq and not waitq
+
+
+def _churn_workload(cfg, window, rounds):
+    """Node 0 rewrites ``window`` lines that all map to one L1 set
+    (addr stride = num_sets), so every install past the way count
+    evicts a committed M line -> writeback PUT -> directory state I;
+    the next round reads the same lines again."""
+    from repro.workloads.base import Gap, TxInstance, TxOp, Workload
+
+    sets = cfg.cache.num_sets
+    addrs = [1 + k * sets for k in range(window)]
+    prog, iid = [], 0
+    for _ in range(rounds):
+        for a in addrs:
+            prog.append(TxInstance(static_id=0, ops=[TxOp(True, a)],
+                                   instance_id=iid))
+            iid += 1
+            prog.append(Gap(50))
+    idle = [[Gap(10)] for _ in range(cfg.num_nodes - 1)]
+    return Workload("churn", [prog] + idle, num_static_txs=1)
+
+
+def test_line_back_in_state_i_keeps_value_and_l2_residency():
+    """Evict -> writeback to I -> re-read: the entry a line keeps in
+    state I still holds the home value and the L2 bit, so only the
+    first touch of each line misses in L2, and the end-of-run coherence
+    and value audits pass."""
+    from repro.sim.config import scaled_config
+    from repro.system import System
+
+    cfg = scaled_config(16, seed=1)
+    window, rounds = 8, 6
+    system = System(cfg, _churn_workload(cfg, window, rounds), "baseline")
+    result = system.run()  # run() audits coherence + values at the end
+    assert result.stats.tx_committed == window * rounds
+    assert result.stats.l2_misses == window
+    assert result.stats.writebacks > 0
+    assert sum(len(d.entries) for d in system.directories) == window

@@ -158,13 +158,14 @@ def test_fold_node_stats_outside_boundary_is_caught():
     assert any("_fold_node_stats" in v.message for v in hits)
 
 
-def test_dirstore_is_in_event_path_scope():
-    """A folded-view access seeded into the pooled directory store's
-    hot ``obtain()`` is flagged: dirstore.py is event-path."""
-    mutated = _mutate("coherence/dirstore.py",
-                      "    def obtain(self, addr: int) -> DirEntry:\n",
-                      "        _ = self.pool.stats.messages_by_type\n")
-    assert _lint("coherence/dirstore.py", mutated, "snapshot-contract")
+def test_directory_is_in_event_path_scope():
+    """A folded-view access seeded into the directory's per-request
+    ``_enqueue_or_service`` is flagged: directory.py is event-path."""
+    mutated = _mutate("coherence/directory.py",
+                      "    def _enqueue_or_service(self, msg: Message)"
+                      " -> None:\n",
+                      "        _ = self.stats.messages_by_type\n")
+    assert _lint("coherence/directory.py", mutated, "snapshot-contract")
 
 
 def test_snapshot_contract_respects_disable_comment():

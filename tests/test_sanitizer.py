@@ -88,14 +88,14 @@ def _ran_system(**kw):
 
 
 def _shared_entry(system):
-    """Some (directory, addr, entry) left in stable Shared state."""
+    """Some (addr, entry) left in stable Shared state."""
     for directory in system.directories:
         for addr, entry in directory.entries.items():
             if entry.state is DirState.S and not entry.blocked:
                 holders = [n for n in system.nodes
                            if n.l1.state_of(addr) is L1State.S]
                 if holders:
-                    return directory, addr, entry
+                    return addr, entry
     raise AssertionError("no stable shared line in final state")
 
 
@@ -108,41 +108,41 @@ def _expect(rule, fn, *args, **kw):
 
 def test_second_owner_caught():
     system = _ran_system()
-    directory, addr, entry = _shared_entry(system)
+    addr, entry = _shared_entry(system)
     # two nodes claim write permission for the same line
     system.nodes[0].l1.install(addr, L1State.M, 0)
     system.nodes[1].l1.install(addr, L1State.M, 0)
     _expect("mesi-single-owner", system.sanitizer.check_line,
-            directory, addr, entry)
+            addr, entry)
 
 
 def test_owner_with_sharers_caught():
     system = _ran_system()
-    directory, addr, entry = _shared_entry(system)
+    addr, entry = _shared_entry(system)
     holder = next(n for n in system.nodes
                   if n.l1.state_of(addr) is L1State.S)
     holder.l1.install(addr, L1State.M, 0)  # silent S->M upgrade
     _expect("mesi-single-owner", system.sanitizer.check_line,
-            directory, addr, entry)
+            addr, entry)
 
 
 def test_sharer_list_hole_caught():
     system = _ran_system()
-    directory, addr, entry = _shared_entry(system)
+    addr, entry = _shared_entry(system)
     holder = next(n.node for n in system.nodes
                   if n.l1.state_of(addr) is L1State.S)
     entry.sharers &= ~(1 << holder)  # directory forgets a live sharer
     _expect("dir-sharers", system.sanitizer.check_line,
-            directory, addr, entry)
+            addr, entry)
 
 
 def test_directory_i_with_cached_copy_caught():
     system = _ran_system()
-    directory, addr, entry = _shared_entry(system)
+    addr, entry = _shared_entry(system)
     entry.state = DirState.I
     entry.sharers = 0
     _expect("dir-sharers", system.sanitizer.check_line,
-            directory, addr, entry)
+            addr, entry)
 
 
 def _fake_tx(node, timestamp=100, reads=(), writes=()):
